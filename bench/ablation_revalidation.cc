@@ -29,18 +29,18 @@ struct ReplayStats {
   std::uint64_t expired = 0;
 };
 
-// Replays the scenario's merged trace through `cache`, streamed chunk by
-// chunk (no materialized combined copy).
+// Replays the scenario's merged trace through `cache`, streamed block by
+// block (no materialized combined copy).
 ReplayStats Replay(cdn::Cache& cache, const cdn::Scenario& scenario) {
   cdn::MergedTraceSource source(scenario);
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    for (const auto& r : chunk) {
-      if (r.response_code != trace::kHttpOk &&
-          r.response_code != trace::kHttpPartialContent) {
+  for (const auto* b = source.NextBlock(); b != nullptr;
+       b = source.NextBlock()) {
+    for (std::size_t i = 0; i < b->size(); ++i) {
+      if (b->response_code[i] != trace::kHttpOk &&
+          b->response_code[i] != trace::kHttpPartialContent) {
         continue;
       }
-      cache.Access(r.url_hash, r.object_size, r.timestamp_ms);
+      cache.Access(b->url_hash[i], b->object_size[i], b->timestamp_ms[i]);
     }
   }
   ReplayStats out;

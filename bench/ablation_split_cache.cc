@@ -33,7 +33,7 @@ struct ReplayResult {
 };
 
 // Replays object-level accesses (content-bearing responses only), streamed
-// from the scenario's merged trace chunk by chunk — no combined copy.
+// from the scenario's merged trace block by block — no combined copy.
 ReplayResult Replay(const cdn::Scenario& scenario,
                     std::uint64_t small_capacity,
                     std::uint64_t large_capacity,
@@ -44,18 +44,18 @@ ReplayResult Replay(const cdn::Scenario& scenario,
                          : nullptr;
   ReplayResult result;
   cdn::MergedTraceSource source(scenario);
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    for (const auto& r : chunk) {
-      if (r.response_code != trace::kHttpOk &&
-          r.response_code != trace::kHttpPartialContent) {
+  for (const auto* b = source.NextBlock(); b != nullptr;
+       b = source.NextBlock()) {
+    for (std::size_t i = 0; i < b->size(); ++i) {
+      if (b->response_code[i] != trace::kHttpOk &&
+          b->response_code[i] != trace::kHttpPartialContent) {
         continue;
       }
-      if (large_cache != nullptr && r.object_size > split_bytes) {
-        large_cache->Access(r.url_hash, r.object_size, r.timestamp_ms);
-      } else {
-        small_cache->Access(r.url_hash, r.object_size, r.timestamp_ms);
-      }
+      const std::uint64_t size = b->object_size[i];
+      cdn::Cache& cache = large_cache != nullptr && size > split_bytes
+                              ? *large_cache
+                              : *small_cache;
+      cache.Access(b->url_hash[i], size, b->timestamp_ms[i]);
     }
   }
   result.small = small_cache->stats();

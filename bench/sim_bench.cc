@@ -6,9 +6,7 @@
 // baseline that simulates the sites one after another — the pre-sharding
 // architecture. Records are discarded through a CountingSink so the numbers
 // measure the engine, not a sink. Every configuration emits byte-identical
-// traces (see tests/engine_test.cc); only the wall clock moves. A second
-// sweep drives the BlockSink overload (records leave the engine packed as
-// SoA RecordBlocks) and lands as `batch_threads_N` in the JSON.
+// traces (see tests/engine_test.cc); only the wall clock moves.
 //
 // Results land in BENCH_sim.json (override the path with
 // ATLAS_BENCH_SIM_JSON; set it empty to skip). Peak RSS is reset between
@@ -338,20 +336,6 @@ int main(int argc, char** argv) {
                      rss_reset_ok));
   }
 
-  // Batch variant: the merged stream leaves the engine as SoA RecordBlocks
-  // (BlockSink overload); same byte sequence, block framing on the way out.
-  std::vector<std::pair<int, PhaseSample>> batch;
-  for (int threads : {1, 2, 8}) {
-    batch.emplace_back(
-        threads, MeasurePhase(
-                     [&] {
-                       trace::BlockCountingSink sink;
-                       cdn::RunSharded(jobs, config, sink, threads);
-                       return sink.records();
-                     },
-                     rss_reset_ok));
-  }
-
   std::cout << "records: " << sequential.records << "\n"
             << "sequential:  "
             << static_cast<std::uint64_t>(sequential.records_per_s)
@@ -367,12 +351,6 @@ int main(int argc, char** argv) {
                          : 0.0,
                      2)
               << "x sequential)\n";
-  }
-  for (const auto& [threads, s] : batch) {
-    std::cout << "batch_threads=" << threads << ": "
-              << static_cast<std::uint64_t>(s.records_per_s)
-              << " rec/s, peak RSS " << s.peak_rss_bytes / 1024 / 1024
-              << " MB\n";
   }
   if (!rss_reset_ok) {
     std::cout << "note: peak-RSS reset unavailable; RSS columns are "
@@ -402,12 +380,9 @@ int main(int argc, char** argv) {
         << (last ? "\n" : ",\n");
   };
   append("sequential", sequential, false);
-  for (const auto& [threads, s] : threaded) {
-    append("threads_" + std::to_string(threads), s, false);
-  }
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    append("batch_threads_" + std::to_string(batch[i].first), batch[i].second,
-           i + 1 == batch.size());
+  for (std::size_t i = 0; i < threaded.size(); ++i) {
+    append("threads_" + std::to_string(threaded[i].first), threaded[i].second,
+           i + 1 == threaded.size());
   }
   out << "  }\n}\n";
   std::cout << "wrote " << json_path << "\n";

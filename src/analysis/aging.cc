@@ -1,10 +1,9 @@
 #include "analysis/aging.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
-#include <vector>
 
+#include "analysis/feed.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -13,31 +12,25 @@ AgingAccumulator::AgingAccumulator(std::size_t size_hint) {
   lives_.reserve(size_hint / 4 + 1);
 }
 
-void AgingAccumulator::Add(const trace::LogRecord& r) {
-  AddOne(r.timestamp_ms, r.url_hash);
-}
-
-void AgingAccumulator::AddOne(std::int64_t ts, std::uint64_t url) {
-  if (any_ && ts < last_ts_) {
-    throw std::invalid_argument("AgingAccumulator: input not sorted by time");
-  }
-  any_ = true;
-  last_ts_ = ts;
-  end_ms_ = ts;  // sorted input: the latest so far
-  auto [life, inserted] = lives_.TryEmplace(url);
-  if (inserted) life->first_seen = ts;
-  const std::int64_t age_ms = ts - life->first_seen;
-  const auto day = static_cast<int>(age_ms / util::kMillisPerDay);  // 0-based
-  if (day >= 0 && day < kMaxAgeDays) {
-    life->active_days |= (1u << day);
-  }
-}
-
 void AgingAccumulator::AddBatch(const trace::RecordBlock& b,
                                 const std::uint32_t* rows, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
-    AddOne(b.timestamp_ms[i], b.url_hash[i]);
+    const std::int64_t ts = b.timestamp_ms[i];
+    if (any_ && ts < last_ts_) {
+      throw std::invalid_argument(
+          "AgingAccumulator: input not sorted by time");
+    }
+    any_ = true;
+    last_ts_ = ts;
+    end_ms_ = ts;  // sorted input: the latest so far
+    auto [life, inserted] = lives_.TryEmplace(b.url_hash[i]);
+    if (inserted) life->first_seen = ts;
+    const std::int64_t age_ms = ts - life->first_seen;
+    const auto day = static_cast<int>(age_ms / util::kMillisPerDay);  // 0-based
+    if (day >= 0 && day < kMaxAgeDays) {
+      life->active_days |= (1u << day);
+    }
   }
 }
 
@@ -109,18 +102,8 @@ AgingResult AgingAccumulator::Finalize(const std::string& site_name) {
 AgingResult ComputeAging(const trace::TraceBuffer& trace,
                          const std::string& site_name) {
   AgingAccumulator acc(trace.size());
-  if (trace.IsSortedByTime()) {
-    for (const auto& r : trace.records()) acc.Add(r);
-  } else {
-    // The result is order-independent, so feed a sorted view.
-    std::vector<std::uint32_t> order(trace.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return trace[a].timestamp_ms < trace[b].timestamp_ms;
-                     });
-    for (const auto i : order) acc.Add(trace[i]);
-  }
+  // The result is order-independent, so an unsorted buffer is fed sorted.
+  FeedTraceByTime(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -52,9 +52,8 @@ struct AgingResult {
 class AgingAccumulator {
  public:
   explicit AgingAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls, including the sorted-input check.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order;
+  // the sorted-input check runs row by row.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   AgingResult Finalize(const std::string& site_name);
@@ -63,8 +62,6 @@ class AgingAccumulator {
   void RestoreState(ckpt::Reader& r);
 
  private:
-  void AddOne(std::int64_t ts, std::uint64_t url);
-
   struct ObjectLife {
     std::int64_t first_seen = 0;
     // Bitmask of life-days (day 1 = bit 0) with at least one request.

@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "analysis/feed.h"
 #include "stats/correlation.h"
 #include "trace/content_class.h"
 
@@ -22,52 +23,42 @@ CachingAccumulator::CachingAccumulator(std::size_t size_hint) {
   per_object_.reserve(size_hint / 4 + 1);
 }
 
-void CachingAccumulator::Add(const trace::LogRecord& r) {
-  AddOne(r.url_hash, trace::ClassOf(r.file_type), r.response_code,
-         r.cache_status);
-}
-
-void CachingAccumulator::AddOne(std::uint64_t url, trace::ContentClass cls,
-                                std::uint16_t response_code,
-                                trace::CacheStatus cache_status) {
-  // Fig. 16 counts every response.
-  ++result_.all_response_codes[response_code];
-  if (cls == trace::ContentClass::kVideo) {
-    ++result_.video_response_codes[response_code];
-  } else if (cls == trace::ContentClass::kImage) {
-    ++result_.image_response_codes[response_code];
-  }
-  // Hit-ratio accounting only covers responses the cache could answer
-  // (errors like 403/416 and beacons say nothing about cache state).
-  if (response_code != trace::kHttpOk &&
-      response_code != trace::kHttpPartialContent &&
-      response_code != trace::kHttpNotModified) {
-    return;
-  }
-  auto& acc = per_object_[url];
-  acc.cls = cls;
-  ++acc.cacheable;
-  ++total_cacheable_;
-  const bool hit = cache_status == trace::CacheStatus::kHit;
-  if (hit) {
-    ++acc.hits;
-    ++total_hits_;
-  }
-  if (cls == trace::ContentClass::kVideo) {
-    ++video_cacheable_;
-    if (hit) ++video_hits_;
-  } else if (cls == trace::ContentClass::kImage) {
-    ++image_cacheable_;
-    if (hit) ++image_hits_;
-  }
-}
-
 void CachingAccumulator::AddBatch(const trace::RecordBlock& b,
                                   const std::uint32_t* rows, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
-    AddOne(b.url_hash[i], trace::ClassOf(b.file_type[i]), b.response_code[i],
-           b.cache_status[i]);
+    const trace::ContentClass cls = trace::ClassOf(b.file_type[i]);
+    const std::uint16_t response_code = b.response_code[i];
+    // Fig. 16 counts every response.
+    ++result_.all_response_codes[response_code];
+    if (cls == trace::ContentClass::kVideo) {
+      ++result_.video_response_codes[response_code];
+    } else if (cls == trace::ContentClass::kImage) {
+      ++result_.image_response_codes[response_code];
+    }
+    // Hit-ratio accounting only covers responses the cache could answer
+    // (errors like 403/416 and beacons say nothing about cache state).
+    if (response_code != trace::kHttpOk &&
+        response_code != trace::kHttpPartialContent &&
+        response_code != trace::kHttpNotModified) {
+      continue;
+    }
+    auto& acc = per_object_[b.url_hash[i]];
+    acc.cls = cls;
+    ++acc.cacheable;
+    ++total_cacheable_;
+    const bool hit = b.cache_status[i] == trace::CacheStatus::kHit;
+    if (hit) {
+      ++acc.hits;
+      ++total_hits_;
+    }
+    if (cls == trace::ContentClass::kVideo) {
+      ++video_cacheable_;
+      if (hit) ++video_hits_;
+    } else if (cls == trace::ContentClass::kImage) {
+      ++image_cacheable_;
+      if (hit) ++image_hits_;
+    }
   }
 }
 
@@ -124,7 +115,7 @@ CachingResult CachingAccumulator::Finalize(const std::string& site_name) {
 CachingResult ComputeCaching(const trace::TraceBuffer& trace,
                              const std::string& site_name) {
   CachingAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -48,9 +48,7 @@ struct CachingResult {
 class CachingAccumulator {
  public:
   explicit CachingAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   CachingResult Finalize(const std::string& site_name);
@@ -64,9 +62,6 @@ class CachingAccumulator {
     std::uint64_t cacheable = 0;  // content-bearing responses (200/206/304)
     std::uint64_t hits = 0;
   };
-
-  void AddOne(std::uint64_t url, trace::ContentClass cls,
-              std::uint16_t response_code, trace::CacheStatus cache_status);
 
   CachingResult result_;
   util::FlatHashMap<std::uint64_t, ObjAcc> per_object_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "analysis/feed.h"
 #include "trace/content_class.h"
 #include "util/sorted.h"
 
@@ -53,14 +54,6 @@ CompositionAccumulator::CompositionAccumulator(std::size_t size_hint) {
   seen_.reserve(size_hint / 4 + 1);
 }
 
-void CompositionAccumulator::Add(const trace::LogRecord& r) {
-  const auto cls = trace::ClassOf(r.file_type);
-  const auto c = static_cast<std::size_t>(cls);
-  ++result_.requests[c];
-  result_.bytes[c] += r.response_bytes;
-  seen_.InsertIfAbsent(r.url_hash, cls);
-}
-
 void CompositionAccumulator::AddBatch(const trace::RecordBlock& b,
                                       const std::uint32_t* rows,
                                       std::size_t n) {
@@ -87,27 +80,13 @@ CompositionResult CompositionAccumulator::Finalize(
 CompositionResult ComputeComposition(const trace::TraceBuffer& site_trace,
                                      const std::string& site_name) {
   CompositionAccumulator acc(site_trace.size());
-  for (const auto& r : site_trace.records()) acc.Add(r);
+  FeedTrace(site_trace, acc);
   return acc.Finalize(site_name);
 }
 
 DatasetSummaryAccumulator::DatasetSummaryAccumulator(std::size_t size_hint) {
   users_.reserve(size_hint / 4 + 1);
   objects_.reserve(size_hint / 4 + 1);
-}
-
-void DatasetSummaryAccumulator::Add(const trace::LogRecord& r) {
-  if (records_ == 0) {
-    start_ms_ = r.timestamp_ms;
-    end_ms_ = r.timestamp_ms;
-  } else {
-    start_ms_ = std::min(start_ms_, r.timestamp_ms);
-    end_ms_ = std::max(end_ms_, r.timestamp_ms);
-  }
-  ++records_;
-  bytes_ += r.response_bytes;
-  users_.Insert(r.user_id);
-  objects_.Insert(r.url_hash);
 }
 
 void DatasetSummaryAccumulator::AddBatch(const trace::RecordBlock& b,
@@ -145,7 +124,7 @@ DatasetSummary DatasetSummaryAccumulator::Finalize(const std::string& label) {
 DatasetSummary ComputeDatasetSummary(const trace::TraceBuffer& trace,
                                      const std::string& label) {
   DatasetSummaryAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(label);
 }
 

@@ -37,10 +37,9 @@ struct CompositionResult {
 class CompositionAccumulator {
  public:
   explicit CompositionAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Batch path: rows `rows[0..n)` of `b` (all of [0, n) when rows is null),
-  // in stream order — equivalent to n Add() calls. Same contract for every
-  // accumulator's AddBatch.
+  // The one entry of every accumulator: rows `rows[0..n)` of `b` (all of
+  // [0, n) when rows is null), in that order, folded one row at a time so
+  // floating-point sums never depend on how the stream was cut into blocks.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   CompositionResult Finalize(const std::string& site_name);
@@ -72,7 +71,6 @@ struct DatasetSummary {
 class DatasetSummaryAccumulator {
  public:
   explicit DatasetSummaryAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   DatasetSummary Finalize(const std::string& label);

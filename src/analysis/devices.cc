@@ -1,5 +1,7 @@
 #include "analysis/devices.h"
 
+#include "analysis/feed.h"
+
 namespace atlas::analysis {
 
 DeviceCompositionAccumulator::DeviceCompositionAccumulator(
@@ -21,12 +23,6 @@ const trace::UaInfo& DeviceCompositionAccumulator::InfoFor(
     parsed_valid_[ua_id] = 1;
   }
   return parsed_[ua_id];
-}
-
-void DeviceCompositionAccumulator::Add(const trace::LogRecord& r) {
-  user_ua_.InsertIfAbsent(r.user_id, r.user_agent_id);
-  ++request_counts_[static_cast<std::size_t>(InfoFor(r.user_agent_id).device)];
-  ++requests_;
 }
 
 void DeviceCompositionAccumulator::AddBatch(const trace::RecordBlock& b,
@@ -83,7 +79,7 @@ DeviceComposition DeviceCompositionAccumulator::Finalize(
 DeviceComposition ComputeDeviceComposition(const trace::TraceBuffer& trace,
                                            const std::string& site_name) {
   DeviceCompositionAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

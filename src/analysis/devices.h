@@ -42,7 +42,6 @@ struct DeviceComposition {
 class DeviceCompositionAccumulator {
  public:
   explicit DeviceCompositionAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   DeviceComposition Finalize(const std::string& site_name);

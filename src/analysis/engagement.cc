@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "analysis/feed.h"
 #include "trace/content_class.h"
 
 namespace atlas::analysis {
@@ -13,22 +14,14 @@ EngagementAccumulator::EngagementAccumulator(double addicted_ratio,
   pair_counts_.reserve(size_hint);
 }
 
-void EngagementAccumulator::Add(const trace::LogRecord& r) {
-  // A repeat (object, user) pair implies the object's class is already
-  // stored, so the common case is a single probe.
-  auto [slot, inserted] = pair_counts_.TryEmplace({r.url_hash, r.user_id});
-  ++*slot;
-  if (inserted) {
-    classes_.InsertIfAbsent(r.url_hash, trace::ClassOf(r.file_type));
-  }
-}
-
 void EngagementAccumulator::AddBatch(const trace::RecordBlock& b,
                                      const std::uint32_t* rows,
                                      std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
     const std::uint64_t url = b.url_hash[i];
+    // A repeat (object, user) pair implies the object's class is already
+    // stored, so the common case is a single probe.
     auto [slot, inserted] = pair_counts_.TryEmplace({url, b.user_id[i]});
     ++*slot;
     if (inserted) {
@@ -102,7 +95,7 @@ EngagementResult ComputeEngagement(const trace::TraceBuffer& trace,
                                    const std::string& site_name,
                                    double addicted_ratio) {
   EngagementAccumulator acc(addicted_ratio, trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -59,9 +59,7 @@ class EngagementAccumulator {
  public:
   explicit EngagementAccumulator(double addicted_ratio = 3.0,
                                  std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   EngagementResult Finalize(const std::string& site_name);

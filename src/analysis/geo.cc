@@ -34,7 +34,7 @@ double GeoResult::RequestShare(synth::Continent c) const {
                           static_cast<double>(total);
 }
 
-GeoResult ComputeGeo(trace::RecordSource& source,
+GeoResult ComputeGeo(trace::BlockSource& source,
                      const std::string& site_name) {
   GeoResult result;
   result.site = site_name;
@@ -43,26 +43,27 @@ GeoResult ComputeGeo(trace::RecordSource& source,
   std::int64_t start_ms = 0;
   std::int64_t end_ms = 0;
   bool any = false;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    for (const auto& r : chunk) {
+  for (const auto* b = source.NextBlock(); b != nullptr;
+       b = source.NextBlock()) {
+    for (std::size_t i = 0; i < b->size(); ++i) {
+      const std::int64_t ts = b->timestamp_ms[i];
       if (!any) {
-        start_ms = end_ms = r.timestamp_ms;
+        start_ms = end_ms = ts;
         any = true;
       } else {
-        start_ms = std::min(start_ms, r.timestamp_ms);
-        end_ms = std::max(end_ms, r.timestamp_ms);
+        start_ms = std::min(start_ms, ts);
+        end_ms = std::max(end_ms, ts);
       }
       const auto c = static_cast<std::size_t>(
-          synth::ContinentFromTzQuarterHours(r.tz_offset_quarter_hours));
+          synth::ContinentFromTzQuarterHours(b->tz_offset_quarter_hours[i]));
       auto& stats = result.continents[c];
       ++stats.requests;
-      stats.bytes += r.response_bytes;
-      users[c].insert(r.user_id);
+      stats.bytes += b->response_bytes[i];
+      users[c].insert(b->user_id[i]);
       const auto hour = static_cast<std::size_t>(
-          ((r.timestamp_ms / util::kMillisPerHour) % 24 + 24) % 24);
+          ((ts / util::kMillisPerHour) % 24 + 24) % 24);
       stats.utc_hourly_requests[hour] += 1.0;
-      stats.utc_hourly_bytes[hour] += static_cast<double>(r.response_bytes);
+      stats.utc_hourly_bytes[hour] += static_cast<double>(b->response_bytes[i]);
     }
   }
   result.span_ms = end_ms - start_ms;
@@ -74,7 +75,7 @@ GeoResult ComputeGeo(trace::RecordSource& source,
 
 GeoResult ComputeGeo(const trace::TraceBuffer& trace,
                      const std::string& site_name) {
-  trace::BufferSource source(trace);
+  trace::BufferBlockSource source(trace);
   return ComputeGeo(source, site_name);
 }
 

@@ -13,7 +13,7 @@
 
 #include "stats/timeseries.h"
 #include "synth/user_model.h"
-#include "trace/stream.h"
+#include "trace/block.h"
 #include "trace/trace_buffer.h"
 
 namespace atlas::analysis {
@@ -44,9 +44,9 @@ struct GeoResult {
   double RequestShare(synth::Continent c) const;
 };
 
-// Single pass over a record stream; memory is O(distinct users), never
+// Single pass over a block stream; memory is O(distinct users), never
 // O(records), so it works on traces larger than RAM.
-GeoResult ComputeGeo(trace::RecordSource& source, const std::string& site_name);
+GeoResult ComputeGeo(trace::BlockSource& source, const std::string& site_name);
 
 // In-memory convenience over the streaming pass.
 GeoResult ComputeGeo(const trace::TraceBuffer& trace,

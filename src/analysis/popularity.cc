@@ -1,5 +1,6 @@
 #include "analysis/popularity.h"
 
+#include "analysis/feed.h"
 #include "trace/content_class.h"
 
 namespace atlas::analysis {
@@ -21,20 +22,14 @@ PopularityAccumulator::PopularityAccumulator(std::size_t size_hint) {
   counts_.reserve(size_hint / 4 + 1);
 }
 
-void PopularityAccumulator::Add(const trace::LogRecord& r) {
-  // One probe for the common repeat case: the class only needs storing the
-  // first time an object appears.
-  auto [slot, inserted] = counts_.TryEmplace(r.url_hash);
-  ++*slot;
-  if (inserted) classes_[r.url_hash] = trace::ClassOf(r.file_type);
-}
-
 void PopularityAccumulator::AddBatch(const trace::RecordBlock& b,
                                      const std::uint32_t* rows,
                                      std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
     const std::uint64_t url = b.url_hash[i];
+    // One probe for the common repeat case: the class only needs storing
+    // the first time an object appears.
     auto [slot, inserted] = counts_.TryEmplace(url);
     ++*slot;
     if (inserted) classes_[url] = trace::ClassOf(b.file_type[i]);
@@ -80,7 +75,7 @@ PopularityResult PopularityAccumulator::Finalize(
 PopularityResult ComputePopularity(const trace::TraceBuffer& trace,
                                    const std::string& site_name) {
   PopularityAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

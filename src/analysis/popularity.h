@@ -41,9 +41,7 @@ struct PopularityResult {
 class PopularityAccumulator {
  public:
   explicit PopularityAccumulator(std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   PopularityResult Finalize(const std::string& site_name);

@@ -1,11 +1,11 @@
 #include "analysis/sessions.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "analysis/feed.h"
 #include "analysis/state_codec.h"
 #include "util/sorted.h"
 
@@ -72,43 +72,38 @@ void SessionAccumulator::CloseSession(const Session& s) {
   ++result_.session_count;
 }
 
-void SessionAccumulator::Add(const trace::LogRecord& r) {
-  AddOne(r.timestamp_ms, r.user_id);
-}
-
-void SessionAccumulator::AddOne(std::int64_t ts, std::uint64_t user) {
-  if (any_ && ts < last_ts_) {
-    throw std::invalid_argument(
-        "SessionAccumulator: input not sorted by time");
-  }
-  any_ = true;
-  last_ts_ = ts;
-
-  auto [current, inserted] = open_.TryEmplace(user);
-  if (inserted) {
-    current->user_id = user;
-    current->start_ms = ts;
-    current->end_ms = ts;
-    current->requests = 1;
-    return;
-  }
-  // Every consecutive same-user gap feeds the IAT CDF, in or out of
-  // session (Fig. 11 plots all gaps).
-  result_.iat_seconds.Add(static_cast<double>(ts - current->end_ms) / 1000.0);
-  if (ts - current->end_ms > timeout_ms_) {
-    CloseSession(*current);
-    current->start_ms = ts;
-    current->requests = 0;
-  }
-  current->end_ms = ts;
-  ++current->requests;
-}
-
 void SessionAccumulator::AddBatch(const trace::RecordBlock& b,
                                   const std::uint32_t* rows, std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
-    AddOne(b.timestamp_ms[i], b.user_id[i]);
+    const std::int64_t ts = b.timestamp_ms[i];
+    if (any_ && ts < last_ts_) {
+      throw std::invalid_argument(
+          "SessionAccumulator: input not sorted by time");
+    }
+    any_ = true;
+    last_ts_ = ts;
+
+    const std::uint64_t user = b.user_id[i];
+    auto [current, inserted] = open_.TryEmplace(user);
+    if (inserted) {
+      current->user_id = user;
+      current->start_ms = ts;
+      current->end_ms = ts;
+      current->requests = 1;
+      continue;
+    }
+    // Every consecutive same-user gap feeds the IAT CDF, in or out of
+    // session (Fig. 11 plots all gaps).
+    result_.iat_seconds.Add(static_cast<double>(ts - current->end_ms) /
+                            1000.0);
+    if (ts - current->end_ms > timeout_ms_) {
+      CloseSession(*current);
+      current->start_ms = ts;
+      current->requests = 0;
+    }
+    current->end_ms = ts;
+    ++current->requests;
   }
 }
 
@@ -181,20 +176,10 @@ SessionResult ComputeSessions(const trace::TraceBuffer& trace,
                               const std::string& site_name,
                               std::int64_t timeout_ms) {
   SessionAccumulator acc(timeout_ms, trace.size());
-  if (trace.IsSortedByTime()) {
-    for (const auto& r : trace.records()) acc.Add(r);
-  } else {
-    // The Ecdf-based result only depends on each user's sorted timestamps,
-    // so feeding a time-sorted view reproduces the historical
-    // sort-per-user output exactly.
-    std::vector<std::uint32_t> order(trace.size());
-    std::iota(order.begin(), order.end(), 0u);
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       return trace[a].timestamp_ms < trace[b].timestamp_ms;
-                     });
-    for (const auto i : order) acc.Add(trace[i]);
-  }
+  // The Ecdf-based result only depends on each user's sorted timestamps,
+  // so feeding an unsorted buffer in time order reproduces the historical
+  // sort-per-user output exactly.
+  FeedTraceByTime(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -54,9 +54,8 @@ class SessionAccumulator {
  public:
   explicit SessionAccumulator(std::int64_t timeout_ms = kSessionTimeoutMs,
                               std::size_t size_hint = 0);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls, including the sorted-input check.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order;
+  // the sorted-input check runs row by row.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   SessionResult Finalize(const std::string& site_name);
@@ -68,7 +67,6 @@ class SessionAccumulator {
 
  private:
   void CloseSession(const Session& s);
-  void AddOne(std::int64_t ts, std::uint64_t user);
 
   std::int64_t timeout_ms_;
   util::FlatHashMap<std::uint64_t, Session> open_;

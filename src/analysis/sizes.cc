@@ -1,5 +1,6 @@
 #include "analysis/sizes.h"
 
+#include "analysis/feed.h"
 #include "stats/histogram.h"
 #include "trace/content_class.h"
 
@@ -18,10 +19,6 @@ double SizeDistributions::ImageBelowMb() const {
 SizeDistributionsAccumulator::SizeDistributionsAccumulator(
     std::size_t size_hint) {
   firsts_.reserve(size_hint / 4 + 1);
-}
-
-void SizeDistributionsAccumulator::Add(const trace::LogRecord& r) {
-  firsts_.InsertIfAbsent(r.url_hash, FirstSeen{r.object_size, r.file_type});
 }
 
 void SizeDistributionsAccumulator::AddBatch(const trace::RecordBlock& b,
@@ -62,7 +59,7 @@ SizeDistributions SizeDistributionsAccumulator::Finalize(
 SizeDistributions ComputeSizeDistributions(const trace::TraceBuffer& trace,
                                            const std::string& site_name) {
   SizeDistributionsAccumulator acc(trace.size());
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -26,22 +26,6 @@ SiteAccumulator::SiteAccumulator(const trace::Publisher& publisher,
   }
 }
 
-void SiteAccumulator::Add(const trace::LogRecord& r) {
-  ++records_;
-  summary_.Add(r);
-  composition_.Add(r);
-  hourly_.Add(r);
-  devices_.Add(r);
-  sizes_.Add(r);
-  popularity_.Add(r);
-  aging_.Add(r);
-  sessions_.Add(r);
-  engagement_.Add(r);
-  caching_.Add(r);
-  if (video_series_) video_series_->Add(r);
-  if (image_series_) image_series_->Add(r);
-}
-
 void SiteAccumulator::AddBatch(const trace::RecordBlock& b,
                                const std::uint32_t* rows, std::size_t n) {
   records_ += n;
@@ -175,17 +159,6 @@ SiteAccumulator& StreamingAnalysis::AccumulatorFor(std::size_t index) {
   return *acc;
 }
 
-void StreamingAnalysis::Add(const trace::LogRecord& r) {
-  ++records_consumed_;
-  const std::int64_t idx = IndexFor(r.publisher_id);
-  if (idx < 0) return;  // unregistered publisher
-  AccumulatorFor(static_cast<std::size_t>(idx)).Add(r);
-}
-
-void StreamingAnalysis::AddChunk(std::span<const trace::LogRecord> records) {
-  for (const auto& r : records) Add(r);
-}
-
 void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,
                                  std::size_t first_row) {
   const std::size_t n = block.size();
@@ -213,8 +186,9 @@ void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,
   }
 
   // Stable demux: per-publisher row-index lists preserve stream order
-  // within each site, so the per-site results are identical to feeding the
-  // rows through Add() one at a time.
+  // within each site, so each site folds its rows exactly as it would from
+  // a single-publisher block. Unregistered publishers are counted by the
+  // cursor above but not analyzed.
   if (demux_rows_.size() != publishers_.size()) {
     demux_rows_.assign(publishers_.size(), {});
   }
@@ -286,50 +260,29 @@ void StreamingAnalysis::RestoreState(ckpt::Reader& r) {
 AnalysisSuite::AnalysisSuite(const trace::TraceBuffer& full_trace,
                              const trace::PublisherRegistry& registry,
                              const SuiteConfig& config) {
-  // The batch and per-record paths produce identical results (pinned by
-  // the batch differential suite), so the in-memory convenience wrapper
-  // takes the faster block path.
   if (full_trace.IsSortedByTime()) {
     trace::BufferBlockSource source(full_trace);
-    RunBlocks(source, registry, config);
+    Run(source, registry, config);
   } else {
     trace::TraceBuffer sorted = full_trace;
     sorted.SortByTime();
     trace::BufferBlockSource source(sorted);
-    RunBlocks(source, registry, config);
+    Run(source, registry, config);
   }
-}
-
-AnalysisSuite::AnalysisSuite(trace::RecordSource& source,
-                             const trace::PublisherRegistry& registry,
-                             const SuiteConfig& config) {
-  Run(source, registry, config);
 }
 
 AnalysisSuite::AnalysisSuite(trace::BlockSource& source,
                              const trace::PublisherRegistry& registry,
                              const SuiteConfig& config) {
-  RunBlocks(source, registry, config);
+  Run(source, registry, config);
 }
 
-void AnalysisSuite::Run(trace::RecordSource& source,
+void AnalysisSuite::Run(trace::BlockSource& source,
                         const trace::PublisherRegistry& registry,
                         const SuiteConfig& config) {
   // One sequential demultiplexing pass feeds a per-publisher accumulator
   // set; accumulation order is the stream order regardless of thread
   // count, so the suite is deterministic by construction.
-  StreamingAnalysis stream(registry, config);
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    stream.AddChunk(chunk);
-  }
-  sites_ = stream.Finalize();
-}
-
-void AnalysisSuite::RunBlocks(trace::BlockSource& source,
-                              const trace::PublisherRegistry& registry,
-                              const SuiteConfig& config) {
-  // Same sequential demultiplexing contract as Run(), in SoA block units.
   StreamingAnalysis stream(registry, config);
   for (const auto* block = source.NextBlock(); block != nullptr;
        block = source.NextBlock()) {

@@ -8,7 +8,6 @@
 #include <memory>
 #include <optional>
 #include <ostream>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -63,17 +62,16 @@ struct SiteAnalysis {
 // Every per-site analysis folded into one single-pass consumer: feed it a
 // site's records (in trace order) and Finalize into the SiteAnalysis the
 // report renders. This is the unit the streaming suite demultiplexes a
-// record stream into; aggregate state is O(users + objects + pairs), never
+// block stream into; aggregate state is O(users + objects + pairs), never
 // O(records), so traces far beyond RAM stream through.
 class SiteAccumulator {
  public:
   SiteAccumulator(const trace::Publisher& publisher,
                   const SuiteConfig& config);
-  void Add(const trace::LogRecord& r);
   // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls, sub-accumulator by
-  // sub-accumulator. Reordering across accumulators is safe because their
-  // states are independent.
+  // order, handed to each sub-accumulator in turn. Feeding whole batches
+  // accumulator by accumulator is safe because their states are
+  // independent.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   SiteAnalysis Finalize();
@@ -106,10 +104,10 @@ class SiteAccumulator {
   std::optional<TrendSeriesAccumulator> image_series_;
 };
 
-// The checkpointable core of the streaming suite: demultiplexes a record
+// The checkpointable core of the streaming suite: demultiplexes a block
 // stream into one SiteAccumulator per registered publisher and tracks how
 // many records it has consumed. AnalysisSuite is a thin drive-to-completion
-// wrapper; tools that checkpoint an analysis pass feed chunks here and
+// wrapper; tools that checkpoint an analysis pass feed blocks here and
 // save/restore between them. The record cursor is the contract with the
 // producer: a resumed analysis must skip exactly records_consumed() records
 // before feeding the rest.
@@ -119,12 +117,10 @@ class StreamingAnalysis {
   StreamingAnalysis(const trace::PublisherRegistry& registry,
                     const SuiteConfig& config = {});
 
-  void Add(const trace::LogRecord& r);
-  void AddChunk(std::span<const trace::LogRecord> records);
-  // Batch path: consumes rows [first_row, size) of `block`, demultiplexing
-  // to per-site AddBatch calls that preserve stream order per site — the
-  // results are identical to per-record Add() calls. `first_row` lets a
-  // resumed analysis skip the already-consumed prefix of a partial block.
+  // Consumes rows [first_row, size) of `block`, demultiplexing to per-site
+  // AddBatch calls that preserve stream order per site, so the results do
+  // not depend on block size. `first_row` lets a resumed analysis skip the
+  // already-consumed prefix of a partial block.
   void AddBlock(const trace::RecordBlock& block, std::size_t first_row = 0);
 
   // Records consumed so far (including ones from unregistered publishers,
@@ -172,26 +168,20 @@ class StreamingAnalysis {
 class AnalysisSuite {
  public:
   // Analyzes each registered publisher found in `full_trace`. Implemented
-  // on top of the streaming constructor via BufferSource; if the buffer is
-  // not time-sorted a sorted copy is streamed (all ATLAS producers emit
-  // sorted traces, so this is a compatibility path, not a hot one).
+  // on top of the streaming constructor via BufferBlockSource; if the
+  // buffer is not time-sorted a sorted copy is streamed (all ATLAS
+  // producers emit sorted traces, so this is a compatibility path, not a
+  // hot one).
   AnalysisSuite(const trace::TraceBuffer& full_trace,
                 const trace::PublisherRegistry& registry,
                 const SuiteConfig& config = {});
 
   // Single-pass streaming analysis: demultiplexes `source` (which must
   // yield records in non-decreasing timestamp order, as TraceWriter files
-  // and merged scenario traces do) into one SiteAccumulator per registered
-  // publisher, then finalizes sites in parallel. Peak memory is the
-  // accumulator state plus one stream chunk — independent of trace length.
-  AnalysisSuite(trace::RecordSource& source,
-                const trace::PublisherRegistry& registry,
-                const SuiteConfig& config = {});
-
-  // Batch streaming analysis: like the RecordSource overload but moves
-  // whole SoA blocks through StreamingAnalysis::AddBlock. Produces
-  // byte-identical reports to the per-record path (the batch differential
-  // suite pins this).
+  // and merged scenario traces do) block by block into one SiteAccumulator
+  // per registered publisher, then finalizes sites in parallel. Peak
+  // memory is the accumulator state plus one block — independent of trace
+  // length.
   AnalysisSuite(trace::BlockSource& source,
                 const trace::PublisherRegistry& registry,
                 const SuiteConfig& config = {});
@@ -209,12 +199,9 @@ class AnalysisSuite {
   void Render(std::ostream& out) const;
 
  private:
-  void Run(trace::RecordSource& source,
+  void Run(trace::BlockSource& source,
            const trace::PublisherRegistry& registry,
            const SuiteConfig& config);
-  void RunBlocks(trace::BlockSource& source,
-                 const trace::PublisherRegistry& registry,
-                 const SuiteConfig& config);
 
   std::vector<SiteAnalysis> sites_;
 };

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "analysis/feed.h"
 #include "analysis/state_codec.h"
 #include "util/time.h"
 
@@ -33,21 +34,6 @@ HourlyVolumeAccumulator::HourlyVolumeAccumulator() {
       stats::TimeSeries(util::kMillisPerHour, util::kHoursPerWeek);
 }
 
-void HourlyVolumeAccumulator::Add(const trace::LogRecord& r) {
-  const std::int64_t local = r.LocalTimestampMs();
-  const int hour = util::HourOfDay(local);
-  counts_[static_cast<std::size_t>(hour)] += 1.0;
-  bytes_[static_cast<std::size_t>(hour)] +=
-      static_cast<double>(r.response_bytes);
-  total_count_ += 1.0;
-  total_bytes_ += static_cast<double>(r.response_bytes);
-  // Weekly series folds local time into the observed week.
-  const std::int64_t wrapped =
-      ((local % util::kMillisPerWeek) + util::kMillisPerWeek) %
-      util::kMillisPerWeek;
-  result_.week_series.Accumulate(wrapped, 1.0);
-}
-
 void HourlyVolumeAccumulator::AddBatch(const trace::RecordBlock& b,
                                        const std::uint32_t* rows,
                                        std::size_t n) {
@@ -60,6 +46,7 @@ void HourlyVolumeAccumulator::AddBatch(const trace::RecordBlock& b,
     bytes_[static_cast<std::size_t>(hour)] += bytes;
     total_count_ += 1.0;
     total_bytes_ += bytes;
+    // Weekly series folds local time into the observed week.
     const std::int64_t wrapped =
         ((local % util::kMillisPerWeek) + util::kMillisPerWeek) %
         util::kMillisPerWeek;
@@ -82,7 +69,7 @@ HourlyVolume HourlyVolumeAccumulator::Finalize(const std::string& site_name) {
 HourlyVolume ComputeHourlyVolume(const trace::TraceBuffer& site_trace,
                                  const std::string& site_name) {
   HourlyVolumeAccumulator acc;
-  for (const auto& r : site_trace.records()) acc.Add(r);
+  FeedTrace(site_trace, acc);
   return acc.Finalize(site_name);
 }
 

@@ -38,10 +38,9 @@ struct HourlyVolume {
 class HourlyVolumeAccumulator {
  public:
   HourlyVolumeAccumulator();
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order. The float sums accumulate in exactly the per-record sequence so
-  // the result is bit-identical to n Add() calls.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order.
+  // The float sums accumulate one row at a time, so the result does not
+  // depend on how the stream is cut into blocks.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   HourlyVolume Finalize(const std::string& site_name);

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "analysis/feed.h"
 #include "cluster/shape.h"
 #include "stats/timeseries.h"
 #include "trace/content_class.h"
@@ -32,32 +33,23 @@ TrendSeriesAccumulator::TrendSeriesAccumulator(
     const TrendClusterConfig& config)
     : config_(config) {}
 
-void TrendSeriesAccumulator::Add(const trace::LogRecord& r) {
-  AddOne(r.timestamp_ms, r.url_hash, r.file_type);
-}
-
-void TrendSeriesAccumulator::AddOne(std::int64_t ts, std::uint64_t url,
-                                    trace::FileType file_type) {
-  if (config_.use_class &&
-      trace::ClassOf(file_type) != config_.content_class) {
-    return;
-  }
-  auto& acc = accs_[url];
-  if (acc.hours.empty()) {
-    acc.hours.assign(static_cast<std::size_t>(util::kHoursPerWeek), 0.0);
-  }
-  ++acc.count;
-  const auto hour = static_cast<std::size_t>(std::clamp<std::int64_t>(
-      ts / util::kMillisPerHour, 0, util::kHoursPerWeek - 1));
-  acc.hours[hour] += 1.0;
-}
-
 void TrendSeriesAccumulator::AddBatch(const trace::RecordBlock& b,
                                       const std::uint32_t* rows,
                                       std::size_t n) {
   for (std::size_t k = 0; k < n; ++k) {
     const std::size_t i = rows ? rows[k] : k;
-    AddOne(b.timestamp_ms[i], b.url_hash[i], b.file_type[i]);
+    if (config_.use_class &&
+        trace::ClassOf(b.file_type[i]) != config_.content_class) {
+      continue;
+    }
+    auto& acc = accs_[b.url_hash[i]];
+    if (acc.hours.empty()) {
+      acc.hours.assign(static_cast<std::size_t>(util::kHoursPerWeek), 0.0);
+    }
+    ++acc.count;
+    const auto hour = static_cast<std::size_t>(std::clamp<std::int64_t>(
+        b.timestamp_ms[i] / util::kMillisPerHour, 0, util::kHoursPerWeek - 1));
+    acc.hours[hour] += 1.0;
   }
 }
 
@@ -137,7 +129,7 @@ std::vector<std::pair<std::uint64_t, std::vector<double>>>
 BuildObjectHourlySeries(const trace::TraceBuffer& trace,
                         const TrendClusterConfig& config) {
   TrendSeriesAccumulator acc(config);
-  for (const auto& r : trace.records()) acc.Add(r);
+  FeedTrace(trace, acc);
   return acc.Finalize();
 }
 

@@ -91,9 +91,7 @@ TrendClusterResult ComputeTrendClusters(const trace::TraceBuffer& trace,
 class TrendSeriesAccumulator {
  public:
   explicit TrendSeriesAccumulator(const TrendClusterConfig& config);
-  void Add(const trace::LogRecord& r);
-  // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order — equivalent to n Add() calls.
+  // Rows rows[0..n) of b (all of [0, n) when rows is null), in that order.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   std::vector<std::pair<std::uint64_t, std::vector<double>>> Finalize();
@@ -106,8 +104,6 @@ class TrendSeriesAccumulator {
     std::uint64_t count = 0;
     std::vector<double> hours;
   };
-  void AddOne(std::int64_t ts, std::uint64_t url, trace::FileType file_type);
-
   TrendClusterConfig config_;
   util::FlatHashMap<std::uint64_t, Acc> accs_;
 };

@@ -979,48 +979,10 @@ std::vector<SimulatorResult> Engine::Assemble() const {
 
 std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
                                         const SimulatorConfig& config,
-                                        trace::RecordSink& sink, int threads) {
-  const CheckpointOptions no_checkpoint;
-  return RunSharded(jobs, config, sink, threads, no_checkpoint);
-}
-
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
                                         trace::RecordSink& sink, int threads,
                                         const CheckpointOptions& ckpt_options) {
   Engine engine(jobs, config, sink, threads, ckpt_options);
   return engine.Run();
-}
-
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink, int threads) {
-  trace::PerRecordSink packer(sink);
-  const CheckpointOptions no_checkpoint;
-  auto results = RunSharded(jobs, config, packer, threads, no_checkpoint);
-  packer.Flush();
-  return results;
-}
-
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink, int threads,
-                                        const CheckpointOptions& ckpt_options) {
-  trace::PerRecordSink packer(sink);
-  CheckpointOptions opts = ckpt_options;
-  // Flush inside the snapshot commit, before the caller captures its own
-  // sink state, so no already-merged record is buffered outside the
-  // checkpoint. Downstream framing must not (and per the BlockSink
-  // contract does not) depend on block sizes, so the flush cadence never
-  // changes what the sink ultimately produces.
-  opts.save_extra = [&packer,
-                     saved = ckpt_options.save_extra](ckpt::Writer& w) {
-    packer.Flush();
-    if (saved) saved(w);
-  };
-  auto results = RunSharded(jobs, config, packer, threads, opts);
-  packer.Flush();
-  return results;
 }
 
 }  // namespace atlas::cdn

@@ -39,7 +39,6 @@
 #include "cdn/simulator.h"
 #include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "synth/workload.h"
-#include "trace/block.h"
 #include "trace/sink.h"
 
 namespace atlas::cdn {
@@ -78,34 +77,11 @@ struct CheckpointOptions {
 // Runs every job through the sharded engine, streaming the merged,
 // time-sorted record stream of all sites into `sink`, and returns one
 // counter accumulator per job (in job order). `threads <= 0` means
-// util::DefaultThreads().
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::RecordSink& sink,
-                                        int threads = 0);
-
-// As above, with checkpoint/restore armed per `ckpt_options`.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::RecordSink& sink, int threads,
-                                        const CheckpointOptions& ckpt_options);
-
-// Block-sink variants: the merged stream leaves the engine as SoA
-// RecordBlocks (packed by a PerRecordSink adapter and flushed at the end of
-// the run). The record sequence is identical to the RecordSink overloads —
-// only the framing handed to `sink` differs, and BlockSink consumers must
-// not depend on block sizes.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink,
-                                        int threads = 0);
-
-// With checkpointing, the packer also flushes inside every snapshot commit
-// so no already-merged record is buffered outside the captured state;
-// checkpoint cadence still never changes the record stream.
-std::vector<SimulatorResult> RunSharded(std::span<const SiteJob> jobs,
-                                        const SimulatorConfig& config,
-                                        trace::BlockSink& sink, int threads,
-                                        const CheckpointOptions& ckpt_options);
+// util::DefaultThreads(). Checkpoint/restore is armed per `ckpt_options`
+// (the default saves nothing and restores nothing).
+std::vector<SimulatorResult> RunSharded(
+    std::span<const SiteJob> jobs, const SimulatorConfig& config,
+    trace::RecordSink& sink, int threads = 0,
+    const CheckpointOptions& ckpt_options = {});
 
 }  // namespace atlas::cdn

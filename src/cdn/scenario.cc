@@ -45,7 +45,6 @@ std::uint64_t LogicalBudget(const synth::WorkloadGenerator& gen,
 // Checkpoint section layouts owned by the scenario layer.
 constexpr std::uint32_t kScenarioMetaVersion = 1;
 constexpr std::uint32_t kScenarioGeneratorVersion = 1;
-constexpr std::uint32_t kMergeCursorStateVersion = 1;
 
 std::string GeneratorSectionName(std::size_t i) {
   return "synth.generator." + std::to_string(i);
@@ -83,8 +82,8 @@ Scenario::Scenario(std::vector<synth::SiteProfile> profiles,
     const std::uint64_t site_seed = seeder.Next();
     run.generator =
         std::make_unique<synth::WorkloadGenerator>(profile, site_seed);
-    events.push_back(
-        run.generator->Generate(LogicalBudget(*run.generator, profile, config)));
+    events.push_back(run.generator->Generate(
+        LogicalBudget(*run.generator, profile, config), threads));
     run.result.trace.Reserve(events.back().size() + events.back().size() / 2);
     runs_.push_back(std::move(run));
   }
@@ -110,9 +109,14 @@ Scenario Scenario::PaperStudy(double scale, const SimulatorConfig& config,
 
 void Scenario::StreamMerged(trace::RecordSink& sink) const {
   MergedTraceSource source(*this);
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    sink.Write(chunk);
+  std::vector<trace::LogRecord> records;
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    records.clear();
+    for (std::size_t i = 0; i < block->size(); ++i) {
+      records.push_back(block->Row(i));
+    }
+    sink.Write(records);
   }
 }
 
@@ -127,12 +131,12 @@ MergedTraceSource::MergedTraceSource(const Scenario& scenario) {
   for (const auto& run : scenario.runs()) {
     cursors_.push_back({&run.result.trace, 0});
   }
-  chunk_.reserve(trace::kDefaultBlockRecords);
+  block_.reserve(trace::kDefaultBlockRecords);
 }
 
-std::span<const trace::LogRecord> MergedTraceSource::NextChunk() {
-  chunk_.clear();
-  while (chunk_.size() < trace::kDefaultBlockRecords) {
+const trace::RecordBlock* MergedTraceSource::NextBlock() {
+  block_.clear();
+  while (block_.size() < trace::kDefaultBlockRecords) {
     // Pick the earliest record; ties go to the lowest site index, matching
     // the stable concatenate-then-sort order of the legacy merge.
     const trace::LogRecord* best = nullptr;
@@ -147,40 +151,10 @@ std::span<const trace::LogRecord> MergedTraceSource::NextChunk() {
       }
     }
     if (best == nullptr) break;
-    chunk_.push_back(*best);
+    block_.PushBack(*best);
     ++cursors_[best_site].pos;
   }
-  return chunk_;
-}
-
-void MergedTraceSource::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kMergeCursorStateVersion);
-  w.WriteU64(static_cast<std::uint64_t>(cursors_.size()));
-  for (const Cursor& cur : cursors_) {
-    w.WriteU64(static_cast<std::uint64_t>(cur.pos));
-  }
-}
-
-void MergedTraceSource::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("merged trace cursor", kMergeCursorStateVersion);
-  const std::uint64_t n = r.ReadU64();
-  if (n != cursors_.size()) {
-    throw std::runtime_error("ckpt: merged trace cursor count mismatch");
-  }
-  for (Cursor& cur : cursors_) {
-    cur.pos = static_cast<std::size_t>(r.ReadU64());
-    if (cur.pos > cur.buf->size()) {
-      throw std::runtime_error("ckpt: merged trace cursor out of range");
-    }
-  }
-}
-
-ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
-                                    const SimulatorConfig& config,
-                                    std::uint64_t seed,
-                                    trace::RecordSink& sink, int threads) {
-  return StreamScenario(std::move(profiles), config, seed, sink, threads,
-                        CheckpointOptions{});
+  return block_.empty() ? nullptr : &block_;
 }
 
 ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
@@ -203,7 +177,7 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
     generators.push_back(
         std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
     events.push_back(generators.back()->Generate(
-        LogicalBudget(*generators.back(), profile, config)));
+        LogicalBudget(*generators.back(), profile, config), threads));
     jobs.push_back({generators.back().get(), &events.back(), id});
   }
 

@@ -21,6 +21,7 @@
 #include "cdn/engine.h"
 #include "cdn/simulator.h"
 #include "synth/site_profile.h"
+#include "trace/block.h"
 #include "trace/publisher.h"
 #include "trace/stream.h"
 
@@ -73,19 +74,13 @@ class Scenario {
 };
 
 // Pull-interface view of a scenario's merged trace: yields the k-way merge
-// of the per-site traces chunk by chunk, so AnalysisSuite and Replay-style
-// consumers read the merged stream through one chunk of memory. The
+// of the per-site traces block by block, so AnalysisSuite and Replay-style
+// consumers read the merged stream through one block of memory. The
 // scenario must outlive the source.
-class MergedTraceSource final : public trace::RecordSource {
+class MergedTraceSource final : public trace::BlockSource {
  public:
   explicit MergedTraceSource(const Scenario& scenario);
-  std::span<const trace::LogRecord> NextChunk() override;
-
-  // Checkpoints the per-site merge cursors so a consumer can resume the
-  // merged stream mid-way (records already handed out are not replayed).
-  // Restore requires a source built over the same scenario shape.
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
+  const trace::RecordBlock* NextBlock() override;
 
  private:
   struct Cursor {
@@ -93,35 +88,32 @@ class MergedTraceSource final : public trace::RecordSource {
     std::size_t pos = 0;
   };
   std::vector<Cursor> cursors_;
-  std::vector<trace::LogRecord> chunk_;
+  trace::RecordBlock block_;
 };
 
-// Fully streaming scenario run: generates each profile, simulates all of
-// them concurrently on the sharded engine, and streams the merged trace
-// into `sink`. Only counters and the registry are kept — peak memory is
-// the events + catalogs + caches, independent of how many records the
-// simulation emits.
 struct ScenarioStreamResult {
   trace::PublisherRegistry registry;
   std::vector<SimulatorResult> site_results;  // in profile order
   SimulatorResult totals;
 };
 
-ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
-                                    const SimulatorConfig& config,
-                                    std::uint64_t seed,
-                                    trace::RecordSink& sink, int threads = 0);
-
-// As above, with checkpoint/restore armed. On top of the engine's own
-// sections, every snapshot carries a "scenario.meta" section (seed +
-// profile count, verified on resume) and one "synth.generator.<i>" section
-// per site with the generator's RNG position; the caller's save_extra (if
-// any) still runs last. `ckpt_options.resume` restores the scenario and
-// delegates engine state to RunSharded.
+// Fully streaming scenario run: generates each profile, simulates all of
+// them concurrently on the sharded engine, and streams the merged trace
+// into `sink`. Only counters and the registry are kept — peak memory is
+// the events + catalogs + caches, independent of how many records the
+// simulation emits. `threads <= 0` means util::DefaultThreads(), for
+// generation and simulation alike.
+//
+// With checkpoint/restore armed, every snapshot carries, on top of the
+// engine's own sections, a "scenario.meta" section (seed + profile count,
+// verified on resume) and one "synth.generator.<i>" section per site with
+// the generator's RNG position; the caller's save_extra (if any) still runs
+// last. `ckpt_options.resume` restores the scenario and delegates engine
+// state to RunSharded.
 ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
                                     const SimulatorConfig& config,
                                     std::uint64_t seed, trace::RecordSink& sink,
-                                    int threads,
-                                    const CheckpointOptions& ckpt_options);
+                                    int threads = 0,
+                                    const CheckpointOptions& ckpt_options = {});
 
 }  // namespace atlas::cdn

@@ -592,11 +592,6 @@ Scenario::Scenario(const ScenarioSpec& spec, int threads)
     : Scenario(spec.BuildProfiles(), spec.BuildConfig(), spec.seed, threads) {}
 
 ScenarioStreamResult StreamScenario(const ScenarioSpec& spec,
-                                    trace::RecordSink& sink, int threads) {
-  return StreamScenario(spec, sink, threads, CheckpointOptions{});
-}
-
-ScenarioStreamResult StreamScenario(const ScenarioSpec& spec,
                                     trace::RecordSink& sink, int threads,
                                     const CheckpointOptions& ckpt_options) {
   return StreamScenario(spec, spec.BuildConfig(), sink, threads, ckpt_options);

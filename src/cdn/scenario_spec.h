@@ -147,10 +147,8 @@ class ScenarioSpec {
 // carrying the spec fingerprint — a resume against a mutated spec fails
 // with a clear error before any engine state is restored.
 ScenarioStreamResult StreamScenario(const ScenarioSpec& spec,
-                                    trace::RecordSink& sink, int threads = 0);
-ScenarioStreamResult StreamScenario(const ScenarioSpec& spec,
-                                    trace::RecordSink& sink, int threads,
-                                    const CheckpointOptions& ckpt_options);
+                                    trace::RecordSink& sink, int threads = 0,
+                                    const CheckpointOptions& ckpt_options = {});
 
 // Spec-driven run with an explicit simulator config. `config` must be
 // spec.BuildConfig() plus execution-only knobs (epoch_observer, thread

@@ -139,7 +139,7 @@ SimulatorResult SimulateSiteTo(const synth::SiteProfile& profile,
   const double inflation = gen.EstimateRecordsPerRequest(config.chunk_bytes);
   const auto logical = static_cast<std::uint64_t>(std::max(
       1.0, static_cast<double>(profile.total_requests) / inflation));
-  const auto events = gen.Generate(logical);
+  const auto events = gen.Generate(logical, threads);
   Simulator sim(config, publisher_id);
   return sim.Run(gen, events, sink, threads);
 }

@@ -14,13 +14,6 @@ constexpr std::uint32_t kEnergySectionVersion = 1;
 
 }  // namespace
 
-EnergyRunResult StreamScenarioWithEnergy(const cdn::ScenarioSpec& spec,
-                                         trace::RecordSink& sink,
-                                         int threads) {
-  return StreamScenarioWithEnergy(spec, sink, threads,
-                                  cdn::CheckpointOptions{});
-}
-
 cdn::CheckpointOptions AttachEnergy(EnergyAccumulator& acc,
                                     cdn::SimulatorConfig& config,
                                     const cdn::CheckpointOptions& base) {

@@ -20,17 +20,13 @@ struct EnergyRunResult {
   EnergyReport report;
 };
 
-EnergyRunResult StreamScenarioWithEnergy(const cdn::ScenarioSpec& spec,
-                                         trace::RecordSink& sink,
-                                         int threads = 0);
-
-// Checkpointed variant. Resuming requires the checkpoint to carry the
-// "energy.accumulator" section — a snapshot written by a plain (energy-off)
-// run cannot resume an energy run, because the joules already attributed
-// before the kill would be lost silently.
+// Resuming requires the checkpoint to carry the "energy.accumulator"
+// section — a snapshot written by a plain (energy-off) run cannot resume an
+// energy run, because the joules already attributed before the kill would
+// be lost silently.
 EnergyRunResult StreamScenarioWithEnergy(
-    const cdn::ScenarioSpec& spec, trace::RecordSink& sink, int threads,
-    const cdn::CheckpointOptions& ckpt_options);
+    const cdn::ScenarioSpec& spec, trace::RecordSink& sink, int threads = 0,
+    const cdn::CheckpointOptions& ckpt_options = {});
 
 // Low-level wiring for callers that assemble their own runs (e.g. the CLI's
 // non-spec path): attaches the accumulator's observer to `config`, chains

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "trace/stream.h"
 #include "trace/wire_format.h"
 
 namespace atlas::trace {
@@ -117,28 +116,6 @@ void RecordBlock::DecodeWire(const unsigned char* src, std::size_t n) {
   }
 }
 
-void RecordBlock::EncodeWire(std::size_t first, std::size_t n,
-                             std::vector<unsigned char>& out) const {
-  const std::size_t base = out.size();
-  out.resize(base + n * wire::kRecordWireSize);
-  unsigned char* dst = out.data() + base;
-  for (std::size_t i = 0; i < n; ++i) {
-    unsigned char* rec = dst + i * wire::kRecordWireSize;
-    const std::size_t row = first + i;
-    wire::StoreLe(rec + 0, timestamp_ms[row]);
-    wire::StoreLe(rec + 8, url_hash[row]);
-    wire::StoreLe(rec + 16, user_id[row]);
-    wire::StoreLe(rec + 24, object_size[row]);
-    wire::StoreLe(rec + 32, response_bytes[row]);
-    wire::StoreLe(rec + 40, publisher_id[row]);
-    wire::StoreLe(rec + 44, user_agent_id[row]);
-    wire::StoreLe(rec + 46, response_code[row]);
-    wire::StoreLe(rec + 48, static_cast<std::uint8_t>(file_type[row]));
-    wire::StoreLe(rec + 49, static_cast<std::uint8_t>(cache_status[row]));
-    wire::StoreLe(rec + 50, tz_offset_quarter_hours[row]);
-  }
-}
-
 BufferBlockSource::BufferBlockSource(const TraceBuffer& buffer,
                                      std::size_t block_records)
     : buffer_(buffer),
@@ -152,82 +129,6 @@ const RecordBlock* BufferBlockSource::NextBlock() {
   block_.Append({records.data() + pos_, n});
   pos_ += n;
   return &block_;
-}
-
-ChunkBlockSource::ChunkBlockSource(RecordSource& source,
-                                   std::size_t block_records)
-    : source_(source),
-      block_records_(std::max<std::size_t>(1, block_records)) {}
-
-const RecordBlock* ChunkBlockSource::NextBlock() {
-  block_.clear();
-  while (block_.size() < block_records_) {
-    if (pending_.empty()) {
-      if (done_) break;
-      pending_ = source_.NextChunk();
-      if (pending_.empty()) {
-        done_ = true;
-        break;
-      }
-    }
-    const std::size_t take =
-        std::min(pending_.size(), block_records_ - block_.size());
-    block_.Append(pending_.first(take));
-    pending_ = pending_.subspan(take);
-  }
-  return block_.empty() ? nullptr : &block_;
-}
-
-void BlockBufferSink::WriteBlock(const RecordBlock& block) {
-  out_->Reserve(out_->size() + block.size());
-  for (std::size_t i = 0; i < block.size(); ++i) out_->Add(block.Row(i));
-}
-
-void BlockCountingSink::WriteBlock(const RecordBlock& block) {
-  records_ += block.size();
-  std::uint64_t bytes = 0;
-  for (const std::uint64_t b : block.response_bytes) bytes += b;
-  response_bytes_ += bytes;
-}
-
-const LogRecord* PerRecordSource::NextRecord() {
-  if (done_) return nullptr;
-  if (current_ == nullptr || row_ >= current_->size()) {
-    current_ = blocks_->NextBlock();
-    row_ = 0;
-    if (current_ == nullptr || current_->empty()) {
-      done_ = true;
-      return nullptr;
-    }
-  }
-  scratch_ = current_->Row(row_++);
-  return &scratch_;
-}
-
-PerRecordSink::PerRecordSink(BlockSink& sink, std::size_t block_records)
-    : sink_(&sink), block_records_(std::max<std::size_t>(1, block_records)) {
-  block_.reserve(block_records_);
-}
-
-void PerRecordSink::PushRecord(const LogRecord& r) {
-  block_.PushBack(r);
-  if (block_.size() == block_records_) Flush();
-}
-
-void PerRecordSink::Write(std::span<const LogRecord> records) {
-  while (!records.empty()) {
-    const std::size_t take =
-        std::min(records.size(), block_records_ - block_.size());
-    block_.Append(records.first(take));
-    records = records.subspan(take);
-    if (block_.size() == block_records_) Flush();
-  }
-}
-
-void PerRecordSink::Flush() {
-  if (block_.empty()) return;
-  sink_->WriteBlock(block_);
-  block_.clear();
 }
 
 }  // namespace atlas::trace

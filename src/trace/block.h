@@ -1,22 +1,18 @@
-// Struct-of-arrays record batches: the block-granular half of the streaming
-// trace pipeline.
+// Struct-of-arrays record batches: the unit every trace reader yields.
 //
 // The v2 trace format already moves data in CRC-framed blocks of a few
 // thousand records; RecordBlock is that same unit decoded into column
-// arrays instead of an array of LogRecord structs. Hot consumers (the
-// analysis accumulators, the simulation push path) iterate one column at a
-// time — contiguous, branch-light loops the compiler can vectorize — and
-// hot interfaces move whole blocks through one virtual call instead of one
-// call per record:
+// arrays instead of an array of LogRecord structs. Consumers (the analysis
+// accumulators, the replay benches) iterate one column at a time —
+// contiguous, branch-light loops the compiler can vectorize — and a reader
+// hands over a whole block per virtual call:
 //
-//   BlockSource::NextBlock()   pull side; nullptr at end of stream
-//   BlockSink::WriteBlock()    push side
+//   BlockSource::NextBlock()   the one pull interface; nullptr at end
 //
-// The per-record world stays fully supported: PerRecordSource/PerRecordSink
-// adapt a block stream to one-record-at-a-time callers (NextRecord /
-// PushRecord), and every block carries enough to reconstruct exact
-// LogRecords (Row()), so the two paths are interchangeable — the
-// differential digest suite in tests/ pins them byte-identical.
+// The push side stays on LogRecord spans (trace::RecordSink, sink.h): the
+// engine's k-way merge emits records one at a time in final order, so a
+// span of them is its natural output. Row() reassembles an exact LogRecord
+// for callers that want one.
 #pragma once
 
 #include <cstdint>
@@ -24,12 +20,9 @@
 #include <vector>
 
 #include "trace/record.h"
-#include "trace/sink.h"
 #include "trace/trace_buffer.h"
 
 namespace atlas::trace {
-
-class RecordSource;  // stream.h
 
 // Records per block: 8192 * 51 B ≈ 408 KB payloads — big enough to
 // amortize syscalls and virtual dispatch, small enough that a reader's
@@ -76,27 +69,16 @@ struct RecordBlock {
   // validation as wire::DecodeRecord and throws std::runtime_error with the
   // same messages on any field a valid writer could not have produced.
   void DecodeWire(const unsigned char* src, std::size_t n);
-
-  // Appends rows [first, first + n) in wire format to `out`.
-  void EncodeWire(std::size_t first, std::size_t n,
-                  std::vector<unsigned char>& out) const;
 };
 
-// Pull interface of the block pipeline. Returned blocks stay valid until
+// Pull interface of the record pipeline. Returned blocks stay valid until
 // the next call (or the source's destruction); nullptr means end of stream.
+// Consumers must not assume any particular block size: sources may yield
+// partial blocks, e.g. at end of stream.
 class BlockSource {
  public:
   virtual ~BlockSource() = default;
   virtual const RecordBlock* NextBlock() = 0;
-};
-
-// Push interface of the block pipeline. Blocks arrive in final stream
-// order; a sink must not assume any particular block size (producers may
-// emit partial blocks, e.g. at end of stream).
-class BlockSink {
- public:
-  virtual ~BlockSink() = default;
-  virtual void WriteBlock(const RecordBlock& block) = 0;
 };
 
 // Streams an in-memory TraceBuffer as SoA blocks, block_records at a time.
@@ -110,87 +92,6 @@ class BufferBlockSource final : public BlockSource {
   const TraceBuffer& buffer_;
   std::size_t block_records_;
   std::size_t pos_ = 0;
-  RecordBlock block_;
-};
-
-// Repacks any per-record RecordSource into SoA blocks of exactly
-// block_records rows (except the final partial block). This is how v1
-// traces and other legacy sources join the block pipeline.
-class ChunkBlockSource final : public BlockSource {
- public:
-  explicit ChunkBlockSource(RecordSource& source,
-                            std::size_t block_records = kDefaultBlockRecords);
-  const RecordBlock* NextBlock() override;
-
- private:
-  RecordSource& source_;
-  std::size_t block_records_;
-  std::span<const LogRecord> pending_;  // unconsumed tail of the last chunk
-  bool done_ = false;
-  RecordBlock block_;
-};
-
-// Appends every block to a caller-owned TraceBuffer (the in-memory bridge).
-class BlockBufferSink final : public BlockSink {
- public:
-  explicit BlockBufferSink(TraceBuffer& out) : out_(&out) {}
-  void WriteBlock(const RecordBlock& block) override;
-
- private:
-  TraceBuffer* out_;
-};
-
-// Discards blocks, keeping only totals (column-wise reduction).
-class BlockCountingSink final : public BlockSink {
- public:
-  void WriteBlock(const RecordBlock& block) override;
-
-  std::uint64_t records() const { return records_; }
-  std::uint64_t response_bytes() const { return response_bytes_; }
-
- private:
-  std::uint64_t records_ = 0;
-  std::uint64_t response_bytes_ = 0;
-};
-
-// Per-record compatibility adapter, pull side: one record at a time off a
-// block stream. Strictly for cold paths and interop — the atlas-lint rule
-// `perrecord-in-hotpath` rejects NextRecord() calls inside src/analysis and
-// src/cdn so hot loops stay on block spans.
-class PerRecordSource {
- public:
-  explicit PerRecordSource(BlockSource& blocks) : blocks_(&blocks) {}
-  // Next record, or nullptr at end of stream. The pointer stays valid until
-  // the next call.
-  const LogRecord* NextRecord();
-
- private:
-  BlockSource* blocks_;
-  const RecordBlock* current_ = nullptr;
-  std::size_t row_ = 0;
-  bool done_ = false;
-  LogRecord scratch_;
-};
-
-// Per-record compatibility adapter, push side: buffers pushed records into
-// an SoA block and emits it whenever full. Also a RecordSink, so any
-// span-based producer (e.g. the simulation engine) can feed a BlockSink.
-// Flush() must be called after the last record to emit the partial tail
-// block; like the sources, an unflushed adapter simply never delivers its
-// tail. Subject to the same `perrecord-in-hotpath` lint rule as the pull
-// side.
-class PerRecordSink final : public RecordSink {
- public:
-  explicit PerRecordSink(BlockSink& sink,
-                         std::size_t block_records = kDefaultBlockRecords);
-  void PushRecord(const LogRecord& r);
-  void Write(std::span<const LogRecord> records) override;
-  // Emits the partial tail block, if any. Idempotent.
-  void Flush();
-
- private:
-  BlockSink* sink_;
-  std::size_t block_records_;
   RecordBlock block_;
 };
 

@@ -1,11 +1,12 @@
 // RecordSink: the push half of the streaming trace pipeline.
 //
-// RecordSource (stream.h) is how consumers *pull* records out of a trace;
-// RecordSink is how producers *push* them in. The CDN simulation engine
-// emits its merged, time-sorted record stream into a RecordSink, so the
-// same run can fill an in-memory TraceBuffer (BufferSink), stream straight
-// to a v2 block file through one block of memory (WriterSink), or just be
-// counted (CountingSink) — the producer never decides where records live.
+// BlockSource (block.h) is how consumers *pull* records out of a trace, a
+// SoA block at a time; RecordSink is how producers *push* them in, as
+// LogRecord spans. The CDN simulation engine emits its merged, time-sorted
+// record stream into a RecordSink, so the same run can fill an in-memory
+// TraceBuffer (BufferSink), stream straight to a v2 block file through one
+// block of memory (WriterSink), or just be counted (CountingSink) — the
+// producer never decides where records live.
 //
 // Contract: Write() is called with batches of records in final stream
 // order; a batch may be empty. Sinks must not assume any batch size.

@@ -44,19 +44,6 @@ bool TryReadLe(std::istream& in, T* value) {
 
 }  // namespace
 
-BufferSource::BufferSource(const TraceBuffer& buffer,
-                           std::size_t chunk_records)
-    : buffer_(buffer), chunk_records_(std::max<std::size_t>(1, chunk_records)) {}
-
-std::span<const LogRecord> BufferSource::NextChunk() {
-  const auto& records = buffer_.records();
-  if (pos_ >= records.size()) return {};
-  const std::size_t n = std::min(chunk_records_, records.size() - pos_);
-  std::span<const LogRecord> chunk(records.data() + pos_, n);
-  pos_ += n;
-  return chunk;
-}
-
 TraceWriter::TraceWriter(std::ostream& out, std::size_t block_records)
     : out_(out),
       block_records_(
@@ -82,20 +69,6 @@ void TraceWriter::Add(const LogRecord& record) {
 
 void TraceWriter::Append(std::span<const LogRecord> records) {
   for (const auto& r : records) Add(r);
-}
-
-void TraceWriter::AppendBlock(const RecordBlock& block) {
-  if (finished_) throw std::logic_error("TraceWriter: Add after Finish");
-  std::size_t first = 0;
-  while (first < block.size()) {
-    const std::size_t n =
-        std::min(block.size() - first, block_records_ - block_nrec_);
-    block.EncodeWire(first, n, payload_);
-    block_nrec_ += static_cast<std::uint32_t>(n);
-    total_ += n;
-    first += n;
-    if (block_nrec_ == block_records_) FlushBlock();
-  }
 }
 
 void TraceWriter::FlushBlock() {
@@ -290,10 +263,10 @@ ResumedTraceFile::ResumedTraceFile(const std::string& path, ckpt::Reader& r) {
   writer_ = std::make_unique<TraceWriter>(io_, resume);
 }
 
-TraceReader::TraceReader(std::istream& in, std::size_t chunk_records)
+TraceReader::TraceReader(std::istream& in, std::size_t v1_block_records)
     : in_(in),
-      chunk_records_(
-          std::clamp<std::size_t>(chunk_records, 1, kMaxBlockRecords)) {
+      v1_block_records_(
+          std::clamp<std::size_t>(v1_block_records, 1, kMaxBlockRecords)) {
   char magic[4];
   in_.read(magic, sizeof(magic));
   if (!in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
@@ -315,11 +288,6 @@ std::optional<std::uint64_t> TraceReader::declared_count() const {
   return header_count_;
 }
 
-std::span<const LogRecord> TraceReader::NextChunk() {
-  if (done_) return {};
-  return version_ == 1 ? NextChunkV1() : NextChunkV2();
-}
-
 std::size_t TraceReader::ReadRawV1() {
   const std::uint64_t remaining = header_count_ - records_read_;
   if (remaining == 0) {
@@ -327,7 +295,7 @@ std::size_t TraceReader::ReadRawV1() {
     return 0;
   }
   const auto n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(remaining, chunk_records_));
+      std::min<std::uint64_t>(remaining, v1_block_records_));
   raw_.resize(n * wire::kRecordWireSize);
   in_.read(reinterpret_cast<char*>(raw_.data()),
            static_cast<std::streamsize>(raw_.size()));
@@ -375,26 +343,6 @@ std::uint32_t TraceReader::ReadRawV2() {
   return nrec;
 }
 
-std::span<const LogRecord> TraceReader::NextChunkV1() {
-  const std::size_t n = ReadRawV1();
-  if (n == 0) return {};
-  records_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    records_[i] = wire::DecodeRecord(raw_.data() + i * wire::kRecordWireSize);
-  }
-  return {records_.data(), n};
-}
-
-std::span<const LogRecord> TraceReader::NextChunkV2() {
-  const std::uint32_t nrec = ReadRawV2();
-  if (nrec == 0) return {};
-  records_.resize(nrec);
-  for (std::size_t i = 0; i < nrec; ++i) {
-    records_[i] = wire::DecodeRecord(raw_.data() + i * wire::kRecordWireSize);
-  }
-  return {records_.data(), records_.size()};
-}
-
 const RecordBlock* TraceReader::NextBlock() {
   if (done_) return nullptr;
   const std::size_t n = version_ == 1 ? ReadRawV1() : ReadRawV2();
@@ -410,9 +358,9 @@ std::ifstream& TraceFileReader::Checked(std::ifstream& in,
 }
 
 TraceFileReader::TraceFileReader(const std::string& path,
-                                 std::size_t chunk_records)
+                                 std::size_t v1_block_records)
     : in_(path, std::ios::binary),
-      reader_(Checked(in_, path), chunk_records) {}
+      reader_(Checked(in_, path), v1_block_records) {}
 
 void WriteV2(const TraceBuffer& trace, std::ostream& out,
              std::size_t block_records) {
@@ -430,11 +378,11 @@ void WriteV2File(const TraceBuffer& trace, const std::string& path,
   if (out.fail()) throw std::runtime_error("trace_io: close failed: " + path);
 }
 
-TraceBuffer ReadAllRecords(RecordSource& source) {
+TraceBuffer ReadAllRecords(BlockSource& source) {
   TraceBuffer trace;
-  for (auto chunk = source.NextChunk(); !chunk.empty();
-       chunk = source.NextChunk()) {
-    for (const auto& r : chunk) trace.Add(r);
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    for (std::size_t i = 0; i < block->size(); ++i) trace.Add(block->Row(i));
   }
   return trace;
 }

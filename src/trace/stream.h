@@ -1,5 +1,5 @@
-// Streaming trace I/O: the v2 block format plus the RecordSource interface
-// the analysis side consumes.
+// Streaming trace I/O: the v2 block format, its writer, and the readers
+// that yield it as BlockSource (block.h) blocks.
 //
 // Format v2 (little-endian):
 //
@@ -14,10 +14,9 @@
 // at the kUnknownCount sentinel and readers learn the count from the
 // trailer. A trace of any length streams through one block of memory.
 //
-// RecordSource is the pull interface: NextChunk() yields a span of records
-// valid until the next call, empty at end of stream. TraceReader implements
-// it for v1 and v2 files alike, BufferSource for in-memory TraceBuffers —
-// which is how the one-shot in-memory analysis path is built on top of the
+// TraceReader yields v1 and v2 files alike through BlockSource::NextBlock,
+// and BufferBlockSource does the same for in-memory TraceBuffers — which
+// is how the one-shot in-memory analysis path is built on top of the
 // streaming one.
 #pragma once
 
@@ -72,28 +71,6 @@ ScanResult ScanV2Blocks(std::istream& in,
 ScanResult ScanV2File(const std::string& path,
                       std::uint64_t stop_after_records = kUnknownCount);
 
-// Pull-based record stream. Spans stay valid until the next NextChunk()
-// call (or the source's destruction).
-class RecordSource {
- public:
-  virtual ~RecordSource() = default;
-  // Next batch of records; empty span means end of stream.
-  virtual std::span<const LogRecord> NextChunk() = 0;
-};
-
-// Streams an in-memory TraceBuffer, chunk_records at a time.
-class BufferSource final : public RecordSource {
- public:
-  explicit BufferSource(const TraceBuffer& buffer,
-                        std::size_t chunk_records = kDefaultBlockRecords);
-  std::span<const LogRecord> NextChunk() override;
-
- private:
-  const TraceBuffer& buffer_;
-  std::size_t chunk_records_;
-  std::size_t pos_ = 0;
-};
-
 // Writes the v2 block format. Records accumulate into a block buffer that
 // is flushed (with its CRC) whenever full; Finish() flushes the tail block,
 // writes the terminator + trailer, and back-patches the header count when
@@ -107,13 +84,10 @@ class TraceWriter {
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
+  // Block framing on disk depends only on block_records and the cumulative
+  // record count, never on how the records were split across calls.
   void Add(const LogRecord& record);
   void Append(std::span<const LogRecord> records);
-  // Batch push: encodes the SoA block straight into the wire payload. Block
-  // framing on disk depends only on block_records_ and the cumulative record
-  // count, never on the sizes of the appended blocks, so AppendBlock and
-  // Add produce byte-identical files for the same record sequence.
-  void AppendBlock(const RecordBlock& block);
   // Idempotent; throws std::runtime_error if the sink failed.
   void Finish();
 
@@ -158,34 +132,20 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-// Forwards every block to a v2 TraceWriter (the out-of-core push path). The
-// caller still owns the writer and must call Finish() on it.
-class WriterBlockSink final : public BlockSink {
- public:
-  explicit WriterBlockSink(TraceWriter& writer) : writer_(&writer) {}
-  void WriteBlock(const RecordBlock& block) override {
-    writer_->AppendBlock(block);
-  }
-
- private:
-  TraceWriter* writer_;
-};
-
 // Reads v1 or v2 trace streams (dispatching on the header version) through
 // bounded memory. For v2, every block's length fields and CRC are verified
 // and the trailer count is cross-checked against the records actually
 // delivered, so truncation and bit-rot surface as errors, not short reads.
-class TraceReader final : public RecordSource, public BlockSource {
+class TraceReader final : public BlockSource {
  public:
   // Throws std::runtime_error on bad magic or unsupported version.
+  // `v1_block_records` sizes the blocks cut from an unframed v1 stream; v2
+  // blocks arrive as they were written.
   explicit TraceReader(std::istream& in,
-                       std::size_t chunk_records = kDefaultBlockRecords);
+                       std::size_t v1_block_records = kDefaultBlockRecords);
 
-  std::span<const LogRecord> NextChunk() override;
-  // SoA pull path: one whole CRC block decoded column-wise per call (for
-  // v1 streams, chunk_records rows at a time); nullptr at end of stream.
-  // Framing, CRC, and trailer validation are identical to NextChunk — the
-  // two entry points share one cursor, so use one or the other.
+  // One whole CRC block decoded column-wise per call (for v1 streams,
+  // v1_block_records rows at a time); nullptr at end of stream.
   const RecordBlock* NextBlock() override;
 
   std::uint32_t version() const { return version_; }
@@ -195,33 +155,29 @@ class TraceReader final : public RecordSource, public BlockSource {
   std::uint64_t records_read() const { return records_read_; }
 
  private:
-  std::span<const LogRecord> NextChunkV1();
-  std::span<const LogRecord> NextChunkV2();
   // Reads + validates the next raw payload into raw_ (v2: one CRC block,
-  // v1: up to chunk_records records). Returns the record count, 0 at a
+  // v1: up to v1_block_records records). Returns the record count, 0 at a
   // (validated) end of stream.
   std::size_t ReadRawV1();
   std::uint32_t ReadRawV2();
 
   std::istream& in_;
-  std::size_t chunk_records_;
+  std::size_t v1_block_records_;
   std::uint32_t version_ = 0;
   std::uint64_t header_count_ = 0;
   std::uint64_t records_read_ = 0;
   bool done_ = false;
   std::vector<unsigned char> raw_;
-  std::vector<LogRecord> records_;
   RecordBlock block_;
 };
 
 // TraceReader over a file it owns; the usual way to hand a trace file to
 // the streaming analysis suite.
-class TraceFileReader final : public RecordSource, public BlockSource {
+class TraceFileReader final : public BlockSource {
  public:
   // Throws std::runtime_error if the file cannot be opened or parsed.
   explicit TraceFileReader(const std::string& path,
-                           std::size_t chunk_records = kDefaultBlockRecords);
-  std::span<const LogRecord> NextChunk() override { return reader_.NextChunk(); }
+                           std::size_t v1_block_records = kDefaultBlockRecords);
   const RecordBlock* NextBlock() override { return reader_.NextBlock(); }
 
   std::uint32_t version() const { return reader_.version(); }
@@ -259,7 +215,7 @@ void WriteV2File(const TraceBuffer& trace, const std::string& path,
                  std::size_t block_records = kDefaultBlockRecords);
 
 // Drains a source into a TraceBuffer (the in-memory bridge).
-TraceBuffer ReadAllRecords(RecordSource& source);
+TraceBuffer ReadAllRecords(BlockSource& source);
 // Reads a v1 *or* v2 trace file into memory.
 TraceBuffer ReadAnyBinaryFile(const std::string& path);
 

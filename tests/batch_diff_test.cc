@@ -1,40 +1,28 @@
-// Differential golden-digest harness for the SoA batch pipeline.
+// Golden-digest harness for the SoA block analysis path.
 //
-// The batch refactor's contract: moving records through fixed-size SoA
-// RecordBlocks (trace/block.h) instead of one LogRecord at a time changes
-// nothing observable. FNV-1a digests prove it:
+// Every reader yields RecordBlocks (trace/block.h) and every accumulator
+// folds them through AddBatch. FNV-1a digests of the rendered report (all
+// ten per-site modules plus trend clustering) prove the path changes
+// nothing observable:
 //
-//   1. the rendered analysis report (all ten per-site modules plus trend
-//      clustering) is byte-identical between the per-record path and the
-//      block path, at 1/2/8 analysis threads, pinned to one golden digest;
+//   1. the default-block run matches the golden digest — pinned when the
+//      per-record path this replaced was still the reference — at 1/2/8
+//      analysis threads;
 //   2. that digest is invariant to block size — swept over {1, 7, 97, 1024,
 //      4096, 8191, 8192}, sizes chosen so the sweep covers single-record
 //      blocks, prime sizes that never divide the trace, and a ragged final
-//      partial block;
-//   3. the sharded simulation's merged v2 trace is byte-identical whether
-//      the engine streams into a RecordSink or a BlockSink, with and
-//      without checkpointing armed, at 1/2/8 worker threads — the
-//      full-scenario run is pinned to the same golden digest the
-//      kill-resume suite enforces.
+//      partial block.
 //
 // Labeled `batch-diff` so CI gates the equivalence proof explicitly.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <memory>
 #include <sstream>
-#include <string>
-#include <vector>
 
 #include "analysis/suite.h"
-#include "cdn/engine.h"
 #include "cdn/scenario.h"
 #include "scenario_fixtures.h"
 #include "synth/site_profile.h"
-#include "synth/workload.h"
 #include "trace/block.h"
-#include "trace/sink.h"
-#include "trace/stream.h"
 #include "util/hash.h"
 #include "util/logging.h"
 
@@ -47,16 +35,10 @@ constexpr int kThreadCounts[] = {1, 2, 8};
 // the sizes > 1, so every sweep point ends on a partial final block.
 constexpr std::size_t kBlockSweep[] = {1, 7, 97, 1024, 4096, 8191, 8192};
 
-// Same golden scenario the kill-resume suite pins: PaperAdultSites(0.01),
-// seed 42, peer fill + push. The v2 digest below must match
-// kill_resume_test's kGoldenV2Digest — two suites enforcing one constant.
-constexpr std::uint64_t kGoldenV2Digest = 0xef475dbcd9a33c2dULL;
-constexpr std::uint64_t kGoldenRecords = 53664;
-
 // Pinned digest of the full rendered report for the analysis scenario
-// below. If this moves, the batch path and the per-record path moved
-// together — a deliberate generator/analysis change; say which in the
-// commit message.
+// below (the kill-resume suite's golden scenario: PaperAdultSites(0.01),
+// seed 42, peer fill + push). If this moves, a generator or analysis
+// change moved it; say which in the commit message.
 constexpr std::uint64_t kGoldenReportDigest = 0x673b3ee6fc5b043ULL;
 
 cdn::SimulatorConfig GoldenConfig() {
@@ -97,14 +79,6 @@ std::uint64_t ReportDigest(analysis::AnalysisSuite& suite) {
   return util::Fnv1a64(out.str());
 }
 
-// The per-record differential baseline: one LogRecord at a time.
-std::uint64_t PerRecordReportDigest(int threads) {
-  trace::BufferSource source(GoldenMerged());
-  analysis::AnalysisSuite suite(source, GoldenScenario().registry(),
-                                ReportConfig(threads));
-  return ReportDigest(suite);
-}
-
 std::uint64_t BlockReportDigest(int threads, std::size_t block_records) {
   trace::BufferBlockSource source(GoldenMerged(), block_records);
   analysis::AnalysisSuite suite(source, GoldenScenario().registry(),
@@ -112,14 +86,9 @@ std::uint64_t BlockReportDigest(int threads, std::size_t block_records) {
   return ReportDigest(suite);
 }
 
-TEST(BatchDiffReportTest, PerRecordBaselineMatchesPinnedDigest) {
-  for (const int threads : kThreadCounts) {
-    EXPECT_EQ(PerRecordReportDigest(threads), kGoldenReportDigest)
-        << "threads=" << threads;
-  }
-}
-
 TEST(BatchDiffReportTest, BlockPathMatchesPerRecordAtAnyThreadCount) {
+  // kGoldenReportDigest is the per-record path's digest; the block path
+  // that replaced it must keep matching it.
   for (const int threads : kThreadCounts) {
     EXPECT_EQ(BlockReportDigest(threads, trace::kDefaultBlockRecords),
               kGoldenReportDigest)
@@ -141,99 +110,6 @@ TEST(BatchDiffReportTest, ReportInvariantToBlockSizeSweep) {
               kGoldenReportDigest)
         << "block_records=" << block_records;
   }
-}
-
-TEST(BatchDiffSimTest, ScenarioThroughBlockSinkMatchesGoldenBytes) {
-  // Per-record producer -> SoA packer -> block-aware v2 writer must emit
-  // the exact bytes the per-record WriterSink pipeline is pinned to.
-  util::SetLogLevel(util::LogLevel::kWarn);
-  for (const int threads : kThreadCounts) {
-    std::ostringstream out;
-    trace::TraceWriter writer(out);
-    trace::WriterBlockSink block_sink(writer);
-    trace::PerRecordSink packer(block_sink);
-    cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(0.01),
-                        GoldenConfig(), 42, packer, threads);
-    packer.Flush();
-    writer.Finish();
-    EXPECT_EQ(writer.written(), kGoldenRecords) << "threads=" << threads;
-    EXPECT_EQ(util::Fnv1a64(out.str()), kGoldenV2Digest)
-        << "threads=" << threads;
-  }
-}
-
-// Two-site job set for driving cdn::RunSharded directly (the scenario
-// layer normally owns this plumbing).
-struct JobSet {
-  std::vector<std::unique_ptr<synth::WorkloadGenerator>> generators;
-  std::vector<std::vector<synth::RequestEvent>> events;
-  std::vector<cdn::SiteJob> jobs;
-};
-
-const JobSet& GoldenJobs() {
-  static const JobSet* jobs = [] {
-    util::SetLogLevel(util::LogLevel::kWarn);
-    auto* js = new JobSet;
-    std::uint64_t seed = 7;
-    for (const auto& profile :
-         {synth::SiteProfile::V1(0.01), synth::SiteProfile::P2(0.01)}) {
-      auto gen = std::make_unique<synth::WorkloadGenerator>(profile, seed++);
-      js->events.push_back(gen->Generate());
-      js->generators.push_back(std::move(gen));
-    }
-    for (std::size_t i = 0; i < js->generators.size(); ++i) {
-      js->jobs.push_back({js->generators[i].get(), &js->events[i],
-                          static_cast<std::uint32_t>(i + 1)});
-    }
-    return js;
-  }();
-  return *jobs;
-}
-
-std::string RunEngineRecordSink(int threads) {
-  std::ostringstream out;
-  trace::TraceWriter writer(out);
-  trace::WriterSink sink(writer);
-  cdn::RunSharded(GoldenJobs().jobs, GoldenConfig(), sink, threads);
-  writer.Finish();
-  return out.str();
-}
-
-std::string RunEngineBlockSink(int threads) {
-  std::ostringstream out;
-  trace::TraceWriter writer(out);
-  trace::WriterBlockSink sink(writer);
-  cdn::RunSharded(GoldenJobs().jobs, GoldenConfig(), sink, threads);
-  writer.Finish();
-  return out.str();
-}
-
-TEST(BatchDiffSimTest, EngineBlockSinkOverloadMatchesRecordSink) {
-  const std::string golden = RunEngineRecordSink(/*threads=*/1);
-  ASSERT_FALSE(golden.empty());
-  for (const int threads : kThreadCounts) {
-    EXPECT_EQ(RunEngineBlockSink(threads), golden) << "threads=" << threads;
-  }
-}
-
-TEST(BatchDiffSimTest, EngineBlockSinkCheckpointCadenceNeverChangesBytes) {
-  // The checkpointing overload flushes the packer inside every snapshot
-  // commit; those extra flushes must not move a single output byte.
-  const std::string golden = RunEngineRecordSink(/*threads=*/1);
-  const std::string ckpt_path =
-      ::testing::TempDir() + "/atlas_batch_diff_engine.ckpt";
-  std::ostringstream out;
-  trace::TraceWriter writer(out);
-  trace::WriterBlockSink sink(writer);
-  cdn::CheckpointOptions opts;
-  opts.every_epochs = 24;
-  opts.path = ckpt_path;
-  opts.save_extra = [&writer](ckpt::Writer& w) { writer.SaveState(w); };
-  cdn::RunSharded(GoldenJobs().jobs, GoldenConfig(), sink, /*threads=*/2,
-                  opts);
-  writer.Finish();
-  EXPECT_EQ(out.str(), golden);
-  std::remove(ckpt_path.c_str());
 }
 
 }  // namespace

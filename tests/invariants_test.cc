@@ -2,6 +2,7 @@
 // every site profile and every seed, independent of calibration.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 
 #include "cdn/simulator.h"
@@ -17,6 +18,13 @@ struct Case {
   synth::SiteProfile (*profile)(double);
   std::uint64_t seed;
 };
+
+// Print the case by name and seed: the default printer dumps the struct's
+// bytes, pointers included, which change from run to run and would leak into
+// the test's name.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << c.name << " seed " << c.seed;
+}
 
 class TraceInvariantsTest : public ::testing::TestWithParam<Case> {
  protected:

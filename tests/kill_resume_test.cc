@@ -195,13 +195,16 @@ TEST(KillResumeTest, ResumeWithDifferentConfigFailsClearly) {
 
 // The analysis-side half of the property: interrupting a streaming analysis
 // pass, checkpointing it, and restoring into a fresh StreamingAnalysis must
-// render a report character-identical to an uninterrupted pass.
+// render a report character-identical to an uninterrupted pass. Here the
+// resumed pass reads the same block size, so the cursor lands on a block
+// boundary and the skip drops whole blocks only.
 TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   util::SetLogLevel(util::LogLevel::kWarn);
   const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
                                GoldenConfig(), 11, 2);
   const trace::TraceBuffer merged = testutil::MaterializeMerged(scenario);
   ASSERT_GT(merged.size(), 1000u);
+  constexpr std::size_t kBlock = 500;
 
   analysis::SuiteConfig config;
   config.threads = 2;
@@ -209,7 +212,7 @@ TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   // Uninterrupted pass.
   std::string golden_report;
   {
-    trace::BufferSource source(merged);
+    trace::BufferBlockSource source(merged);
     analysis::AnalysisSuite suite(source, scenario.registry(), config);
     std::ostringstream out;
     suite.Render(out);
@@ -221,12 +224,12 @@ TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   const std::string ckpt_path = ::testing::TempDir() + "/atlas_kr_suite.ckpt";
   {
     analysis::StreamingAnalysis first(scenario.registry(), config);
-    trace::BufferSource source(merged);
+    trace::BufferBlockSource source(merged, kBlock);
     const std::uint64_t half = merged.size() / 2;
-    for (auto chunk = source.NextChunk();
-         !chunk.empty() && first.records_consumed() < half;
-         chunk = source.NextChunk()) {
-      first.AddChunk(chunk);
+    for (const auto* block = source.NextBlock();
+         block != nullptr && first.records_consumed() < half;
+         block = source.NextBlock()) {
+      first.AddBlock(*block);
     }
     ckpt::WriteCheckpointFile(ckpt_path, [&](ckpt::Writer& w) {
       w.BeginSection("analysis.suite", 1);
@@ -243,17 +246,17 @@ TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   }
   std::uint64_t skip = second.records_consumed();
   EXPECT_GT(skip, 0u);
+  EXPECT_EQ(skip % kBlock, 0u);
   {
-    trace::BufferSource source(merged);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      auto rest = chunk;
+    trace::BufferBlockSource source(merged, kBlock);
+    for (const auto* block = source.NextBlock(); block != nullptr;
+         block = source.NextBlock()) {
       if (skip > 0) {
-        const auto drop = std::min<std::uint64_t>(skip, rest.size());
-        rest = rest.subspan(static_cast<std::size_t>(drop));
-        skip -= drop;
+        ASSERT_GE(skip, block->size());
+        skip -= block->size();
+        continue;
       }
-      if (!rest.empty()) second.AddChunk(rest);
+      second.AddBlock(*block);
     }
   }
   EXPECT_EQ(second.records_consumed(), merged.size());
@@ -264,10 +267,11 @@ TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   std::remove(ckpt_path.c_str());
 }
 
-// Same property on the SoA batch path: consume blocks, checkpoint, restore
-// into a fresh analysis, and resume with a *different* block size so the
-// cursor lands mid-block — AddBlock's first_row skip must consume exactly
-// the unseen suffix. The resumed report must be character-identical.
+// Same property with the cursor inside a block: consume blocks, checkpoint,
+// restore into a fresh analysis, and resume with a *different* block size
+// so the cursor lands mid-block — AddBlock's first_row skip must consume
+// exactly the unseen suffix. The resumed report must be
+// character-identical.
 TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   util::SetLogLevel(util::LogLevel::kWarn);
   const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
@@ -278,7 +282,7 @@ TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   analysis::SuiteConfig config;
   config.threads = 2;
 
-  // Uninterrupted pass, block path.
+  // Uninterrupted pass.
   std::string golden_report;
   {
     trace::BufferBlockSource source(merged, /*block_records=*/512);
@@ -335,55 +339,6 @@ TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   std::ostringstream out;
   resumed_suite.Render(out);
   EXPECT_EQ(out.str(), golden_report);
-  std::remove(ckpt_path.c_str());
-}
-
-// The simulator-side batch path: the engine streams its merged trace
-// through the SoA packer into the v2 writer, checkpoints every epoch,
-// "dies", tears the tail, and resumes — the recovered file must reproduce
-// the golden bytes exactly. The packer flushes inside the snapshot commit,
-// so no merged record is ever buffered outside the captured state.
-TEST(KillResumeTest, BlockSinkRunResumesToGoldenBytes) {
-  util::SetLogLevel(util::LogLevel::kWarn);
-  const std::string path = ::testing::TempDir() + "/atlas_kr_batch.v2";
-  const std::string ckpt_path = ::testing::TempDir() + "/atlas_kr_batch.ckpt";
-  constexpr int kThreads = 2;
-  constexpr std::uint64_t kKill = 60;
-
-  {
-    std::ofstream out(path, std::ios::binary);
-    trace::TraceWriter writer(out);
-    trace::WriterBlockSink block_sink(writer);
-    trace::PerRecordSink packer(block_sink);
-    cdn::CheckpointOptions opts;
-    opts.every_epochs = 1;
-    opts.path = ckpt_path;
-    opts.save_extra = [&](ckpt::Writer& w) {
-      packer.Flush();  // every merged record reaches the writer's state
-      writer.SaveState(w);
-    };
-    opts.after_save = [](std::uint64_t done) { return done < kKill; };
-    cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(0.01),
-                        GoldenConfig(), 42, packer, kThreads, opts);
-  }
-  std::ofstream torn(path, std::ios::binary | std::ios::app);
-  torn << "TORN-TAIL-GARBAGE";
-  torn.close();
-
-  auto snapshot = ckpt::ReadCheckpointFile(ckpt_path);
-  trace::ResumedTraceFile resumed(path, snapshot);
-  trace::WriterBlockSink block_sink(resumed.writer());
-  trace::PerRecordSink packer(block_sink);
-  cdn::CheckpointOptions opts;
-  opts.resume = &snapshot;
-  cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(0.01),
-                      GoldenConfig(), 42, packer, kThreads, opts);
-  packer.Flush();
-  resumed.writer().Finish();
-  EXPECT_EQ(resumed.writer().written(), kGoldenRecords);
-  EXPECT_EQ(util::Fnv1a64(ReadFileBytes(path)), kGoldenV2Digest);
-
-  std::remove(path.c_str());
   std::remove(ckpt_path.c_str());
 }
 

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/aging.h"
 #include "analysis_fixtures.h"
 #include "cdn/simulator.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -112,6 +114,41 @@ TEST(SessionsClosedLoopTest, VideoShorterIatThanImage) {
   // Video sessions run minutes, not hours.
   EXPECT_GT(sv.MedianSessionSeconds(), 10.0);
   EXPECT_LT(sv.MedianSessionSeconds(), 600.0);
+}
+
+// The two accumulators that require time order are fed an unsorted buffer
+// as one block whose rows go to AddBatch in stable time order. Their
+// results must equal those on the time-sorted buffer exactly.
+TEST(TimeOrderedComputeTest, ShuffledBufferMatchesSorted) {
+  cdn::SimulatorConfig config;
+  const auto sim =
+      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 0, config, 5);
+  const trace::TraceBuffer& sorted = sim.trace;
+  ASSERT_TRUE(sorted.IsSortedByTime());
+  ASSERT_GT(sorted.size(), 1000u);
+  trace::TraceBuffer shuffled = sorted;
+  util::Rng rng(9);
+  rng.Shuffle(shuffled.mutable_records());
+  ASSERT_FALSE(shuffled.IsSortedByTime());
+
+  const auto s_sorted = ComputeSessions(sorted, "P-1");
+  const auto s_shuffled = ComputeSessions(shuffled, "P-1");
+  EXPECT_EQ(s_shuffled.session_count, s_sorted.session_count);
+  EXPECT_EQ(s_shuffled.iat_seconds.sorted_samples(),
+            s_sorted.iat_seconds.sorted_samples());
+  EXPECT_EQ(s_shuffled.session_length_seconds.sorted_samples(),
+            s_sorted.session_length_seconds.sorted_samples());
+  EXPECT_EQ(s_shuffled.requests_per_session.sorted_samples(),
+            s_sorted.requests_per_session.sorted_samples());
+
+  const auto a_sorted = ComputeAging(sorted, "P-1");
+  const auto a_shuffled = ComputeAging(shuffled, "P-1");
+  EXPECT_EQ(a_shuffled.observable_objects, a_sorted.observable_objects);
+  EXPECT_EQ(a_shuffled.fraction_requested, a_sorted.fraction_requested);
+  EXPECT_EQ(a_shuffled.fraction_requested_uncorrected,
+            a_sorted.fraction_requested_uncorrected);
+  EXPECT_EQ(a_shuffled.requested_all_days, a_sorted.requested_all_days);
+  EXPECT_EQ(a_shuffled.silent_after_3_days, a_sorted.silent_after_3_days);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include <cmath>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include "util/rng.h"
 
@@ -68,12 +70,20 @@ TEST(PatternMixTest, SampleRespectsMix) {
   EXPECT_NEAR(diurnal / 10000.0, 0.7, 0.03);
 }
 
-class PaperProfileTest
-    : public ::testing::TestWithParam<SiteProfile (*)(double)> {};
+struct PaperSite {
+  const char* name;
+  SiteProfile (*make)(double);
+};
+
+// Print the site by name: the default printer shows the factory's address,
+// which changes from run to run and would leak into the test's name.
+void PrintTo(const PaperSite& site, std::ostream* os) { *os << site.name; }
+
+class PaperProfileTest : public ::testing::TestWithParam<PaperSite> {};
 
 TEST_P(PaperProfileTest, ValidatesAtAnyScale) {
   for (double scale : {1.0, 0.1, 0.01, 0.001}) {
-    const SiteProfile p = GetParam()(scale);
+    const SiteProfile p = GetParam().make(scale);
     EXPECT_NO_THROW(p.Validate()) << p.name << " scale " << scale;
     EXPECT_GE(p.num_objects, 50u);
     EXPECT_GE(p.num_users, 20u);
@@ -81,11 +91,15 @@ TEST_P(PaperProfileTest, ValidatesAtAnyScale) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllSites, PaperProfileTest,
-                         ::testing::Values(&SiteProfile::V1, &SiteProfile::V2,
-                                           &SiteProfile::P1, &SiteProfile::P2,
-                                           &SiteProfile::S1,
-                                           &SiteProfile::NonAdult));
+INSTANTIATE_TEST_SUITE_P(
+    AllSites, PaperProfileTest,
+    ::testing::Values(PaperSite{"V1", &SiteProfile::V1},
+                      PaperSite{"V2", &SiteProfile::V2},
+                      PaperSite{"P1", &SiteProfile::P1},
+                      PaperSite{"P2", &SiteProfile::P2},
+                      PaperSite{"S1", &SiteProfile::S1},
+                      PaperSite{"N1", &SiteProfile::NonAdult}),
+    [](const auto& info) { return std::string(info.param.name); });
 
 TEST(SiteProfileTest, PaperCatalogSizes) {
   // Fig. 1's catalog sizes at scale 1.

@@ -50,27 +50,13 @@ std::string SerializeV2(const TraceBuffer& buf,
   return out.str();
 }
 
+// Reads through TraceReader::NextBlock, the one decoder every reader uses:
+// corrupt input must fail loudly there — never a short silent read.
 TraceBuffer Drain(const std::string& data,
-                  std::size_t chunk_records = kDefaultBlockRecords) {
+                  std::size_t v1_block_records = kDefaultBlockRecords) {
   std::stringstream in(data);
-  TraceReader reader(in, chunk_records);
+  TraceReader reader(in, v1_block_records);
   return ReadAllRecords(reader);
-}
-
-// As Drain, but through the SoA block path (TraceReader::NextBlock): the
-// batch pipeline must reject corrupt input exactly as loudly as the
-// per-record one — never a short silent read.
-TraceBuffer DrainBlocks(const std::string& data,
-                        std::size_t chunk_records = kDefaultBlockRecords) {
-  std::stringstream in(data);
-  TraceReader reader(in, chunk_records);
-  TraceBuffer out;
-  BlockBufferSink sink(out);
-  for (const auto* block = reader.NextBlock(); block != nullptr;
-       block = reader.NextBlock()) {
-    sink.WriteBlock(*block);
-  }
-  return out;
 }
 
 // v2 layout offsets (see stream.h): 4 magic + 4 version + 8 count.
@@ -169,7 +155,7 @@ TEST(StreamRoundTripTest, TraceReaderReadsV1Streams) {
   std::stringstream v1;
   WriteBinary(original, v1);
   std::stringstream in(v1.str());
-  TraceReader reader(in, /*chunk_records=*/16);
+  TraceReader reader(in, /*v1_block_records=*/16);
   EXPECT_EQ(reader.version(), 1u);
   ASSERT_TRUE(reader.declared_count().has_value());
   EXPECT_EQ(*reader.declared_count(), 100u);
@@ -268,14 +254,14 @@ TEST(StreamCorruptionTest, TrailerMismatchRejected) {
   EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
-// The same corpus through the SoA decode path. `NextBlock` decodes a whole
-// CRC block into columns at once, so its failure behavior is proven
-// separately from the per-record cursor.
+// Defects aimed at the column decode: `NextBlock` decodes a whole CRC block
+// into columns at once, so a block whose framing disagrees with its payload
+// must fail before any column is filled.
 
 TEST(StreamCorruptionTest, BatchTruncationMidBlockRejected) {
   std::string data = SerializeV2(MakeSampleTrace(100));
   data.resize(kHeaderBytes + kBlockHeaderBytes + 17);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchBlockCountPayloadDisagreementRejected) {
@@ -283,7 +269,7 @@ TEST(StreamCorruptionTest, BatchBlockCountPayloadDisagreementRejected) {
   // refuse the block, not decode nine records and drop one.
   std::string data = SerializeV2(MakeSampleTrace(10));
   PatchU32(data, kHeaderBytes, 9);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchZeroRecordTrailingBlockRejected) {
@@ -294,51 +280,35 @@ TEST(StreamCorruptionTest, BatchZeroRecordTrailingBlockRejected) {
   std::string forged(kBlockHeaderBytes, '\0');
   PatchU32(forged, 8, 0xDEADBEEFu);
   data.insert(data.size() - (kBlockHeaderBytes + 8), forged);
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
 TEST(StreamCorruptionTest, BatchPayloadBitFlipFailsCrc) {
   std::string data = SerializeV2(MakeSampleTrace(10));
   data[kHeaderBytes + kBlockHeaderBytes + 5] ^= 0x01;
-  EXPECT_THROW(DrainBlocks(data), std::runtime_error);
+  EXPECT_THROW(Drain(data), std::runtime_error);
 }
 
-// --- Block adapters round-trip ------------------------------------------------
+// --- In-memory block source ---------------------------------------------------
 
 TEST(BlockAdapterTest, BlockAndRecordViewsAgree) {
-  const TraceBuffer original = MakeSampleTrace(300);
-  // Buffer -> blocks -> per-record adapter: same records in order.
-  BufferBlockSource blocks(original, /*block_records=*/64);
-  PerRecordSource records(blocks);
-  std::size_t i = 0;
-  for (const auto* r = records.NextRecord(); r != nullptr;
-       r = records.NextRecord()) {
-    ASSERT_LT(i, original.size());
-    EXPECT_EQ(*r, original[i]) << "record " << i;
-    ++i;
-  }
-  EXPECT_EQ(i, original.size());
-}
-
-TEST(BlockAdapterTest, ChunkSourceRepacksIntoBlocks) {
   const TraceBuffer original = MakeSampleTrace(100);
-  // Record stream -> SoA blocks (ragged final block) -> buffer.
-  BufferSource records(original);
-  ChunkBlockSource blocks(records, /*block_records=*/7);
-  TraceBuffer out;
-  BlockBufferSink sink(out);
+  // Buffer -> SoA blocks (ragged final block) -> rows: same records in
+  // order.
+  BufferBlockSource blocks(original, /*block_records=*/7);
+  std::size_t i = 0;
   std::size_t block_count = 0;
   for (const auto* b = blocks.NextBlock(); b != nullptr;
        b = blocks.NextBlock()) {
     EXPECT_LE(b->size(), 7u);
-    sink.WriteBlock(*b);
     ++block_count;
+    for (std::size_t row = 0; row < b->size(); ++row, ++i) {
+      ASSERT_LT(i, original.size());
+      EXPECT_EQ(b->Row(row), original[i]) << "record " << i;
+    }
   }
   EXPECT_EQ(block_count, (100 + 6) / 7);
-  ASSERT_EQ(out.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(out[i], original[i]) << "record " << i;
-  }
+  EXPECT_EQ(i, original.size());
 }
 
 // --- Streaming suite equivalence ---------------------------------------------
@@ -371,10 +341,8 @@ TEST(StreamingSuiteTest, ReportByteIdenticalToInMemoryAtAnyThreadCount) {
     analysis::AnalysisSuite in_memory(merged, scenario.registry(),
                                       suite_config);
     TraceFileReader source(path);
-    // Per-record path, explicitly: the in-memory suite runs the block path,
-    // so this comparison also pins batch == per-record.
-    analysis::AnalysisSuite streamed(static_cast<RecordSource&>(source),
-                                     scenario.registry(), suite_config);
+    analysis::AnalysisSuite streamed(source, scenario.registry(),
+                                     suite_config);
     const std::string mem_report = RenderedReport(in_memory);
     const std::string stream_report = RenderedReport(streamed);
     EXPECT_EQ(mem_report, stream_report) << "threads=" << threads;
@@ -431,9 +399,9 @@ void WriteBigSyntheticTrace(const std::string& path, std::uint32_t pub) {
   writer.Finish();
 }
 
-// Streams `path` through the full AnalysisSuite on `source_kind` ("record"
-// or "block") and asserts peak RSS growth stays under the budget.
-void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
+// Streams a big trace file in `format` ("v1" or "v2") through the full
+// AnalysisSuite and asserts peak RSS growth stays under the budget.
+void ExpectSuiteStreamsUnderBudget(const std::string& format) {
   if (UnderSanitizer()) {
     GTEST_SKIP() << "RSS not meaningful under sanitizer instrumentation";
   }
@@ -441,8 +409,13 @@ void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
   const std::uint32_t pub = registry.Register("T-1", SiteKind::kAdultVideo);
 
   const std::string path =
-      ::testing::TempDir() + "/atlas_big_stream_" + source_kind + ".v2";
+      ::testing::TempDir() + "/atlas_big_stream." + format;
   WriteBigSyntheticTrace(path, pub);
+  if (format == "v1") {
+    // The v1 writer needs the record count up front, so the trace is
+    // rewritten whole — before the watermark below is reset.
+    WriteBinaryFile(ReadAnyBinaryFile(path), path);
+  }
 
   if (!util::ResetPeakRss()) {
     std::remove(path.c_str());
@@ -454,12 +427,8 @@ void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
     suite_config.run_trend_clusters = false;
     suite_config.threads = 1;
     TraceFileReader source(path);
-    auto suite = source_kind == "block"
-                     ? analysis::AnalysisSuite(static_cast<BlockSource&>(source),
-                                               registry, suite_config)
-                     : analysis::AnalysisSuite(
-                           static_cast<RecordSource&>(source), registry,
-                           suite_config);
+    ASSERT_EQ(source.version(), format == "v1" ? 1u : kBlockFormatVersion);
+    analysis::AnalysisSuite suite(source, registry, suite_config);
     ASSERT_EQ(suite.sites().size(), 1u);
     EXPECT_EQ(suite.sites()[0].summary.records, kBigTraceRecords);
   }
@@ -468,19 +437,21 @@ void ExpectSuiteStreamsUnderBudget(const std::string& source_kind) {
 
   ASSERT_GE(peak, baseline);
   EXPECT_LT(peak - baseline, kStreamBudgetBytes)
-      << "streaming suite (" << source_kind
-      << " path) exceeded its memory budget (grew "
+      << "streaming suite (" << format
+      << " input) exceeded its memory budget (grew "
       << (peak - baseline) / (1 << 20) << " MB)";
 }
 
 TEST(StreamMemoryTest, SuiteStreamsLargeTraceUnderBlockBudget) {
-  ExpectSuiteStreamsUnderBudget("record");
+  // A v1 file has no block framing; the reader cuts it into blocks of
+  // v1_block_records rows, so it must stream in the same budget.
+  ExpectSuiteStreamsUnderBudget("v1");
 }
 
 TEST(StreamMemoryTest, BatchSuiteStreamsLargeTraceUnderBlockBudget) {
   // The SoA path holds one decoded RecordBlock at a time; it must not
   // re-buffer the trace (e.g. by accumulating blocks in the demultiplexer).
-  ExpectSuiteStreamsUnderBudget("block");
+  ExpectSuiteStreamsUnderBudget("v2");
 }
 
 // A sink that accepts `capacity` bytes, then fails every write — the

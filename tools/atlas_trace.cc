@@ -60,7 +60,6 @@
 #include <iostream>
 #include <map>
 #include <optional>
-#include <span>
 #include <unordered_set>
 
 #include "analysis/suite.h"
@@ -157,9 +156,11 @@ int CmdInfo(const std::string& path, int argc, char** argv) {
   InfoStats stats;
   if (flags.GetBool("stream")) {
     trace::TraceFileReader source(path);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      for (const auto& r : chunk) stats.Add(r);
+    for (const auto* block = source.NextBlock(); block != nullptr;
+         block = source.NextBlock()) {
+      for (std::size_t i = 0; i < block->size(); ++i) {
+        stats.Add(block->Row(i));
+      }
     }
   } else {
     const auto trace = trace::ReadAnyBinaryFile(path);
@@ -313,9 +314,11 @@ int CmdConvert(const std::string& in, const std::string& out, int argc,
       return 1;
     }
     trace::TraceWriter writer(sink, block_records);
-    for (auto chunk = source.NextChunk(); !chunk.empty();
-         chunk = source.NextChunk()) {
-      writer.Append(chunk);
+    for (const auto* block = source.NextBlock(); block != nullptr;
+         block = source.NextBlock()) {
+      for (std::size_t i = 0; i < block->size(); ++i) {
+        writer.Add(block->Row(i));
+      }
     }
     writer.Finish();
     std::cout << "converted " << writer.written() << " records (v"
