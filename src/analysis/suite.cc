@@ -59,15 +59,17 @@ SiteAnalysis SiteAccumulator::Finalize() {
   a.sessions = sessions_.Finalize(publisher_.name);
   a.engagement = engagement_.Finalize(publisher_.name);
   a.caching = caching_.Finalize(publisher_.name);
-  if (video_series_) {
-    a.video_trends = ClusterTrendSeries(video_series_->Finalize(),
-                                        publisher_.name, video_trend_config_);
-  }
-  if (image_series_) {
-    a.image_trends = ClusterTrendSeries(image_series_->Finalize(),
-                                        publisher_.name, image_trend_config_);
-  }
+  if (video_series_) video_panel_ = video_series_->Finalize();
+  if (image_series_) image_panel_ = image_series_->Finalize();
   return a;
+}
+
+void SiteAccumulator::ClusterTrends(SiteAnalysis& a, int threads) {
+  if (!run_trend_clusters_) return;
+  a.video_trends = ClusterTrendSeries(std::move(video_panel_), publisher_.name,
+                                      video_trend_config_, threads);
+  a.image_trends = ClusterTrendSeries(std::move(image_panel_), publisher_.name,
+                                      image_trend_config_, threads);
 }
 
 namespace {
@@ -208,10 +210,9 @@ void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,
 }
 
 std::vector<SiteAnalysis> StreamingAnalysis::Finalize() {
-  // Finalization — where the expensive work (Ecdf sorts, DTW clustering)
-  // lives — runs one site per worker into a dedicated slot, preserving
-  // registry order. The per-site DTW clustering nested inside runs inline
-  // on the site's worker (ParallelFor detects the enclosing region).
+  // Phase 1: every accumulator except trend clustering (Ecdf sorts, series
+  // building), one site per worker into a dedicated slot. With trends off
+  // this is all of finalization.
   std::vector<std::optional<SiteAnalysis>> slots(publishers_.size());
   util::ParallelFor(
       publishers_.size(),
@@ -219,9 +220,14 @@ std::vector<SiteAnalysis> StreamingAnalysis::Finalize() {
         if (accumulators_[i]) slots[i] = accumulators_[i]->Finalize();
       },
       config_.threads);
+  // Phase 2: one trend panel at a time, in registry order, each spreading
+  // its pairwise DTW over every worker. Run inside phase 1, a site's panels
+  // would sit on that site's one worker.
   std::vector<SiteAnalysis> sites;
-  for (auto& slot : slots) {
-    if (slot) sites.push_back(std::move(*slot));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (!slots[i]) continue;
+    accumulators_[i]->ClusterTrends(*slots[i], config_.threads);
+    sites.push_back(std::move(*slots[i]));
   }
   return sites;
 }

@@ -35,9 +35,10 @@ struct SuiteConfig {
   // that don't need Figs. 8-10.
   bool run_trend_clusters = true;
   TrendClusterConfig trend;
-  // Worker threads for per-site analysis; <= 0 means util::DefaultThreads().
-  // Sites are analyzed concurrently, each into its own result slot, so the
-  // suite (and its rendered report) is identical at any thread count.
+  // Worker threads for the analysis; <= 0 means util::DefaultThreads().
+  // Sites are finalized concurrently, each into its own result slot, and
+  // then each trend panel's DTW runs on all of them; every result is
+  // identical at any thread count, and so is the rendered report.
   int threads = 0;
 };
 
@@ -74,7 +75,14 @@ class SiteAccumulator {
   // independent.
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
+  // Finalizes every sub-accumulator, the trend series included, but leaves
+  // the trend panels unclustered: ClusterTrends does that afterwards, so
+  // that each panel's DTW can use every worker. Call at most once; the
+  // accumulators are consumed.
   SiteAnalysis Finalize();
+  // Clusters the video, then the image panel that Finalize built into `a`,
+  // each panel's pairwise DTW on `threads` workers. No-op with trends off.
+  void ClusterTrends(SiteAnalysis& a, int threads);
 
   std::uint64_t records() const { return records_; }
 
@@ -102,6 +110,9 @@ class SiteAccumulator {
   CachingAccumulator caching_;
   std::optional<TrendSeriesAccumulator> video_series_;
   std::optional<TrendSeriesAccumulator> image_series_;
+  // Panels Finalize built, waiting for ClusterTrends.
+  std::vector<std::pair<std::uint64_t, std::vector<double>>> video_panel_;
+  std::vector<std::pair<std::uint64_t, std::vector<double>>> image_panel_;
 };
 
 // The checkpointable core of the streaming suite: demultiplexes a block
@@ -128,8 +139,11 @@ class StreamingAnalysis {
   // not analysis membership).
   std::uint64_t records_consumed() const { return records_consumed_; }
 
-  // Finalizes sites in parallel (per SuiteConfig::threads), registry order.
-  // Call at most once; the accumulators are consumed.
+  // Finalizes in two phases, both on SuiteConfig::threads workers: the
+  // sites in parallel, one per worker, then each trend panel in turn
+  // (registry order, video before image) with its DTW across every worker.
+  // Results come back in registry order. Call at most once; the
+  // accumulators are consumed.
   std::vector<SiteAnalysis> Finalize();
 
   // Blob layout: cursor + one presence-flagged SiteAccumulator blob per

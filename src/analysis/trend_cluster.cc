@@ -136,7 +136,8 @@ BuildObjectHourlySeries(const trace::TraceBuffer& trace,
 TrendClusterResult ClusterTrendSeries(
     std::vector<std::pair<std::uint64_t, std::vector<double>>>
         series_by_object,
-    const std::string& site_name, const TrendClusterConfig& config) {
+    const std::string& site_name, const TrendClusterConfig& config,
+    int threads) {
   TrendClusterResult result;
   result.site = site_name;
   result.content_class = config.content_class;
@@ -152,7 +153,7 @@ TrendClusterResult ClusterTrendSeries(
   }
 
   const cluster::DistanceMatrix distances =
-      cluster::PairwiseDtw(series, config.dtw_band);
+      cluster::PairwiseDtw(series, config.dtw_band, threads);
   result.dendrogram = cluster::AgglomerativeCluster(distances, config.linkage);
   const std::size_t k = std::min(config.k, series.size());
   result.labels = result.dendrogram.CutAtK(k);
@@ -202,7 +203,7 @@ TrendClusterResult ComputeTrendClusters(const trace::TraceBuffer& trace,
                                         const std::string& site_name,
                                         const TrendClusterConfig& config) {
   return ClusterTrendSeries(BuildObjectHourlySeries(trace, config), site_name,
-                            config);
+                            config, 0);
 }
 
 }  // namespace atlas::analysis

@@ -79,6 +79,8 @@ struct TrendClusterResult {
   double MemberShareOf(synth::PatternType type) const;
 };
 
+// Series building plus ClusterTrendSeries with threads = 0, i.e. the
+// process default (util::DefaultThreads()) that CLI callers pin.
 TrendClusterResult ComputeTrendClusters(const trace::TraceBuffer& trace,
                                         const std::string& site_name,
                                         const TrendClusterConfig& config);
@@ -110,10 +112,14 @@ class TrendSeriesAccumulator {
 
 // Clustering back half of ComputeTrendClusters, operating on a prebuilt
 // series matrix (from TrendSeriesAccumulator or BuildObjectHourlySeries).
+// The pairwise DTW runs on `threads` workers (<= 0 means
+// util::DefaultThreads()); linkage, silhouette and medoids are serial. The
+// result is identical at any thread count.
 TrendClusterResult ClusterTrendSeries(
     std::vector<std::pair<std::uint64_t, std::vector<double>>>
         series_by_object,
-    const std::string& site_name, const TrendClusterConfig& config);
+    const std::string& site_name, const TrendClusterConfig& config,
+    int threads);
 
 // Helper: hourly, sum-normalized request-count series per qualifying object
 // (exposed for tests and the medoid figure benches).

@@ -43,10 +43,13 @@ class DistanceMatrix {
   std::vector<double> data_;
 };
 
-// Pairwise DTW over a set of equal-length series. Rows of the condensed
-// matrix are computed in parallel (`threads` <= 0 means
-// util::DefaultThreads()); every cell (i, j) is independent, so the result
-// is identical for any thread count.
+// DtwDistance(series[i], series[j], band) for every pair i < j, bit for
+// bit. Requires at least two series, all of the same non-zero length;
+// throws std::invalid_argument otherwise. The condensed matrix is filled in
+// fixed blocks of consecutive pairs on `threads` workers (<= 0 means
+// util::DefaultThreads(); run inline inside another parallel region), each
+// block several pairs at a time; every pair lands in its own slot, so the
+// result is identical for any thread count.
 DistanceMatrix PairwiseDtw(const std::vector<std::vector<double>>& series,
                            std::size_t band = 0, int threads = 0);
 

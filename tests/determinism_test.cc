@@ -111,8 +111,9 @@ TEST(DeterminismTest, AnalysisReportIdenticalAcrossThreadCounts) {
   std::string reference;
   for (const int threads : kThreadCounts) {
     analysis::SuiteConfig suite_config;
-    // Trends exercise the nested ParallelFor path (suite workers calling
-    // PairwiseDtw); keep the clustered set small so the test stays fast.
+    // Trends exercise finalize's second phase (each panel's PairwiseDtw
+    // blocks spread over every worker); keep the clustered set small so the
+    // test stays fast.
     suite_config.trend.min_requests = 60;
     suite_config.trend.max_objects = 40;
     suite_config.threads = threads;

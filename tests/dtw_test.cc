@@ -3,8 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
 
+#include "analysis/trend_cluster.h"
+#include "cdn/scenario.h"
 #include "util/rng.h"
+#include "util/time.h"
 
 namespace atlas::cluster {
 namespace {
@@ -139,6 +144,78 @@ TEST(PairwiseDtwTest, AllPairsFilled) {
   EXPECT_DOUBLE_EQ(m.Get(0, 1), 0.0);
   EXPECT_GT(m.Get(0, 2), 0.0);
   EXPECT_DOUBLE_EQ(m.Get(1, 2), m.Get(2, 1));
+}
+
+// Every slot of PairwiseDtw's matrix must hold DtwDistance's exact bits.
+void ExpectMatchesReference(const std::vector<std::vector<double>>& series,
+                            std::size_t band, int threads,
+                            const std::string& tag) {
+  const DistanceMatrix m = PairwiseDtw(series, band, threads);
+  for (std::size_t i = 0; i < series.size(); ++i) {
+    for (std::size_t j = i + 1; j < series.size(); ++j) {
+      const double want = DtwDistance(series[i], series[j], band);
+      const double got = m.Get(i, j);
+      ASSERT_EQ(std::memcmp(&got, &want, sizeof(double)), 0)
+          << tag << " pair (" << i << ", " << j << "): " << got << " vs "
+          << want;
+    }
+  }
+}
+
+// Sparse, tie-heavy series like the normalized trend panels: half the
+// points are exactly zero, so the min over (up, left, diag) often ties.
+std::vector<std::vector<double>> RandomPanel(std::size_t n, std::size_t len,
+                                             std::uint64_t seed) {
+  util::Rng rng(seed);
+  std::vector<std::vector<double>> series(n, std::vector<double>(len));
+  for (auto& s : series) {
+    for (double& x : s) x = rng.NextDouble() < 0.5 ? 0.0 : rng.NextDouble();
+  }
+  return series;
+}
+
+TEST(PairwiseDtwTest, MatchesReferenceBitForBit) {
+  // 2, 3, and one short of, exactly and one past the kernel's 8 lanes;
+  // 17 items make 136 pairs, past the first 128-pair block.
+  for (const std::size_t n : {2u, 3u, 7u, 8u, 9u, 17u, 37u}) {
+    for (const std::size_t len : {static_cast<std::size_t>(util::kHoursPerWeek),
+                                  std::size_t{5}}) {
+      const auto series = RandomPanel(n, len, 1000 + n * 7 + len);
+      for (const std::size_t band : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{12}, len + 3}) {
+        for (const int threads : {1, 2, 8}) {
+          ExpectMatchesReference(series, band, threads,
+                                 "n=" + std::to_string(n) +
+                                     " len=" + std::to_string(len) +
+                                     " band=" + std::to_string(band) +
+                                     " threads=" + std::to_string(threads));
+        }
+      }
+    }
+  }
+}
+
+TEST(PairwiseDtwTest, MatchesReferenceOnRealPanel) {
+  // A trend panel as the suite clusters it: BuildObjectHourlySeries is the
+  // TrendSeriesAccumulator's output at the default TrendClusterConfig.
+  const cdn::Scenario scenario =
+      cdn::Scenario::PaperStudy(0.01, cdn::SimulatorConfig{}, 42);
+  const auto by_object = analysis::BuildObjectHourlySeries(
+      scenario.run(0).result.trace, analysis::TrendClusterConfig{});
+  std::vector<std::vector<double>> series;
+  for (const auto& [hash, s] : by_object) series.push_back(s);
+  ASSERT_GE(series.size(), 20u);
+  for (const int threads : {1, 2, 8}) {
+    ExpectMatchesReference(series, 0, threads,
+                           "V-1 video, threads=" + std::to_string(threads));
+  }
+}
+
+TEST(PairwiseDtwTest, RaggedOrEmptySeriesThrow) {
+  EXPECT_THROW(PairwiseDtw({{1, 2, 3}, {1, 2, 3}, {1, 2}}),
+               std::invalid_argument);
+  EXPECT_THROW(PairwiseDtw(std::vector<std::vector<double>>(2)),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -2,11 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <cmath>
 #include <map>
 
+#include "analysis/suite.h"
 #include "analysis_fixtures.h"
 #include "cdn/scenario.h"
+#include "trace/block.h"
+#include "util/logging.h"
+#include "util/par.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -166,6 +172,47 @@ TEST(ComputeTrendClustersTest, ShareOfSumsPatternShares) {
                   result.ShareOf(synth::PatternType::kFlashCrowd) +
                   result.ShareOf(synth::PatternType::kOutlier),
               1.0, 1e-9);
+}
+
+double CpuSeconds(int who) {
+  rusage usage{};
+  getrusage(who, &usage);
+  return static_cast<double>(usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) +
+         static_cast<double>(usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) /
+             1e6;
+}
+
+// SuiteConfig::threads = 1 must keep the whole analysis, trend DTW
+// included, on the calling thread, even when the process default says 4:
+// CPU spent by any other thread of the process shows in RUSAGE_SELF but
+// not in RUSAGE_THREAD.
+TEST(TrendClusterThreadsTest, SuiteThreadCountBoundsTrendDtw) {
+  util::SetLogLevel(util::LogLevel::kWarn);
+  const auto buf = PlantedTrace(40);  // one 80-object image panel
+  trace::PublisherRegistry registry;
+  registry.Register("X", trace::SiteKind::kAdultImage);
+  SuiteConfig config;
+  config.threads = 1;
+  StreamingAnalysis stream(registry, config);
+  trace::BufferBlockSource source(buf);
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    stream.AddBlock(*block);
+  }
+
+  util::SetDefaultThreads(4);
+  const double self_before = CpuSeconds(RUSAGE_SELF);
+  const double thread_before = CpuSeconds(RUSAGE_THREAD);
+  const auto sites = stream.Finalize();
+  const double thread_cpu = CpuSeconds(RUSAGE_THREAD) - thread_before;
+  const double self_cpu = CpuSeconds(RUSAGE_SELF) - self_before;
+  util::SetDefaultThreads(0);  // restore the hardware default
+
+  ASSERT_EQ(sites.size(), 1u);
+  ASSERT_TRUE(sites[0].image_trends.has_value());
+  EXPECT_EQ(sites[0].image_trends->clustered_objects, 80u);
+  EXPECT_LE(self_cpu, thread_cpu + 0.05)
+      << "other threads used " << self_cpu - thread_cpu << " s of CPU";
 }
 
 // Closed loop (Fig. 8): V-2's video clusters include both sustained
