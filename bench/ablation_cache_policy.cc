@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "cdn/simulator.h"
+#include "cdn/scenario.h"
 #include "energy/model.h"
 #include "synth/site_profile.h"
 #include "util/str.h"
@@ -44,7 +44,8 @@ int main(int argc, char** argv) {
         config.topology.edge_policy = static_cast<cdn::PolicyKind>(k);
         config.topology.edge_capacity_bytes =
             static_cast<std::uint64_t>(cap_gb * 1e9 * scale * 20);
-        const auto result = cdn::SimulateSite(profile, 0, config, seed);
+        trace::CountingSink sink;
+        const auto result = cdn::SimulateSite(profile, 0, config, seed, sink);
         std::cout << util::PadRight(profile.name, 6)
                   << util::PadRight(
                          cdn::ToString(static_cast<cdn::PolicyKind>(k)), 9)

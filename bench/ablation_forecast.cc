@@ -14,7 +14,6 @@
 #include "analysis/forecast.h"
 #include "bench_common.h"
 #include "cdn/scenario.h"
-#include "cdn/simulator.h"
 #include "energy/model.h"
 #include "util/str.h"
 #include "util/time.h"
@@ -45,21 +44,22 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(env.flags.GetInt("train-days")) * 24;
 
   cdn::SimulatorConfig config;
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(scale, config, seed);
+  trace::TraceBuffer study;
+  trace::BufferSink study_sink(study);
+  cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(scale), config, seed,
+                      study_sink);
   // The non-adult stream carries the classic evening diurnal phase and
   // dominates real mixes; weight it 3x the adult aggregate.
   synth::SiteProfile background = synth::SiteProfile::NonAdult(scale);
   background.total_requests *= 3;
-  const auto non_adult = cdn::SimulateSite(background, 99, config, seed + 7);
+  trace::TraceBuffer non_adult;
+  trace::BufferSink non_adult_sink(non_adult);
+  cdn::SimulateSite(background, 99, config, seed + 7, non_adult_sink);
 
+  // Components: the five adult sites together, then the background.
   std::vector<stats::TimeSeries> components;
-  stats::TimeSeries adult(util::kMillisPerHour, util::kHoursPerWeek);
-  for (const auto& run : scenario.runs()) {
-    const auto ts = HourlySeries(run.result.trace);
-    for (std::size_t h = 0; h < ts.size(); ++h) adult[h] += ts[h];
-  }
-  components.push_back(adult);
-  components.push_back(HourlySeries(non_adult.trace));
+  components.push_back(HourlySeries(study));
+  components.push_back(HourlySeries(non_adult));
 
   const auto& non_adult_ts = components[1];
   stats::TimeSeries pooled(util::kMillisPerHour, util::kHoursPerWeek);
@@ -81,12 +81,10 @@ int main(int argc, char** argv) {
   // its bytes move at origin-fetch rates instead of edge rates. Average
   // bytes/request comes from the same traces the series were built from.
   std::uint64_t total_bytes = 0, total_requests = 0;
-  for (const auto& run : scenario.runs()) {
-    total_requests += run.result.trace.size();
-    for (const auto& r : run.result.trace.records()) total_bytes += r.response_bytes;
+  for (const auto* buffer : {&study, &non_adult}) {
+    total_requests += buffer->size();
+    for (const auto& r : buffer->records()) total_bytes += r.response_bytes;
   }
-  total_requests += non_adult.trace.size();
-  for (const auto& r : non_adult.trace.records()) total_bytes += r.response_bytes;
   const double bytes_per_request =
       total_requests > 0
           ? static_cast<double>(total_bytes) / static_cast<double>(total_requests)

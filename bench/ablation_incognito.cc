@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "cdn/simulator.h"
+#include "cdn/scenario.h"
 #include "energy/model.h"
 #include "synth/site_profile.h"
 #include "util/str.h"
@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
     cdn::SimulatorConfig config;
     config.topology.edge_capacity_bytes =
         static_cast<std::uint64_t>(20e9 * scale);
-    const auto result = cdn::SimulateSite(profile, 0, config, seed);
+    trace::CountingSink sink;
+    const auto result = cdn::SimulateSite(profile, 0, config, seed, sink);
     std::cout << util::PadRight(util::FormatPercent(rate, 0), 11)
               << util::PadLeft(util::FormatCount(static_cast<double>(
                                    result.browser_fresh_hits)),
@@ -50,7 +51,7 @@ int main(int argc, char** argv) {
                      util::FormatCount(static_cast<double>(result.revalidations)),
                      8)
               << util::PadLeft(
-                     util::FormatCount(static_cast<double>(result.trace.size())),
+                     util::FormatCount(static_cast<double>(result.records)),
                      10)
               << util::PadLeft(
                      util::FormatPercent(result.edge_stats.HitRatio(), 1), 11);

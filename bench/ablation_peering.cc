@@ -39,16 +39,17 @@ int main(int argc, char** argv) {
       config.topology.edge_capacity_bytes =
           static_cast<std::uint64_t>(gb_at_full * 1e9 * scale) + (64ULL << 20);
       config.peer_fill = peering;
-      cdn::Scenario scenario = cdn::Scenario::PaperStudy(scale, config, seed);
+      trace::CountingSink sink;
+      const auto study = cdn::StreamScenario(
+          synth::SiteProfile::PaperAdultSites(scale), config, seed, sink);
       cdn::CacheStats edge;
       std::uint64_t origin_bytes = 0, peer_fetches = 0;
       energy::EnergyBreakdown bill;
-      for (const auto& run : scenario.runs()) {
-        edge.Merge(run.result.edge_stats);
-        origin_bytes += run.result.origin.bytes;
-        peer_fetches += run.result.peer_fetches;
-        bill.Add(
-            energy_model.FromResult(run.result, util::kMillisPerWeek).total);
+      for (const auto& site : study.site_results) {
+        edge.Merge(site.edge_stats);
+        origin_bytes += site.origin.bytes;
+        peer_fetches += site.peer_fetches;
+        bill.Add(energy_model.FromResult(site, util::kMillisPerWeek).total);
       }
       if (!peering) baseline_origin = origin_bytes;
       const double cut =

@@ -9,7 +9,7 @@
 #include <iostream>
 
 #include "bench_common.h"
-#include "cdn/simulator.h"
+#include "cdn/scenario.h"
 #include "energy/model.h"
 #include "synth/site_profile.h"
 #include "util/str.h"
@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
     config.push.include_diurnal = v.diurnal;
     config.push.include_long_lived = v.long_lived;
     config.push.include_short_lived = v.short_lived;
-    const auto result = cdn::SimulateSite(profile, 0, config, seed);
+    trace::CountingSink sink;
+    const auto result = cdn::SimulateSite(profile, 0, config, seed, sink);
     std::cout << util::PadRight(v.label, 28)
               << util::PadLeft(
                      util::FormatPercent(result.edge_stats.HitRatio(), 1), 8)

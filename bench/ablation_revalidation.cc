@@ -29,10 +29,9 @@ struct ReplayStats {
   std::uint64_t expired = 0;
 };
 
-// Replays the scenario's merged trace through `cache`, streamed block by
-// block (no materialized combined copy).
-ReplayStats Replay(cdn::Cache& cache, const cdn::Scenario& scenario) {
-  cdn::MergedTraceSource source(scenario);
+// Replays the study's merged trace through `cache`, block by block.
+ReplayStats Replay(cdn::Cache& cache, const trace::TraceBuffer& study) {
+  trace::BufferBlockSource source(study);
   for (const auto* b = source.NextBlock(); b != nullptr;
        b = source.NextBlock()) {
     for (std::size_t i = 0; i < b->size(); ++i) {
@@ -63,20 +62,23 @@ int main(int argc, char** argv) {
   const double scale = env.scale;
 
   cdn::SimulatorConfig config;
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(scale, config, env.seed);
+  trace::TraceBuffer study;
+  trace::BufferSink sink(study);
+  const auto result = cdn::StreamScenario(
+      synth::SiteProfile::PaperAdultSites(scale), config, env.seed, sink);
 
   // Classify object shapes from the trace (per site, both classes) and feed
   // the oracle — the analysis->delivery closed loop.
   cdn::RevalidationOracle oracle;
-  for (const auto& run : scenario.runs()) {
+  for (const auto& site : result.registry.all()) {
+    const trace::TraceBuffer site_trace = study.FilterByPublisher(site.id);
     for (const auto cls :
          {trace::ContentClass::kVideo, trace::ContentClass::kImage}) {
       analysis::TrendClusterConfig tc;
       tc.use_class = true;
       tc.content_class = cls;
       tc.min_requests = 20;
-      const auto series =
-          analysis::BuildObjectHourlySeries(run.result.trace, tc);
+      const auto series = analysis::BuildObjectHourlySeries(site_trace, tc);
       for (const auto& [hash, s] : series) {
         oracle.Classify(hash, cluster::ClassifyShape(s));
       }
@@ -127,16 +129,16 @@ int main(int argc, char** argv) {
 
   {
     cdn::TtlLruCache uniform_short(capacity, 3600 * 1000LL);
-    report("uniform TTL = 1 h", Replay(uniform_short, scenario));
+    report("uniform TTL = 1 h", Replay(uniform_short, study));
   }
   {
     cdn::TtlLruCache uniform_long(capacity, 24 * 3600 * 1000LL);
-    report("uniform TTL = 24 h", Replay(uniform_long, scenario));
+    report("uniform TTL = 24 h", Replay(uniform_long, study));
   }
   {
     cdn::OracleTtlCache oracle_cache(
         capacity, [&](std::uint64_t key) { return oracle.TtlFor(key); });
-    report("pattern-aware oracle", Replay(oracle_cache, scenario));
+    report("pattern-aware oracle", Replay(oracle_cache, study));
   }
 
   std::cout << "\npaper's claim under test: long expiry for diurnal/"

@@ -32,9 +32,9 @@ struct ReplayResult {
   }
 };
 
-// Replays object-level accesses (content-bearing responses only), streamed
-// from the scenario's merged trace block by block — no combined copy.
-ReplayResult Replay(const cdn::Scenario& scenario,
+// Replays object-level accesses (content-bearing responses only) from the
+// study's merged trace, block by block.
+ReplayResult Replay(const trace::TraceBuffer& study,
                     std::uint64_t small_capacity,
                     std::uint64_t large_capacity,
                     std::uint64_t split_bytes) {
@@ -43,7 +43,7 @@ ReplayResult Replay(const cdn::Scenario& scenario,
                          ? cdn::CreateCache(cdn::PolicyKind::kLru, large_capacity)
                          : nullptr;
   ReplayResult result;
-  cdn::MergedTraceSource source(scenario);
+  trace::BufferBlockSource source(study);
   for (const auto* b = source.NextBlock(); b != nullptr;
        b = source.NextBlock()) {
     for (std::size_t i = 0; i < b->size(); ++i) {
@@ -89,7 +89,10 @@ int main(int argc, char** argv) {
   const double scale = env.scale;
 
   cdn::SimulatorConfig config;
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(scale, config, env.seed);
+  trace::TraceBuffer study;
+  trace::BufferSink sink(study);
+  cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(scale), config,
+                      env.seed, sink);
 
   const double cap_flag = env.flags.GetDouble("capacity-gb");
   const auto total_capacity = static_cast<std::uint64_t>(
@@ -106,7 +109,7 @@ int main(int argc, char** argv) {
   const energy::EnergyModel energy_model{cdn::EnergySpec{}};
 
   // Baseline: one unified cache.
-  const auto unified = Replay(scenario, total_capacity, 0, 0);
+  const auto unified = Replay(study, total_capacity, 0, 0);
   const auto unified_bill = Bill(energy_model, unified.Total());
   std::cout << util::PadRight("unified LRU", 30)
             << util::PadLeft(util::FormatPercent(unified.Total().HitRatio(), 1), 8)
@@ -121,7 +124,7 @@ int main(int argc, char** argv) {
     const auto small_cap =
         static_cast<std::uint64_t>(small_frac * static_cast<double>(total_capacity));
     const auto split =
-        Replay(scenario, small_cap, total_capacity - small_cap, 1 << 20);
+        Replay(study, small_cap, total_capacity - small_cap, 1 << 20);
     char label[64];
     std::snprintf(label, sizeof(label), "split@1MB, %2.0f%% small",
                   small_frac * 100);

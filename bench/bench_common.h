@@ -8,13 +8,14 @@
 
 #include <cstdint>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "analysis/report.h"
 #include "cdn/scenario.h"
 #include "synth/site_profile.h"
+#include "trace/sink.h"
+#include "trace/trace_buffer.h"
 #include "trace/trace_io.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -27,10 +28,16 @@ struct BenchEnv {
   double scale = 0.1;
   std::uint64_t seed = 42;
   cdn::SimulatorConfig config;
-  std::unique_ptr<cdn::Scenario> scenario;
+  // The study's merged, time-sorted trace, and the registry and per-site
+  // counters StreamScenario returned with it.
+  trace::TraceBuffer trace;
+  cdn::ScenarioStreamResult study;
 
-  const trace::PublisherRegistry& registry() const {
-    return scenario->registry();
+  const trace::PublisherRegistry& registry() const { return study.registry; }
+
+  // One site's records in stream order; throws for a name the study lacks.
+  trace::TraceBuffer SiteTrace(const std::string& name) const {
+    return trace.FilterByPublisher(registry().FindByName(name).value());
   }
 };
 
@@ -79,8 +86,10 @@ inline bool SetUpStudy(BenchEnv& env, int argc, char** argv,
       capacity_gb > 0.0
           ? static_cast<std::uint64_t>(capacity_gb * 1e9)
           : static_cast<std::uint64_t>(64e9 * env.scale) + (1ULL << 30);
-  env.scenario = std::make_unique<cdn::Scenario>(
-      cdn::Scenario::PaperStudy(env.scale, env.config, env.seed));
+  trace::BufferSink sink(env.trace);
+  env.study = cdn::StreamScenario(
+      synth::SiteProfile::PaperAdultSites(env.scale), env.config, env.seed,
+      sink);
   return true;
 }
 
@@ -159,8 +168,8 @@ inline BenchRunMeta MetaFromFlags(const util::Flags& flags,
 template <typename Result, typename Fn>
 std::vector<Result> PerSite(const BenchEnv& env, Fn&& compute) {
   std::vector<Result> results;
-  for (const auto& run : env.scenario->runs()) {
-    results.push_back(compute(run.result.trace, run.profile.name));
+  for (const auto& site : env.registry().all()) {
+    results.push_back(compute(env.trace.FilterByPublisher(site.id), site.name));
   }
   return results;
 }

@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   }
   analysis::SuiteConfig suite_config;
   suite_config.run_trend_clusters = false;  // Figs. 8-10 have their own bench
-  cdn::MergedTraceSource source(*env.scenario);
+  trace::BufferBlockSource source(env.trace);
   analysis::AnalysisSuite suite(source, env.registry(), suite_config);
   std::cout << "=== Paper-claim verification, scale=" << env.scale
             << ", seed=" << env.seed << " ===\n\n";

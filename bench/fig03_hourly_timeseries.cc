@@ -5,7 +5,7 @@
 #include <fstream>
 
 #include "analysis/csv_export.h"
-#include "cdn/simulator.h"
+#include "cdn/scenario.h"
 
 int main(int argc, char** argv) {
   using namespace atlas;
@@ -20,9 +20,11 @@ int main(int argc, char** argv) {
         return analysis::ComputeHourlyVolume(t, name);
       });
   // Contrast series: the non-adult control with the classic evening peak.
-  const auto control = cdn::SimulateSite(synth::SiteProfile::NonAdult(env.scale),
-                                         99, env.config, env.seed + 1);
-  results.push_back(analysis::ComputeHourlyVolume(control.trace, "N-1"));
+  trace::TraceBuffer control;
+  trace::BufferSink control_sink(control);
+  cdn::SimulateSite(synth::SiteProfile::NonAdult(env.scale), 99, env.config,
+                    env.seed + 1, control_sink);
+  results.push_back(analysis::ComputeHourlyVolume(control, "N-1"));
 
   std::cout << "=== Fig. 3: hourly traffic volume (% of weekly, local time), "
                "scale=" << env.scale << " ===\n";

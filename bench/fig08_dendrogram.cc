@@ -27,20 +27,17 @@ int main(int argc, char** argv) {
   } kPanels[] = {{"V-2", trace::ContentClass::kVideo},
                  {"P-2", trace::ContentClass::kImage}};
   for (const auto& panel : kPanels) {
-    for (const auto& run : env.scenario->runs()) {
-      if (run.profile.name != panel.site) continue;
-      config.content_class = panel.cls;
-      const auto result = analysis::ComputeTrendClusters(
-          run.result.trace, run.profile.name, config);
-      analysis::RenderTrendClusters(result, std::cout);
-      std::cout << "member-level shapes: ";
-      for (int p = 0; p < synth::kNumPatternTypes; ++p) {
-        const auto type = static_cast<synth::PatternType>(p);
-        std::cout << synth::ToString(type) << "="
-                  << util::FormatPercent(result.MemberShareOf(type), 0) << " ";
-      }
-      std::cout << "\n\n";
+    config.content_class = panel.cls;
+    const auto result = analysis::ComputeTrendClusters(
+        env.SiteTrace(panel.site), panel.site, config);
+    analysis::RenderTrendClusters(result, std::cout);
+    std::cout << "member-level shapes: ";
+    for (int p = 0; p < synth::kNumPatternTypes; ++p) {
+      const auto type = static_cast<synth::PatternType>(p);
+      std::cout << synth::ToString(type) << "="
+                << util::FormatPercent(result.MemberShareOf(type), 0) << " ";
     }
+    std::cout << "\n\n";
   }
   std::cout << "paper: (a) V-2 video: 22%+11% diurnal, 20% long-lived, 14% "
                "short-lived, 33% outliers\n       (b) P-2 image: 61% diurnal, "

@@ -15,14 +15,11 @@ int main(int argc, char** argv) {
   analysis::TrendClusterConfig config;
   config.k = static_cast<std::size_t>(env.flags.GetInt("k"));
   config.content_class = trace::ContentClass::kVideo;
-  for (const auto& run : env.scenario->runs()) {
-    if (run.profile.name != "V-2") continue;
-    const auto result =
-        analysis::ComputeTrendClusters(run.result.trace, "V-2", config);
-    std::cout << "=== Fig. 9: V-2 video cluster medoids, scale=" << env.scale
-              << " ===\n";
-    analysis::RenderClusterMedoids(result, std::cout);
-  }
+  const auto result =
+      analysis::ComputeTrendClusters(env.SiteTrace("V-2"), "V-2", config);
+  std::cout << "=== Fig. 9: V-2 video cluster medoids, scale=" << env.scale
+            << " ===\n";
+  analysis::RenderClusterMedoids(result, std::cout);
   std::cout << "\npaper: diurnal-A medoid oscillates all week; long-lived "
                "peaks day 1 and decays diurnally over days;\n       "
                "short-lived peaks on arrival and dies within hours\n";

@@ -13,14 +13,11 @@ int main(int argc, char** argv) {
   analysis::TrendClusterConfig config;
   config.k = static_cast<std::size_t>(env.flags.GetInt("k"));
   config.content_class = trace::ContentClass::kImage;
-  for (const auto& run : env.scenario->runs()) {
-    if (run.profile.name != "P-2") continue;
-    const auto result =
-        analysis::ComputeTrendClusters(run.result.trace, "P-2", config);
-    std::cout << "=== Fig. 10: P-2 image cluster medoids, scale=" << env.scale
-              << " ===\n";
-    analysis::RenderClusterMedoids(result, std::cout);
-  }
+  const auto result =
+      analysis::ComputeTrendClusters(env.SiteTrace("P-2"), "P-2", config);
+  std::cout << "=== Fig. 10: P-2 image cluster medoids, scale=" << env.scale
+            << " ===\n";
+  analysis::RenderClusterMedoids(result, std::cout);
   std::cout << "\npaper: P-2 images split into diurnal, long-lived and "
                "flash-crowd medoids\n";
   return 0;

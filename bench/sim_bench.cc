@@ -102,11 +102,8 @@ SweepPoint RunSweepPoint(double scale, std::uint64_t seed, int threads,
           const std::uint64_t site_seed = seeder.Next();
           generators.push_back(
               std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
-          const double inflation =
-              generators.back()->EstimateRecordsPerRequest(config.chunk_bytes);
-          const auto budget = static_cast<std::uint64_t>(std::max(
-              1.0, static_cast<double>(profile.total_requests) / inflation));
-          events.push_back(generators.back()->Generate(budget));
+          events.push_back(generators.back()->Generate(
+              generators.back()->LogicalBudget(config.chunk_bytes)));
           total_events += events.back().size();
           jobs.push_back({generators.back().get(), &events.back(),
                           static_cast<std::uint32_t>(i)});
@@ -298,11 +295,8 @@ int main(int argc, char** argv) {
     const std::uint64_t site_seed = seeder.Next();
     generators.push_back(
         std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
-    const double inflation =
-        generators.back()->EstimateRecordsPerRequest(config.chunk_bytes);
-    const auto budget = static_cast<std::uint64_t>(std::max(
-        1.0, static_cast<double>(profile.total_requests) / inflation));
-    events.push_back(generators.back()->Generate(budget));
+    events.push_back(generators.back()->Generate(
+        generators.back()->LogicalBudget(config.chunk_bytes)));
     jobs.push_back({generators.back().get(), &events.back(),
                     static_cast<std::uint32_t>(i)});
   }

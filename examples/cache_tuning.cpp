@@ -12,7 +12,7 @@
 #include <limits>
 #include <vector>
 
-#include "cdn/simulator.h"
+#include "cdn/scenario.h"
 #include "synth/site_profile.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
       cdn::SimulatorConfig config;
       config.topology.edge_policy = static_cast<cdn::PolicyKind>(k);
       config.topology.edge_capacity_bytes = capacity;
-      const auto result = cdn::SimulateSite(profile, 0, config, seed);
+      trace::CountingSink sink;
+      const auto result = cdn::SimulateSite(profile, 0, config, seed, sink);
       const double hit = result.edge_stats.HitRatio();
       const double byte_hit = result.edge_stats.ByteHitRatio();
       std::cout << util::PadRight(

@@ -12,6 +12,7 @@
 
 #include "analysis/geo.h"
 #include "cdn/scenario.h"
+#include "synth/site_profile.h"
 #include "synth/user_model.h"
 #include "util/flags.h"
 #include "util/logging.h"
@@ -45,13 +46,13 @@ int main(int argc, char** argv) {
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes =
       static_cast<std::uint64_t>(48e9 * scale) + (512ULL << 20);
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(scale, config, seed);
+  trace::TraceBuffer study;
+  trace::BufferSink sink(study);
+  cdn::StreamScenario(synth::SiteProfile::PaperAdultSites(scale), config, seed,
+                      sink);
 
   // --- Per-continent load (analysis::geo) ---------------------------------
-  // The merged trace is consumed as a stream (k-way merge over the per-site
-  // traces) — no combined copy is ever materialized.
-  cdn::MergedTraceSource merged_source(scenario);
-  const auto geo = analysis::ComputeGeo(merged_source, "all-sites");
+  const auto geo = analysis::ComputeGeo(study, "all-sites");
   std::cout << "=== Per-continent demand (week, scale=" << scale << ") ===\n";
   std::cout << util::PadRight("continent", 15) << util::PadLeft("requests", 11)
             << util::PadLeft("users", 9) << util::PadLeft("bytes", 11)
@@ -87,13 +88,11 @@ int main(int argc, char** argv) {
     cdn::SimulatorConfig sized = config;
     sized.topology.edge_capacity_bytes =
         static_cast<std::uint64_t>(gb_at_full * 1e9 * scale) + (64ULL << 20);
-    cdn::Scenario sweep = cdn::Scenario::PaperStudy(scale, sized, seed);
-    cdn::CacheStats edge;
-    std::uint64_t origin_bytes = 0;
-    for (const auto& run : sweep.runs()) {
-      edge.Merge(run.result.edge_stats);
-      origin_bytes += run.result.origin.bytes;
-    }
+    trace::CountingSink counter;
+    const auto sweep = cdn::StreamScenario(
+        synth::SiteProfile::PaperAdultSites(scale), sized, seed, counter);
+    const cdn::CacheStats& edge = sweep.totals.edge_stats;
+    const std::uint64_t origin_bytes = sweep.totals.origin.bytes;
     if (baseline_origin == 0) baseline_origin = origin_bytes;
     const double saved =
         1.0 - static_cast<double>(origin_bytes) /

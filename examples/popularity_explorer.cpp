@@ -44,19 +44,19 @@ int main(int argc, char** argv) {
   util::SetDefaultThreads(static_cast<int>(flags.GetInt("threads")));
 
   cdn::SimulatorConfig config;
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(
-      flags.GetDouble("scale"), config,
-      static_cast<std::uint64_t>(flags.GetInt("seed")));
+  trace::TraceBuffer study;
+  trace::BufferSink sink(study);
+  const auto study_run = cdn::StreamScenario(
+      synth::SiteProfile::PaperAdultSites(flags.GetDouble("scale")), config,
+      static_cast<std::uint64_t>(flags.GetInt("seed")), sink);
 
   const std::string site = flags.GetString("site");
-  const trace::TraceBuffer* site_trace = nullptr;
-  for (const auto& run : scenario.runs()) {
-    if (run.profile.name == site) site_trace = &run.result.trace;
-  }
-  if (site_trace == nullptr) {
+  const auto site_id = study_run.registry.FindByName(site);
+  if (!site_id) {
     std::cerr << "unknown site: " << site << '\n';
     return 1;
   }
+  const trace::TraceBuffer site_trace = study.FilterByPublisher(*site_id);
 
   analysis::TrendClusterConfig tc;
   tc.content_class = flags.GetString("class") == "image"
@@ -72,7 +72,7 @@ int main(int argc, char** argv) {
   for (std::size_t k = 2; k <= static_cast<std::size_t>(flags.GetInt("max-k"));
        ++k) {
     tc.k = k;
-    const auto result = analysis::ComputeTrendClusters(*site_trace, site, tc);
+    const auto result = analysis::ComputeTrendClusters(site_trace, site, tc);
     if (result.clustered_objects < k) break;
     std::cout << "  k=" << k << "  silhouette="
               << util::FormatDouble(result.silhouette, 3) << '\n';
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
   }
 
   tc.k = best_k;
-  const auto result = analysis::ComputeTrendClusters(*site_trace, site, tc);
+  const auto result = analysis::ComputeTrendClusters(site_trace, site, tc);
   std::cout << "\nbest k=" << best_k << ":\n";
   analysis::RenderTrendClusters(result, std::cout);
   std::cout << '\n';

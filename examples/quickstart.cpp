@@ -44,12 +44,14 @@ int main(int argc, char** argv) {
   config.topology.edge_capacity_bytes = static_cast<std::uint64_t>(
       64e9 * flags.GetDouble("scale")) + (1ULL << 30);
 
-  cdn::Scenario scenario = cdn::Scenario::PaperStudy(
-      flags.GetDouble("scale"), config,
-      static_cast<std::uint64_t>(flags.GetInt("seed")));
+  // The study's merged, time-sorted trace, kept in memory: it is small at
+  // these scales, and both the trace file and the analysis read it.
+  trace::TraceBuffer study;
+  trace::BufferSink sink(study);
+  const auto result = cdn::StreamScenario(
+      synth::SiteProfile::PaperAdultSites(flags.GetDouble("scale")), config,
+      static_cast<std::uint64_t>(flags.GetInt("seed")), sink);
 
-  // The merged trace is consumed as a stream — the per-site traces are
-  // k-way merged on the fly, never copied into one combined buffer.
   if (const std::string path = flags.GetString("save-trace"); !path.empty()) {
     std::ofstream stream(path, std::ios::binary);
     if (!stream) {
@@ -57,8 +59,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     trace::TraceWriter writer(stream);
-    trace::WriterSink sink(writer);
-    scenario.StreamMerged(sink);
+    writer.Append(study.records());
     writer.Finish();
     std::cout << "trace written to " << path << " (" << writer.written()
               << " records, v2)\n";
@@ -66,8 +67,8 @@ int main(int argc, char** argv) {
 
   analysis::SuiteConfig suite_config;
   suite_config.run_trend_clusters = flags.GetBool("clusters");
-  cdn::MergedTraceSource source(scenario);
-  analysis::AnalysisSuite suite(source, scenario.registry(), suite_config);
+  trace::BufferBlockSource source(study);
+  analysis::AnalysisSuite suite(source, result.registry, suite_config);
   suite.Render(std::cout);
   return 0;
 }

@@ -263,29 +263,9 @@ void StreamingAnalysis::RestoreState(ckpt::Reader& r) {
   }
 }
 
-AnalysisSuite::AnalysisSuite(const trace::TraceBuffer& full_trace,
-                             const trace::PublisherRegistry& registry,
-                             const SuiteConfig& config) {
-  if (full_trace.IsSortedByTime()) {
-    trace::BufferBlockSource source(full_trace);
-    Run(source, registry, config);
-  } else {
-    trace::TraceBuffer sorted = full_trace;
-    sorted.SortByTime();
-    trace::BufferBlockSource source(sorted);
-    Run(source, registry, config);
-  }
-}
-
 AnalysisSuite::AnalysisSuite(trace::BlockSource& source,
                              const trace::PublisherRegistry& registry,
                              const SuiteConfig& config) {
-  Run(source, registry, config);
-}
-
-void AnalysisSuite::Run(trace::BlockSource& source,
-                        const trace::PublisherRegistry& registry,
-                        const SuiteConfig& config) {
   // One sequential demultiplexing pass feeds a per-publisher accumulator
   // set; accumulation order is the stream order regardless of thread
   // count, so the suite is deterministic by construction.

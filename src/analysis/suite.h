@@ -25,7 +25,6 @@
 #include "trace/block.h"
 #include "trace/publisher.h"
 #include "trace/stream.h"
-#include "trace/trace_buffer.h"
 #include "util/flat_hash.h"
 
 namespace atlas::analysis {
@@ -181,21 +180,12 @@ class StreamingAnalysis {
 
 class AnalysisSuite {
  public:
-  // Analyzes each registered publisher found in `full_trace`. Implemented
-  // on top of the streaming constructor via BufferBlockSource; if the
-  // buffer is not time-sorted a sorted copy is streamed (all ATLAS
-  // producers emit sorted traces, so this is a compatibility path, not a
-  // hot one).
-  AnalysisSuite(const trace::TraceBuffer& full_trace,
-                const trace::PublisherRegistry& registry,
-                const SuiteConfig& config = {});
-
   // Single-pass streaming analysis: demultiplexes `source` (which must
   // yield records in non-decreasing timestamp order, as TraceWriter files
   // and merged scenario traces do) block by block into one SiteAccumulator
   // per registered publisher, then finalizes sites in parallel. Peak
   // memory is the accumulator state plus one block — independent of trace
-  // length.
+  // length. An in-memory trace goes in through trace::BufferBlockSource.
   AnalysisSuite(trace::BlockSource& source,
                 const trace::PublisherRegistry& registry,
                 const SuiteConfig& config = {});
@@ -213,10 +203,6 @@ class AnalysisSuite {
   void Render(std::ostream& out) const;
 
  private:
-  void Run(trace::BlockSource& source,
-           const trace::PublisherRegistry& registry,
-           const SuiteConfig& config);
-
   std::vector<SiteAnalysis> sites_;
 };
 

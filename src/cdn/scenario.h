@@ -1,95 +1,34 @@
-// Scenario: the paper's whole five-site study as one object.
+// Running a simulation: the one module that decides how a run is set up.
 //
-// Runs every site profile through its own generator and the shared sharded
-// simulation engine (all sites concurrently — see engine.h), tags records
-// with registry publisher ids, and exposes both the per-site results (with
-// ground-truth generators for closed-loop validation) and the merged,
-// time-sorted trace — the synthetic stand-in for the paper's week of CDN
-// logs. The merged trace is served as a stream (StreamMerged /
-// MergedTraceSource): the per-site buffers are k-way merged on the fly, so
-// no call site pays an O(total records) combined copy.
+// Both entry points below do the same four steps — draw the site's seed,
+// build its generator, generate the calibrated logical budget
+// (WorkloadGenerator::LogicalBudget), hand the SiteJob to RunSharded — and
+// differ only in where the seed and publisher id come from:
 //
-// StreamScenario is the fully out-of-core variant: the merged trace goes
-// straight into a RecordSink (e.g. a v2 TraceWriter) and is never
-// materialized at all.
+//   StreamScenario  a study: every profile in order, site seeds drawn from
+//                   one study seed, publisher ids assigned by a fresh
+//                   registry, all sites concurrently on the sharded engine
+//                   (see engine.h). The merged, time-sorted trace is the
+//                   synthetic stand-in for the paper's week of CDN logs.
+//   SimulateSite    one site with an explicit seed and publisher id.
+//
+// Records go to a trace::RecordSink and nothing else keeps them: a caller
+// that wants the trace in memory passes a trace::BufferSink, one that wants
+// a file passes a trace::WriterSink, and one that reads only the returned
+// counters passes a trace::CountingSink. One site's records in a buffered
+// study are FilterByPublisher(id) of the merged buffer.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cdn/engine.h"
 #include "cdn/simulator.h"
 #include "synth/site_profile.h"
-#include "trace/block.h"
 #include "trace/publisher.h"
-#include "trace/stream.h"
+#include "trace/sink.h"
 
 namespace atlas::cdn {
-
-class ScenarioSpec;
-
-struct SiteRun {
-  synth::SiteProfile profile;
-  std::uint32_t publisher_id = 0;
-  // Kept alive so analyses can compare against generator ground truth.
-  std::unique_ptr<synth::WorkloadGenerator> generator;
-  SiteSimulation result;
-};
-
-class Scenario {
- public:
-  // `scale` shrinks every profile (1.0 = paper-sized). Each site draws its
-  // own deterministic seed from `seed`. `threads <= 0` means
-  // util::DefaultThreads(); every result is identical at any thread count.
-  Scenario(std::vector<synth::SiteProfile> profiles,
-           const SimulatorConfig& config, std::uint64_t seed,
-           int threads = 0);
-
-  // Spec-driven construction: profiles, config, and seed all come from the
-  // spec (see scenario_spec.h). Defined in scenario_spec.cc.
-  explicit Scenario(const ScenarioSpec& spec, int threads = 0);
-
-  // Convenience: the paper's five adult sites.
-  static Scenario PaperStudy(double scale, const SimulatorConfig& config,
-                             std::uint64_t seed, int threads = 0);
-
-  const trace::PublisherRegistry& registry() const { return registry_; }
-  const std::vector<SiteRun>& runs() const { return runs_; }
-  const SiteRun& run(std::size_t i) const { return runs_.at(i); }
-  std::size_t site_count() const { return runs_.size(); }
-
-  // Streams the merged, time-sorted trace across all sites into `sink`
-  // without building a combined copy (per-site traces are k-way merged on
-  // the fly, ties broken by site registration order — byte-identical to
-  // the legacy materialized merge).
-  void StreamMerged(trace::RecordSink& sink) const;
-
-  // Merged delivery counters across all sites.
-  SimulatorResult Totals() const;
-
- private:
-  trace::PublisherRegistry registry_;
-  std::vector<SiteRun> runs_;
-};
-
-// Pull-interface view of a scenario's merged trace: yields the k-way merge
-// of the per-site traces block by block, so AnalysisSuite and Replay-style
-// consumers read the merged stream through one block of memory. The
-// scenario must outlive the source.
-class MergedTraceSource final : public trace::BlockSource {
- public:
-  explicit MergedTraceSource(const Scenario& scenario);
-  const trace::RecordBlock* NextBlock() override;
-
- private:
-  struct Cursor {
-    const trace::TraceBuffer* buf;
-    std::size_t pos = 0;
-  };
-  std::vector<Cursor> cursors_;
-  trace::RecordBlock block_;
-};
 
 struct ScenarioStreamResult {
   trace::PublisherRegistry registry;
@@ -97,12 +36,14 @@ struct ScenarioStreamResult {
   SimulatorResult totals;
 };
 
-// Fully streaming scenario run: generates each profile, simulates all of
-// them concurrently on the sharded engine, and streams the merged trace
-// into `sink`. Only counters and the registry are kept — peak memory is
-// the events + catalogs + caches, independent of how many records the
+// Runs a study: generates each profile (site i's seed is the i-th draw of
+// util::Rng(seed); its publisher id is its registry id, i.e. i), simulates
+// all of them concurrently on the sharded engine, and streams the merged
+// trace into `sink`. Only counters and the registry are kept — peak memory
+// is the events + catalogs + caches, independent of how many records the
 // simulation emits. `threads <= 0` means util::DefaultThreads(), for
-// generation and simulation alike.
+// generation and simulation alike; the output is identical at any value.
+// Throws std::invalid_argument if two profiles share a name.
 //
 // With checkpoint/restore armed, every snapshot carries, on top of the
 // engine's own sections, a "scenario.meta" section (seed + profile count,
@@ -115,5 +56,13 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
                                     std::uint64_t seed, trace::RecordSink& sink,
                                     int threads = 0,
                                     const CheckpointOptions& ckpt_options = {});
+
+// Runs one site: generator seeded with `seed`, records tagged with
+// `publisher_id`, the time-sorted trace streamed into `sink`. Returns the
+// site's counters. `threads` as for StreamScenario.
+SimulatorResult SimulateSite(const synth::SiteProfile& profile,
+                             std::uint32_t publisher_id,
+                             const SimulatorConfig& config, std::uint64_t seed,
+                             trace::RecordSink& sink, int threads = 0);
 
 }  // namespace atlas::cdn

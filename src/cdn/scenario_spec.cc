@@ -588,9 +588,6 @@ SimulatorConfig ScenarioSpec::BuildConfig() const {
   return config;
 }
 
-Scenario::Scenario(const ScenarioSpec& spec, int threads)
-    : Scenario(spec.BuildProfiles(), spec.BuildConfig(), spec.seed, threads) {}
-
 ScenarioStreamResult StreamScenario(const ScenarioSpec& spec,
                                     trace::RecordSink& sink, int threads,
                                     const CheckpointOptions& ckpt_options) {

@@ -4,9 +4,9 @@
 // site profiles to instantiate (base factory + curated overrides), the
 // simulator/topology configuration, and a timeline of operational events
 // (flash crowds, takedowns, DC outages, cache flushes). The spec replaces
-// the hardcoded five-site constructor pipeline: Scenario / StreamScenario
-// accept a spec directly, the CLI runs any spec file end-to-end, and every
-// shipped spec under scenarios/ carries its own pinned golden digest.
+// the hardcoded five-site profile list: StreamScenario accepts a spec
+// directly, the CLI runs any spec file end-to-end, and every shipped spec
+// under scenarios/ carries its own pinned golden digest.
 //
 // Parsing is loud: unknown keys, wrong types, out-of-range values, and
 // overlapping event windows all fail with the file's line and column —

@@ -1,13 +1,5 @@
 #include "cdn/simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <span>
-#include <stdexcept>
-#include <utility>
-
-#include "cdn/engine.h"
-
 namespace atlas::cdn {
 
 void SimulatorResult::Merge(const SimulatorResult& other) {
@@ -91,57 +83,6 @@ void SimulatorResult::RestoreState(ckpt::Reader& r) {
   revalidations = r.ReadU64();
   pushed_objects = r.ReadU64();
   pushed_bytes = r.ReadU64();
-}
-
-Simulator::Simulator(const SimulatorConfig& config, std::uint32_t publisher_id)
-    : config_(config), publisher_id_(publisher_id) {
-  if (config.playback_bytes_per_s <= 0.0) {
-    throw std::invalid_argument("Simulator: playback rate must be > 0");
-  }
-}
-
-SimulatorResult Simulator::Run(const synth::WorkloadGenerator& gen,
-                               const std::vector<synth::RequestEvent>& events,
-                               trace::RecordSink& sink, int threads) {
-  const SiteJob job{&gen, &events, publisher_id_};
-  auto results = RunSharded(std::span<const SiteJob>(&job, 1), config_, sink,
-                            threads);
-  return std::move(results.front());
-}
-
-SiteSimulation Simulator::Run(const synth::WorkloadGenerator& gen,
-                              const std::vector<synth::RequestEvent>& events) {
-  SiteSimulation out;
-  out.trace.Reserve(events.size() + events.size() / 2);
-  trace::BufferSink sink(out.trace);
-  static_cast<SimulatorResult&>(out) = Run(gen, events, sink);
-  return out;
-}
-
-SiteSimulation SimulateSite(const synth::SiteProfile& profile,
-                            std::uint32_t publisher_id,
-                            const SimulatorConfig& config, std::uint64_t seed) {
-  synth::WorkloadGenerator gen(profile, seed);
-  const double inflation = gen.EstimateRecordsPerRequest(config.chunk_bytes);
-  const auto logical = static_cast<std::uint64_t>(std::max(
-      1.0, static_cast<double>(profile.total_requests) / inflation));
-  const auto events = gen.Generate(logical);
-  Simulator sim(config, publisher_id);
-  return sim.Run(gen, events);
-}
-
-SimulatorResult SimulateSiteTo(const synth::SiteProfile& profile,
-                               std::uint32_t publisher_id,
-                               const SimulatorConfig& config,
-                               std::uint64_t seed, trace::RecordSink& sink,
-                               int threads) {
-  synth::WorkloadGenerator gen(profile, seed);
-  const double inflation = gen.EstimateRecordsPerRequest(config.chunk_bytes);
-  const auto logical = static_cast<std::uint64_t>(std::max(
-      1.0, static_cast<double>(profile.total_requests) / inflation));
-  const auto events = gen.Generate(logical, threads);
-  Simulator sim(config, publisher_id);
-  return sim.Run(gen, events, sink, threads);
 }
 
 }  // namespace atlas::cdn

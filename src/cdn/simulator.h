@@ -1,7 +1,9 @@
-// End-to-end delivery simulation: logical request events -> HTTP log records.
+// The delivery simulation's vocabulary: its configuration, its counters,
+// and the per-epoch samples it reports. The engine (engine.h) runs it and
+// scenario.h is where a run starts.
 //
-// For each logical request the simulator walks the delivery path the paper's
-// logs were produced by:
+// For each logical request the simulation walks the delivery path the
+// paper's logs were produced by:
 //
 //   anomaly?      -> 403 (hotlink), 416 (bad range), 204 (beacon)
 //   browser cache -> fresh: served locally, NO log record (the CDN never
@@ -16,7 +18,8 @@
 // schema, emitted into a trace::RecordSink (in-memory buffer or v2 file —
 // the simulation never needs the whole trace resident), plus delivery-side
 // statistics the logs alone cannot show (origin load, browser-cache
-// absorption) used by the ablation benches.
+// absorption), collected in a SimulatorResult and used by the ablation
+// benches.
 //
 // Execution is sharded by edge data center (see engine.h): each user is
 // pinned to one DC, so each shard owns its edge cache, its users' browser
@@ -34,8 +37,6 @@
 #include "cdn/push.h"
 #include "cdn/topology.h"
 #include "synth/workload.h"
-#include "trace/sink.h"
-#include "trace/trace_buffer.h"
 
 namespace atlas::cdn {
 
@@ -134,51 +135,5 @@ struct SimulatorResult {
   void SaveState(ckpt::Writer& w) const;
   void RestoreState(ckpt::Reader& r);
 };
-
-// Legacy in-memory convenience: the counters plus the fully materialized,
-// time-sorted trace. Only for traces known to fit in RAM — the streaming
-// sink API is the primary interface.
-struct SiteSimulation : SimulatorResult {
-  // atlas-lint: allow(tracebuffer-in-cdn) legacy in-memory API; new code
-  // streams through trace::RecordSink instead of materializing.
-  trace::TraceBuffer trace;
-};
-
-class Simulator {
- public:
-  Simulator(const SimulatorConfig& config, std::uint32_t publisher_id);
-
-  // Consumes the generator's events (must be time-sorted) and streams the
-  // log records into `sink` in final time-sorted order. `threads <= 0`
-  // means util::DefaultThreads(); the emitted bytes are identical at any
-  // thread count. The generator provides object/user lookup tables.
-  SimulatorResult Run(const synth::WorkloadGenerator& gen,
-                      const std::vector<synth::RequestEvent>& events,
-                      trace::RecordSink& sink, int threads = 0);
-
-  // Legacy in-memory path: same simulation, trace buffered and returned.
-  SiteSimulation Run(const synth::WorkloadGenerator& gen,
-                     const std::vector<synth::RequestEvent>& events);
-
-  const SimulatorConfig& config() const { return config_; }
-
- private:
-  SimulatorConfig config_;
-  std::uint32_t publisher_id_;
-};
-
-// Convenience: generate + simulate one site profile in one call, with the
-// logical budget calibrated so the final record count approximates
-// profile.total_requests despite video chunk expansion.
-SiteSimulation SimulateSite(const synth::SiteProfile& profile,
-                            std::uint32_t publisher_id,
-                            const SimulatorConfig& config, std::uint64_t seed);
-
-// Streaming variant: records go to `sink`, only counters are returned.
-SimulatorResult SimulateSiteTo(const synth::SiteProfile& profile,
-                               std::uint32_t publisher_id,
-                               const SimulatorConfig& config,
-                               std::uint64_t seed, trace::RecordSink& sink,
-                               int threads = 0);
 
 }  // namespace atlas::cdn

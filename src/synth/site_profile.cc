@@ -18,8 +18,8 @@ double MuFromMedian(double median) { return std::log(median); }
 std::uint64_t ScaleCount64(std::uint64_t n, double scale,
                            std::uint64_t floor_value, const char* what,
                            std::uint64_t cap) {
-  const double scaled_d = std::llround(static_cast<double>(n) * scale);
-  const auto scaled = static_cast<std::uint64_t>(std::max(0.0, scaled_d));
+  const long long rounded = std::llround(static_cast<double>(n) * scale);
+  const auto scaled = static_cast<std::uint64_t>(std::max(0LL, rounded));
   if (scaled > cap) {
     throw std::overflow_error(std::string("SiteProfile: scaled ") + what +
                               " " + std::to_string(scaled) + " exceeds cap " +

@@ -263,6 +263,13 @@ double WorkloadGenerator::EstimateRecordsPerRequest(
   return weight_total > 0.0 ? records / weight_total : 1.0;
 }
 
+std::uint64_t WorkloadGenerator::LogicalBudget(
+    std::uint64_t chunk_bytes) const {
+  const double inflation = EstimateRecordsPerRequest(chunk_bytes);
+  return static_cast<std::uint64_t>(std::max(
+      1.0, static_cast<double>(profile_.total_requests) / inflation));
+}
+
 std::uint64_t WorkloadGenerator::Fingerprint() const {
   std::uint64_t h = util::Fnv1a64(profile_.name);
   h = util::HashCombine(h, static_cast<std::uint64_t>(profile_.kind));

@@ -72,6 +72,12 @@ class WorkloadGenerator {
   // logical budget so the final trace hits the profile's record target.
   double EstimateRecordsPerRequest(std::uint64_t chunk_bytes) const;
 
+  // The logical budget that calibration implies: profile.total_requests
+  // divided by EstimateRecordsPerRequest(chunk_bytes), at least 1. Every
+  // simulation entry point generates this many events, so the final trace
+  // approximates the profile's record target despite chunk expansion.
+  std::uint64_t LogicalBudget(std::uint64_t chunk_bytes) const;
+
   // Digest of the generator's immutable identity (profile shape, catalog /
   // population sizes, shard plan). Stored in checkpoints so a resume
   // against a different profile fails clearly instead of replaying a

@@ -27,8 +27,8 @@ class RecordSink {
   virtual void Write(std::span<const LogRecord> records) = 0;
 };
 
-// Appends every record to a caller-owned TraceBuffer (the legacy in-memory
-// path). The buffer is only borrowed; it is not cleared first.
+// Appends every record to a caller-owned TraceBuffer, for callers that want
+// the trace in memory. The buffer is only borrowed; it is not cleared first.
 class BufferSink final : public RecordSink {
  public:
   explicit BufferSink(TraceBuffer& out) : out_(&out) {}

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -62,7 +62,8 @@ TEST(AgingTest, EmptyTraceSafe) {
 // share of objects goes silent after day 3.
 TEST(AgingClosedLoopTest, DecliningShape) {
   cdn::SimulatorConfig config;
-  const auto sim = cdn::SimulateSite(synth::SiteProfile::V2(0.02), 0, config, 7);
+  const auto sim =
+      testutil::SimulateSite(synth::SiteProfile::V2(0.02), 0, config, 7);
   const auto result = ComputeAging(sim.trace, "V-2");
   EXPECT_DOUBLE_EQ(result.fraction_requested[0], 1.0);
   EXPECT_LT(result.fraction_requested[6], 0.8);

@@ -58,20 +58,16 @@ analysis::SuiteConfig ReportConfig(int threads) {
   return config;
 }
 
-const cdn::Scenario& GoldenScenario() {
-  static const cdn::Scenario* scenario = [] {
+const testutil::BufferedScenario& GoldenScenario() {
+  static const testutil::BufferedScenario* scenario = [] {
     util::SetLogLevel(util::LogLevel::kWarn);
-    return new cdn::Scenario(synth::SiteProfile::PaperAdultSites(0.01),
-                             GoldenConfig(), 42, /*threads=*/2);
+    return new testutil::BufferedScenario(testutil::RunPaperStudy(
+        0.01, GoldenConfig(), 42, /*threads=*/2));
   }();
   return *scenario;
 }
 
-const trace::TraceBuffer& GoldenMerged() {
-  static const trace::TraceBuffer* merged =
-      new trace::TraceBuffer(testutil::MaterializeMerged(GoldenScenario()));
-  return *merged;
-}
+const trace::TraceBuffer& GoldenMerged() { return GoldenScenario().trace; }
 
 std::uint64_t ReportDigest(analysis::AnalysisSuite& suite) {
   std::ostringstream out;

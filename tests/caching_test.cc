@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -96,7 +96,8 @@ TEST(CachingTest, EmptyTraceSafe) {
 TEST(CachingClosedLoopTest, PaperShapeHolds) {
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes = 2ULL << 30;
-  const auto sim = cdn::SimulateSite(synth::SiteProfile::V2(0.03), 0, config, 7);
+  const auto sim =
+      testutil::SimulateSite(synth::SiteProfile::V2(0.03), 0, config, 7);
   const auto result = ComputeCaching(sim.trace, "V-2");
   // Popular objects cache better: strong positive correlation (paper: >0.9).
   EXPECT_GT(result.popularity_hit_correlation, 0.5);

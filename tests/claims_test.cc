@@ -4,7 +4,6 @@
 
 #include <sstream>
 
-#include "cdn/scenario.h"
 #include "scenario_fixtures.h"
 #include "util/logging.h"
 
@@ -15,11 +14,11 @@ TEST(ClaimsTest, AllClaimsPassOnDefaultStudy) {
   util::SetLogLevel(util::LogLevel::kWarn);
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes = 1ULL << 30;
-  const auto scenario = cdn::Scenario::PaperStudy(0.01, config, 42);
+  const auto study = testutil::RunPaperStudy(0.01, config, 42);
   SuiteConfig suite_config;
   suite_config.run_trend_clusters = false;
-  const AnalysisSuite suite(testutil::MaterializeMerged(scenario),
-                            scenario.registry(), suite_config);
+  trace::BufferBlockSource source(study.trace);
+  const AnalysisSuite suite(source, study.registry(), suite_config);
   const auto claims = VerifyPaperClaims(suite);
   EXPECT_GT(claims.size(), 25u);
   for (const auto& c : claims) {
@@ -40,7 +39,8 @@ TEST(ClaimsTest, MissingSitesFailGracefully) {
   empty.Add(r);
   SuiteConfig suite_config;
   suite_config.run_trend_clusters = false;
-  const AnalysisSuite suite(empty, registry, suite_config);
+  trace::BufferBlockSource source(empty);
+  const AnalysisSuite suite(source, registry, suite_config);
   const auto claims = VerifyPaperClaims(suite);
   ASSERT_EQ(claims.size(), 1u);
   EXPECT_FALSE(claims[0].pass);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -65,7 +65,7 @@ TEST(DatasetSummaryTest, Fields) {
 TEST(CompositionClosedLoopTest, V1IsVideoDominated) {
   cdn::SimulatorConfig config;
   const auto result =
-      cdn::SimulateSite(synth::SiteProfile::V1(0.01), 0, config, 5);
+      testutil::SimulateSite(synth::SiteProfile::V1(0.01), 0, config, 5);
   const auto comp = ComputeComposition(result.trace, "V-1");
   // Fig. 2: ~99% of V-1 requests and bytes are video.
   EXPECT_GT(comp.RequestShare(trace::ContentClass::kVideo), 0.9);
@@ -75,7 +75,7 @@ TEST(CompositionClosedLoopTest, V1IsVideoDominated) {
 TEST(CompositionClosedLoopTest, P1IsImageDominated) {
   cdn::SimulatorConfig config;
   const auto result =
-      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 0, config, 5);
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 0, config, 5);
   const auto comp = ComputeComposition(result.trace, "P-1");
   EXPECT_GT(comp.RequestShare(trace::ContentClass::kImage), 0.9);
   EXPECT_GT(comp.ObjectShare(trace::ContentClass::kImage), 0.95);

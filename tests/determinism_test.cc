@@ -10,8 +10,6 @@
 #include <vector>
 
 #include "analysis/suite.h"
-#include "cdn/scenario.h"
-#include "cdn/simulator.h"
 #include "scenario_fixtures.h"
 #include "synth/workload.h"
 #include "trace/trace_io.h"
@@ -34,7 +32,7 @@ std::string SimulatedTraceBytes(std::uint64_t seed) {
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes = 256ULL << 20;
   const auto result =
-      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 7, config, seed);
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 7, config, seed);
   std::ostringstream out;
   trace::WriteBinary(result.trace, out);
   return out.str();
@@ -105,8 +103,7 @@ TEST(DeterminismTest, AnalysisReportIdenticalAcrossThreadCounts) {
   util::SetLogLevel(util::LogLevel::kWarn);
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes = 512ULL << 20;
-  const cdn::Scenario scenario = cdn::Scenario::PaperStudy(0.01, config, 42);
-  const trace::TraceBuffer merged = testutil::MaterializeMerged(scenario);
+  const auto study = testutil::RunPaperStudy(0.01, config, 42);
 
   std::string reference;
   for (const int threads : kThreadCounts) {
@@ -117,7 +114,8 @@ TEST(DeterminismTest, AnalysisReportIdenticalAcrossThreadCounts) {
     suite_config.trend.min_requests = 60;
     suite_config.trend.max_objects = 40;
     suite_config.threads = threads;
-    const analysis::AnalysisSuite suite(merged, scenario.registry(),
+    trace::BufferBlockSource source(study.trace);
+    const analysis::AnalysisSuite suite(source, study.registry(),
                                         suite_config);
     EXPECT_EQ(suite.sites().size(), 5u);
     std::ostringstream out;

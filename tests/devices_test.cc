@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -54,8 +54,10 @@ TEST(DeviceCompositionTest, EmptyTrace) {
 // desktop).
 TEST(DeviceCompositionClosedLoopTest, RecoversProfileMixes) {
   cdn::SimulatorConfig config;
-  const auto s1 = cdn::SimulateSite(synth::SiteProfile::S1(0.05), 0, config, 3);
-  const auto v2 = cdn::SimulateSite(synth::SiteProfile::V2(0.02), 1, config, 3);
+  const auto s1 =
+      testutil::SimulateSite(synth::SiteProfile::S1(0.05), 0, config, 3);
+  const auto v2 =
+      testutil::SimulateSite(synth::SiteProfile::V2(0.02), 1, config, 3);
   const auto ds1 = ComputeDeviceComposition(s1.trace, "S-1");
   const auto dv2 = ComputeDeviceComposition(v2.trace, "V-2");
   // Paper: >1/3 of S-1 users are non-desktop; >95% of V-2 users desktop.

@@ -7,7 +7,7 @@
 #include <string>
 
 #include "analysis/trend_cluster.h"
-#include "cdn/scenario.h"
+#include "scenario_fixtures.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -198,10 +198,9 @@ TEST(PairwiseDtwTest, MatchesReferenceBitForBit) {
 TEST(PairwiseDtwTest, MatchesReferenceOnRealPanel) {
   // A trend panel as the suite clusters it: BuildObjectHourlySeries is the
   // TrendSeriesAccumulator's output at the default TrendClusterConfig.
-  const cdn::Scenario scenario =
-      cdn::Scenario::PaperStudy(0.01, cdn::SimulatorConfig{}, 42);
+  const auto study = testutil::RunPaperStudy(0.01, cdn::SimulatorConfig{}, 42);
   const auto by_object = analysis::BuildObjectHourlySeries(
-      scenario.run(0).result.trace, analysis::TrendClusterConfig{});
+      study.SiteTrace(0), analysis::TrendClusterConfig{});
   std::vector<std::vector<double>> series;
   for (const auto& [hash, s] : by_object) series.push_back(s);
   ASSERT_GE(series.size(), 20u);

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -72,8 +72,10 @@ TEST(EngagementTest, EmptyTraceSafe) {
 // user" vs. "<1% of image objects".
 TEST(EngagementClosedLoopTest, VideoAddictionExceedsImage) {
   cdn::SimulatorConfig config;
-  const auto v1 = cdn::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 5);
-  const auto p1 = cdn::SimulateSite(synth::SiteProfile::P1(0.02), 1, config, 5);
+  const auto v1 =
+      testutil::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 5);
+  const auto p1 =
+      testutil::SimulateSite(synth::SiteProfile::P1(0.02), 1, config, 5);
   const auto ev = ComputeEngagement(v1.trace, "V-1");
   const auto ep = ComputeEngagement(p1.trace, "P-1");
   EXPECT_GT(ev.video_frac_over_10, 0.10);

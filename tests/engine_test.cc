@@ -7,8 +7,8 @@
 //      with peer fill and push enabled;
 //   3. the epoch length (SimulatorConfig::epoch_ms) never changes a trace
 //      byte — only the peer-fill/origin split of miss traffic;
-//   4. streaming into a v2 TraceWriter produces the same bytes as the
-//      buffered legacy path, within a bounded memory footprint.
+//   4. streaming into a v2 TraceWriter produces the same bytes as running
+//      into a BufferSink, within a bounded memory footprint.
 #include "cdn/engine.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +19,7 @@
 
 #include "cdn/scenario.h"
 #include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 #include "synth/site_profile.h"
 #include "trace/sink.h"
 #include "trace/stream.h"
@@ -64,20 +65,19 @@ std::uint64_t Digest(const trace::TraceBuffer& buffer) {
 TEST(EngineGoldenTest, ScenarioMergedMatchesSequentialAtAnyThreadCount) {
   util::SetLogLevel(util::LogLevel::kWarn);
   for (const int threads : kThreadCounts) {
-    const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.01),
-                                 GoldenConfig(), 42, threads);
-    trace::TraceBuffer merged;
-    trace::BufferSink sink(merged);
-    scenario.StreamMerged(sink);
-    ASSERT_EQ(merged.size(), kScenarioMergedRecords) << "threads=" << threads;
-    EXPECT_EQ(Digest(merged), kScenarioMergedDigest) << "threads=" << threads;
+    const auto study = testutil::RunPaperStudy(0.01, GoldenConfig(), 42,
+                                               threads);
+    ASSERT_EQ(study.trace.size(), kScenarioMergedRecords)
+        << "threads=" << threads;
+    EXPECT_EQ(Digest(study.trace), kScenarioMergedDigest)
+        << "threads=" << threads;
   }
 }
 
 TEST(EngineGoldenTest, SingleSiteMatchesSequential) {
   util::SetLogLevel(util::LogLevel::kWarn);
-  const auto result =
-      cdn::SimulateSite(synth::SiteProfile::V1(0.01), 3, GoldenConfig(), 99);
+  const auto result = testutil::SimulateSite(synth::SiteProfile::V1(0.01), 3,
+                                             GoldenConfig(), 99);
   ASSERT_EQ(result.trace.size(), kSiteV1Records);
   EXPECT_EQ(Digest(result.trace), kSiteV1Digest);
   EXPECT_EQ(result.records, kSiteV1Records);
@@ -91,7 +91,7 @@ TEST(EngineGoldenTest, MultiDcTopologyMatchesSequential) {
   config.push.enabled = true;
   config.push.top_n = 50;
   const auto result =
-      cdn::SimulateSite(synth::SiteProfile::P2(0.01), 5, config, 7);
+      testutil::SimulateSite(synth::SiteProfile::P2(0.01), 5, config, 7);
   ASSERT_EQ(result.trace.size(), kSiteP2MultiDcRecords);
   EXPECT_EQ(Digest(result.trace), kSiteP2MultiDcDigest);
 }
@@ -103,7 +103,7 @@ TEST(EngineTest, EpochLengthNeverChangesTraceBytes) {
     auto config = GoldenConfig();
     config.epoch_ms = epoch_ms;
     const auto result =
-        cdn::SimulateSite(synth::SiteProfile::V1(0.01), 3, config, 99);
+        testutil::SimulateSite(synth::SiteProfile::V1(0.01), 3, config, 99);
     ASSERT_EQ(result.trace.size(), kSiteV1Records) << "epoch_ms=" << epoch_ms;
     EXPECT_EQ(Digest(result.trace), kSiteV1Digest) << "epoch_ms=" << epoch_ms;
   }
@@ -115,9 +115,9 @@ TEST(EngineTest, PeerFillOnlyMovesCountersNeverBytes) {
   auto without_peer = GoldenConfig();
   without_peer.peer_fill = false;
   const auto a =
-      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 7, with_peer, 99);
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 7, with_peer, 99);
   const auto b =
-      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 7, without_peer, 99);
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 7, without_peer, 99);
   EXPECT_EQ(Digest(a.trace), Digest(b.trace));
   EXPECT_EQ(b.peer_fetches, 0u);
   // Peer fills divert origin fetches one for one.
@@ -129,7 +129,7 @@ TEST(EngineTest, StreamedV2FileMatchesBufferedRun) {
   const auto profile = synth::SiteProfile::S1(0.01);
   const auto config = GoldenConfig();
 
-  const auto buffered = cdn::SimulateSite(profile, 4, config, 11);
+  const auto buffered = testutil::SimulateSite(profile, 4, config, 11);
 
   const std::string path = ::testing::TempDir() + "/atlas_engine_stream.v2";
   cdn::SimulatorResult streamed;
@@ -138,7 +138,7 @@ TEST(EngineTest, StreamedV2FileMatchesBufferedRun) {
     ASSERT_TRUE(out.is_open());
     trace::TraceWriter writer(out);
     trace::WriterSink sink(writer);
-    streamed = cdn::SimulateSiteTo(profile, 4, config, 11, sink);
+    streamed = cdn::SimulateSite(profile, 4, config, 11, sink);
     writer.Finish();
     EXPECT_EQ(writer.written(), buffered.trace.size());
   }
@@ -206,42 +206,19 @@ TEST(EngineTest, ResultMergeFoldsEveryCounter) {
 
 TEST(EngineTest, ScenarioTotalsEqualFoldedSiteResults) {
   util::SetLogLevel(util::LogLevel::kWarn);
-  const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.01),
-                               GoldenConfig(), 42);
-  const auto totals = scenario.Totals();
+  const auto study = testutil::RunPaperStudy(0.01, GoldenConfig(), 42);
+  const auto& totals = study.result.totals;
+  ASSERT_EQ(study.result.site_results.size(), 5u);
   cdn::SimulatorResult folded;
-  std::uint64_t records = 0;
-  for (const auto& run : scenario.runs()) {
-    folded.Merge(run.result);
-    records += run.result.trace.size();
+  for (std::size_t i = 0; i < study.result.site_results.size(); ++i) {
+    const auto& site = study.result.site_results[i];
+    folded.Merge(site);
+    EXPECT_EQ(site.records, study.SiteTrace(i).size()) << "site " << i;
   }
   EXPECT_EQ(totals.records, folded.records);
-  EXPECT_EQ(totals.records, records);
+  EXPECT_EQ(totals.records, study.trace.size());
   EXPECT_EQ(totals.origin.fetches, folded.origin.fetches);
   EXPECT_EQ(totals.edge_stats.hits, folded.edge_stats.hits);
-}
-
-TEST(EngineTest, StreamScenarioMatchesScenario) {
-  util::SetLogLevel(util::LogLevel::kWarn);
-  const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.01),
-                               GoldenConfig(), 42);
-  trace::TraceBuffer via_scenario;
-  {
-    trace::BufferSink sink(via_scenario);
-    scenario.StreamMerged(sink);
-  }
-
-  trace::TraceBuffer via_stream;
-  trace::BufferSink sink(via_stream);
-  const auto result = cdn::StreamScenario(
-      synth::SiteProfile::PaperAdultSites(0.01), GoldenConfig(), 42, sink);
-  EXPECT_EQ(Digest(via_stream), Digest(via_scenario));
-  EXPECT_EQ(result.totals.records, via_stream.size());
-  ASSERT_EQ(result.site_results.size(), scenario.runs().size());
-  for (std::size_t i = 0; i < result.site_results.size(); ++i) {
-    EXPECT_EQ(result.site_results[i].records,
-              scenario.run(i).result.records);
-  }
 }
 
 TEST(EngineTest, RejectsUnsortedEvents) {
@@ -250,9 +227,9 @@ TEST(EngineTest, RejectsUnsortedEvents) {
   auto events = gen.Generate(100);
   ASSERT_GE(events.size(), 2u);
   std::swap(events.front().timestamp_ms, events.back().timestamp_ms);
-  cdn::Simulator sim(config, 0);
+  const cdn::SiteJob job{&gen, &events, 0};
   trace::CountingSink sink;
-  EXPECT_THROW(sim.Run(gen, events, sink), std::invalid_argument);
+  EXPECT_THROW(cdn::RunSharded({&job, 1}, config, sink), std::invalid_argument);
 }
 
 TEST(EngineTest, RejectsNonPositiveEpoch) {
@@ -260,9 +237,9 @@ TEST(EngineTest, RejectsNonPositiveEpoch) {
   config.epoch_ms = 0;
   synth::WorkloadGenerator gen(synth::SiteProfile::P1(0.005), 1);
   const auto events = gen.Generate(100);
-  cdn::Simulator sim(config, 0);
+  const cdn::SiteJob job{&gen, &events, 0};
   trace::CountingSink sink;
-  EXPECT_THROW(sim.Run(gen, events, sink), std::invalid_argument);
+  EXPECT_THROW(cdn::RunSharded({&job, 1}, config, sink), std::invalid_argument);
 }
 
 // --- Bounded memory ----------------------------------------------------------
@@ -311,8 +288,8 @@ TEST(EngineMemoryTest, StreamedSimulationStaysUnderRecordBudget) {
     ASSERT_TRUE(out.is_open());
     trace::TraceWriter writer(out);
     trace::WriterSink sink(writer);
-    cdn::Simulator sim(config, 3);
-    sim.Run(gen, events, sink, /*threads=*/1);
+    const cdn::SiteJob job{&gen, &events, 3};
+    cdn::RunSharded({&job, 1}, config, sink, /*threads=*/1);
     writer.Finish();
     written = writer.written();
   }

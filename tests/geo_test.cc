@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/scenario.h"
+#include "scenario_fixtures.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -57,7 +57,7 @@ TEST(GeoTest, EmptyTraceSafe) {
 TEST(GeoClosedLoopTest, RecoversContinentMix) {
   cdn::SimulatorConfig config;
   const auto profile = synth::SiteProfile::V1(0.02);
-  const auto sim = cdn::SimulateSite(profile, 0, config, 3);
+  const auto sim = testutil::SimulateSite(profile, 0, config, 3);
   const auto geo = ComputeGeo(sim.trace, "V-1");
   // Profile mix {NA 0.45, EU 0.30, AS 0.15, SA 0.10}; request shares follow
   // user shares loosely (heavy-tailed activity adds variance).

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "analysis/suite.h"
-#include "cdn/scenario.h"
 #include "scenario_fixtures.h"
 #include "trace/trace_io.h"
 #include "util/logging.h"
@@ -20,25 +19,27 @@ class PaperStudyTest : public ::testing::Test {
     util::SetLogLevel(util::LogLevel::kWarn);
     cdn::SimulatorConfig config;
     config.topology.edge_capacity_bytes = 1ULL << 30;
-    scenario_ = new cdn::Scenario(cdn::Scenario::PaperStudy(0.01, config, 42));
+    study_ = new testutil::BufferedScenario(
+        testutil::RunPaperStudy(0.01, config, 42));
     analysis::SuiteConfig suite_config;
     suite_config.run_trend_clusters = false;  // covered by trend tests
-    suite_ = new analysis::AnalysisSuite(testutil::MaterializeMerged(*scenario_),
-                                         scenario_->registry(), suite_config);
+    trace::BufferBlockSource source(study_->trace);
+    suite_ = new analysis::AnalysisSuite(source, study_->registry(),
+                                         suite_config);
   }
   static void TearDownTestSuite() {
     delete suite_;
-    delete scenario_;
+    delete study_;
     suite_ = nullptr;
-    scenario_ = nullptr;
+    study_ = nullptr;
     util::SetLogLevel(util::LogLevel::kInfo);
   }
 
-  static cdn::Scenario* scenario_;
+  static testutil::BufferedScenario* study_;
   static analysis::AnalysisSuite* suite_;
 };
 
-cdn::Scenario* PaperStudyTest::scenario_ = nullptr;
+testutil::BufferedScenario* PaperStudyTest::study_ = nullptr;
 analysis::AnalysisSuite* PaperStudyTest::suite_ = nullptr;
 
 TEST_F(PaperStudyTest, AllFiveSitesAnalyzed) {
@@ -168,7 +169,7 @@ TEST_F(PaperStudyTest, ReportRenders) {
 
 // The merged trace round-trips through binary serialization.
 TEST_F(PaperStudyTest, TraceSerializationRoundTrip) {
-  const auto merged = testutil::MaterializeMerged(*scenario_);
+  const auto& merged = study_->trace;
   std::stringstream stream;
   trace::WriteBinary(merged, stream);
   const auto loaded = trace::ReadBinary(stream);

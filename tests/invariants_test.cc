@@ -5,7 +5,7 @@
 #include <ostream>
 #include <set>
 
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 #include "trace/content_class.h"
 #include "trace/useragent.h"
 #include "util/time.h"
@@ -28,10 +28,10 @@ void PrintTo(const Case& c, std::ostream* os) {
 
 class TraceInvariantsTest : public ::testing::TestWithParam<Case> {
  protected:
-  static cdn::SiteSimulation Simulate(const Case& c) {
+  static testutil::BufferedSite Simulate(const Case& c) {
     cdn::SimulatorConfig config;
     config.topology.edge_capacity_bytes = 256ULL << 20;
-    return cdn::SimulateSite(c.profile(0.01), 7, config, c.seed);
+    return testutil::SimulateSite(c.profile(0.01), 7, config, c.seed);
   }
 };
 

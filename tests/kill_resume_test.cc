@@ -200,9 +200,8 @@ TEST(KillResumeTest, ResumeWithDifferentConfigFailsClearly) {
 // boundary and the skip drops whole blocks only.
 TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
   util::SetLogLevel(util::LogLevel::kWarn);
-  const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
-                               GoldenConfig(), 11, 2);
-  const trace::TraceBuffer merged = testutil::MaterializeMerged(scenario);
+  const auto scenario = testutil::RunPaperStudy(0.004, GoldenConfig(), 11, 2);
+  const trace::TraceBuffer& merged = scenario.trace;
   ASSERT_GT(merged.size(), 1000u);
   constexpr std::size_t kBlock = 500;
 
@@ -274,9 +273,8 @@ TEST(KillResumeTest, StreamingAnalysisSaveRestoreReproducesReport) {
 // character-identical.
 TEST(KillResumeTest, BatchStreamingAnalysisSaveRestoreReproducesReport) {
   util::SetLogLevel(util::LogLevel::kWarn);
-  const cdn::Scenario scenario(synth::SiteProfile::PaperAdultSites(0.004),
-                               GoldenConfig(), 11, 2);
-  const trace::TraceBuffer merged = testutil::MaterializeMerged(scenario);
+  const auto scenario = testutil::RunPaperStudy(0.004, GoldenConfig(), 11, 2);
+  const trace::TraceBuffer& merged = scenario.trace;
   ASSERT_GT(merged.size(), 1000u);
 
   analysis::SuiteConfig config;

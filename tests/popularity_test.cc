@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -61,7 +61,8 @@ TEST(PopularityTest, SkewMetricsOnUniformDemand) {
 // share, positive Gini, and a power-law-ish tail.
 TEST(PopularityClosedLoopTest, LongTailRecovered) {
   cdn::SimulatorConfig config;
-  const auto sim = cdn::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 5);
+  const auto sim =
+      testutil::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 5);
   const auto result = ComputePopularity(sim.trace, "V-1");
   EXPECT_GT(result.top10_share, 0.4);
   EXPECT_GT(result.gini, 0.5);

@@ -22,6 +22,7 @@
 #include "synth/user_model.h"
 #include "synth/workload.h"
 #include "trace/sink.h"
+#include "trace/stream.h"
 #include "trace/trace_io.h"
 #include "util/hash.h"
 #include "util/mem.h"

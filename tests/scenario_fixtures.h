@@ -1,19 +1,64 @@
-// Shared scenario helpers for tests.
+// Shared scenario helpers for tests: the library's two run entry points
+// (cdn/scenario.h) with the trace kept in memory. Production code streams
+// into a sink instead; tests that genuinely need every record go through
+// here.
 #pragma once
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 #include "cdn/scenario.h"
+#include "synth/site_profile.h"
 #include "trace/sink.h"
 #include "trace/trace_buffer.h"
 
 namespace atlas::testutil {
 
-// Materializes a scenario's merged trace through the streaming k-way merge
-// (MergedTraceSource via StreamMerged). Tests that genuinely need the whole
-// trace in memory go through here; production code streams instead.
-inline trace::TraceBuffer MaterializeMerged(const cdn::Scenario& scenario) {
-  trace::TraceBuffer out;
-  trace::BufferSink sink(out);
-  scenario.StreamMerged(sink);
+// A StreamScenario run into a BufferSink: the merged, time-sorted trace
+// plus the registry and per-site counters.
+struct BufferedScenario {
+  trace::TraceBuffer trace;
+  cdn::ScenarioStreamResult result;
+
+  const trace::PublisherRegistry& registry() const { return result.registry; }
+  // Site i's records (profile order), in stream order.
+  trace::TraceBuffer SiteTrace(std::size_t i) const {
+    return trace.FilterByPublisher(result.registry.all().at(i).id);
+  }
+};
+
+inline BufferedScenario RunScenario(std::vector<synth::SiteProfile> profiles,
+                                    const cdn::SimulatorConfig& config,
+                                    std::uint64_t seed, int threads = 0) {
+  BufferedScenario out;
+  trace::BufferSink sink(out.trace);
+  out.result =
+      cdn::StreamScenario(std::move(profiles), config, seed, sink, threads);
+  return out;
+}
+
+// The paper's five adult sites at `scale`.
+inline BufferedScenario RunPaperStudy(double scale,
+                                      const cdn::SimulatorConfig& config,
+                                      std::uint64_t seed, int threads = 0) {
+  return RunScenario(synth::SiteProfile::PaperAdultSites(scale), config, seed,
+                     threads);
+}
+
+// A SimulateSite run into a BufferSink: the site's counters and its trace.
+struct BufferedSite : cdn::SimulatorResult {
+  trace::TraceBuffer trace;
+};
+
+inline BufferedSite SimulateSite(const synth::SiteProfile& profile,
+                                 std::uint32_t publisher_id,
+                                 const cdn::SimulatorConfig& config,
+                                 std::uint64_t seed) {
+  BufferedSite out;
+  trace::BufferSink sink(out.trace);
+  static_cast<cdn::SimulatorResult&>(out) =
+      cdn::SimulateSite(profile, publisher_id, config, seed, sink);
   return out;
 }
 

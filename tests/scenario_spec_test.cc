@@ -19,7 +19,6 @@
 #include "cdn/engine.h"
 #include "cdn/scenario.h"
 #include "ckpt/checkpoint.h"
-#include "scenario_fixtures.h"
 #include "synth/catalog.h"
 #include "synth/workload.h"
 #include "synth/site_profile.h"
@@ -29,6 +28,7 @@
 #include "util/config.h"
 #include "util/hash.h"
 #include "util/logging.h"
+#include "util/rng.h"
 #include "util/time.h"
 
 namespace atlas {
@@ -201,11 +201,12 @@ TEST_F(ScenarioSpecTest, TakedownRemovesTheObjectInWindow) {
   cdn::ScenarioSpec without = spec;
   without.events.clear();
   // Ground truth: the taken-down url is catalog object 0 of the first (and
-  // only) site, read straight from the generator the scenario keeps alive.
-  const cdn::Scenario scenario(spec, 2);
-  const std::uint64_t taken_down =
-      scenario.run(0).generator->catalog().object(0).url_hash;
-  const auto trace = testutil::MaterializeMerged(scenario);
+  // only) site, read from a generator built the way StreamScenario builds
+  // it (site 0's seed is the first draw of the spec seed's stream).
+  const synth::WorkloadGenerator generator(spec.BuildProfiles()[0],
+                                           util::Rng(spec.seed).Next());
+  const std::uint64_t taken_down = generator.catalog().object(0).url_hash;
+  const auto trace = MaterializeSpec(spec);
   const auto baseline = MaterializeSpec(without);
   auto count = [taken_down](const trace::TraceBuffer& t, bool in_window) {
     std::uint64_t n = 0;
@@ -522,21 +523,7 @@ TEST_F(ScenarioSpecTest, SpecResumeRejectsProfilesCheckpoint) {
 }
 
 // ---------------------------------------------------------------------------
-// Duplicate site names in the programmatic constructors (regression).
-
-TEST_F(ScenarioSpecTest, ScenarioConstructorRejectsDuplicateSiteNames) {
-  std::vector<synth::SiteProfile> profiles = {
-      synth::SiteProfile::V1(0.001), synth::SiteProfile::V1(0.001)};
-  cdn::SimulatorConfig config;
-  try {
-    cdn::Scenario scenario(profiles, config, 42, 1);
-    FAIL() << "duplicate site names must throw";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("duplicate site name 'V-1'"),
-              std::string::npos)
-        << e.what();
-  }
-}
+// Duplicate site names in the programmatic entry point (regression).
 
 TEST_F(ScenarioSpecTest, StreamScenarioRejectsDuplicateSiteNames) {
   std::vector<synth::SiteProfile> profiles = {
@@ -544,8 +531,14 @@ TEST_F(ScenarioSpecTest, StreamScenarioRejectsDuplicateSiteNames) {
   cdn::SimulatorConfig config;
   trace::TraceBuffer out;
   trace::BufferSink sink(out);
-  EXPECT_THROW(cdn::StreamScenario(profiles, config, 42, sink, 1),
-               std::invalid_argument);
+  try {
+    cdn::StreamScenario(profiles, config, 42, sink, 1);
+    FAIL() << "duplicate site names must throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("duplicate site name 'P-1'"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

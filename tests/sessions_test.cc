@@ -4,7 +4,7 @@
 
 #include "analysis/aging.h"
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 #include "util/rng.h"
 #include "util/time.h"
 
@@ -103,8 +103,10 @@ TEST(ComputeSessionsTest, RequestsPerSessionDistribution) {
 // sites, and their sessions last on the order of a minute.
 TEST(SessionsClosedLoopTest, VideoShorterIatThanImage) {
   cdn::SimulatorConfig config;
-  const auto v1 = cdn::SimulateSite(synth::SiteProfile::V1(0.01), 0, config, 3);
-  const auto p1 = cdn::SimulateSite(synth::SiteProfile::P1(0.01), 1, config, 3);
+  const auto v1 =
+      testutil::SimulateSite(synth::SiteProfile::V1(0.01), 0, config, 3);
+  const auto p1 =
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 1, config, 3);
   const auto sv = ComputeSessions(v1.trace, "V-1");
   const auto sp = ComputeSessions(p1.trace, "P-1");
   // Paper: video median IAT < 10 min; image-heavy median > 1 h.
@@ -122,7 +124,7 @@ TEST(SessionsClosedLoopTest, VideoShorterIatThanImage) {
 TEST(TimeOrderedComputeTest, ShuffledBufferMatchesSorted) {
   cdn::SimulatorConfig config;
   const auto sim =
-      cdn::SimulateSite(synth::SiteProfile::P1(0.01), 0, config, 5);
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 0, config, 5);
   const trace::TraceBuffer& sorted = sim.trace;
   ASSERT_TRUE(sorted.IsSortedByTime());
   ASSERT_GT(sorted.size(), 1000u);

@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "cdn/scenario.h"
+#include "cdn/engine.h"
 #include "scenario_fixtures.h"
 #include "trace/content_class.h"
 #include "util/rng.h"
@@ -19,8 +19,8 @@ SimulatorConfig SmallConfig() {
 }
 
 TEST(SimulatorTest, ProducesSortedTraceWithRecords) {
-  const auto result = SimulateSite(synth::SiteProfile::P1(0.01), 2,
-                                   SmallConfig(), 42);
+  const auto result = testutil::SimulateSite(
+      synth::SiteProfile::P1(0.01), 2, SmallConfig(), 42);
   EXPECT_GT(result.trace.size(), 1000u);
   EXPECT_TRUE(result.trace.IsSortedByTime());
   for (const auto& r : result.trace.records()) {
@@ -30,7 +30,7 @@ TEST(SimulatorTest, ProducesSortedTraceWithRecords) {
 
 TEST(SimulatorTest, RecordCountNearTarget) {
   const auto profile = synth::SiteProfile::V1(0.01);
-  const auto result = SimulateSite(profile, 0, SmallConfig(), 42);
+  const auto result = testutil::SimulateSite(profile, 0, SmallConfig(), 42);
   const double ratio = static_cast<double>(result.trace.size()) /
                        static_cast<double>(profile.total_requests);
   // Chunk-inflation calibration is approximate (watch-fraction clamping and
@@ -40,8 +40,8 @@ TEST(SimulatorTest, RecordCountNearTarget) {
 }
 
 TEST(SimulatorTest, VideoSiteEmitsPartialContent) {
-  const auto result = SimulateSite(synth::SiteProfile::V1(0.01), 0,
-                                   SmallConfig(), 7);
+  const auto result =
+      testutil::SimulateSite(synth::SiteProfile::V1(0.01), 0, SmallConfig(), 7);
   std::uint64_t partial = 0, ok = 0;
   for (const auto& r : result.trace.records()) {
     if (r.response_code == trace::kHttpPartialContent) ++partial;
@@ -52,8 +52,8 @@ TEST(SimulatorTest, VideoSiteEmitsPartialContent) {
 }
 
 TEST(SimulatorTest, ImageSiteMostly200) {
-  const auto result = SimulateSite(synth::SiteProfile::P1(0.01), 0,
-                                   SmallConfig(), 7);
+  const auto result =
+      testutil::SimulateSite(synth::SiteProfile::P1(0.01), 0, SmallConfig(), 7);
   std::uint64_t ok = 0;
   for (const auto& r : result.trace.records()) {
     if (r.response_code == trace::kHttpOk) ++ok;
@@ -67,7 +67,7 @@ TEST(SimulatorTest, AnomaliesProduceErrorCodes) {
   profile.hotlink_rate = 0.05;
   profile.bad_range_rate = 0.05;
   profile.beacon_rate = 0.05;
-  const auto result = SimulateSite(profile, 0, SmallConfig(), 9);
+  const auto result = testutil::SimulateSite(profile, 0, SmallConfig(), 9);
   std::set<std::uint16_t> codes;
   for (const auto& r : result.trace.records()) {
     codes.insert(r.response_code);
@@ -90,7 +90,7 @@ TEST(SimulatorTest, RevalidationsProduce304) {
   profile.favorite_adopt_prob = 0.8;
   SimulatorConfig config = SmallConfig();
   config.browser_freshness_ms = 60 * 1000;  // stale after a minute
-  const auto result = SimulateSite(profile, 0, config, 11);
+  const auto result = testutil::SimulateSite(profile, 0, config, 11);
   EXPECT_GT(result.revalidations, 0u);
   std::uint64_t not_modified = 0;
   for (const auto& r : result.trace.records()) {
@@ -112,8 +112,9 @@ TEST(SimulatorTest, IncognitoSuppressesBrowserCaching) {
   synth::SiteProfile normal = base;
   normal.incognito_rate = 0.0;
 
-  const auto r_incognito = SimulateSite(incognito, 0, SmallConfig(), 13);
-  const auto r_normal = SimulateSite(normal, 0, SmallConfig(), 13);
+  const auto r_incognito =
+      testutil::SimulateSite(incognito, 0, SmallConfig(), 13);
+  const auto r_normal = testutil::SimulateSite(normal, 0, SmallConfig(), 13);
   // §V: private browsing destroys browser-cache utility. Fresh hits and
   // 304s should both collapse relative to normal browsing.
   EXPECT_LT(r_incognito.browser_fresh_hits, r_normal.browser_fresh_hits);
@@ -121,8 +122,8 @@ TEST(SimulatorTest, IncognitoSuppressesBrowserCaching) {
 }
 
 TEST(SimulatorTest, EdgeStatsConsistentWithTrace) {
-  const auto result = SimulateSite(synth::SiteProfile::P2(0.01), 0,
-                                   SmallConfig(), 15);
+  const auto result = testutil::SimulateSite(
+      synth::SiteProfile::P2(0.01), 0, SmallConfig(), 15);
   std::uint64_t hits = 0, misses = 0;
   for (const auto& r : result.trace.records()) {
     if (r.response_code == trace::kHttpOk ||
@@ -138,8 +139,8 @@ TEST(SimulatorTest, EdgeStatsConsistentWithTrace) {
 }
 
 TEST(SimulatorTest, PerDcStatsSumToTotal) {
-  const auto result = SimulateSite(synth::SiteProfile::S1(0.01), 0,
-                                   SmallConfig(), 17);
+  const auto result = testutil::SimulateSite(
+      synth::SiteProfile::S1(0.01), 0, SmallConfig(), 17);
   CacheStats sum;
   for (const auto& s : result.per_dc_stats) sum.Merge(s);
   EXPECT_EQ(sum.hits, result.edge_stats.hits);
@@ -152,8 +153,8 @@ TEST(SimulatorTest, PushImprovesHitRatioAndCutsOriginTraffic) {
   SimulatorConfig on = SmallConfig();
   on.push.enabled = true;
   on.push.top_n = 300;
-  const auto r_off = SimulateSite(profile, 0, off, 19);
-  const auto r_on = SimulateSite(profile, 0, on, 19);
+  const auto r_off = testutil::SimulateSite(profile, 0, off, 19);
+  const auto r_on = testutil::SimulateSite(profile, 0, on, 19);
   EXPECT_GT(r_on.pushed_objects, 0u);
   EXPECT_GE(r_on.edge_stats.HitRatio(), r_off.edge_stats.HitRatio());
   EXPECT_LE(r_on.origin.bytes, r_off.origin.bytes);
@@ -164,8 +165,8 @@ TEST(SimulatorTest, PeerFillDivertsOriginTraffic) {
   SimulatorConfig off = SmallConfig();
   SimulatorConfig on = SmallConfig();
   on.peer_fill = true;
-  const auto r_off = SimulateSite(profile, 0, off, 21);
-  const auto r_on = SimulateSite(profile, 0, on, 21);
+  const auto r_off = testutil::SimulateSite(profile, 0, off, 21);
+  const auto r_on = testutil::SimulateSite(profile, 0, on, 21);
   EXPECT_EQ(r_off.peer_fetches, 0u);
   EXPECT_GT(r_on.peer_fetches, 0u);
   // Total fills are conserved; peer fills replace origin fetches 1:1.
@@ -175,15 +176,6 @@ TEST(SimulatorTest, PeerFillDivertsOriginTraffic) {
   ASSERT_EQ(r_on.trace.size(), r_off.trace.size());
   EXPECT_EQ(r_on.trace[r_on.trace.size() / 2],
             r_off.trace[r_off.trace.size() / 2]);
-}
-
-TEST(SimulatorTest, UnsortedEventsRejected) {
-  synth::WorkloadGenerator gen(synth::SiteProfile::P1(0.01), 1);
-  auto events = gen.Generate(100);
-  ASSERT_GE(events.size(), 2u);
-  std::swap(events.front(), events.back());
-  Simulator sim(SmallConfig(), 0);
-  EXPECT_THROW(sim.Run(gen, events), std::invalid_argument);
 }
 
 TEST(SimulatorTest, FinalVideoChunkBilledAtActualSize) {
@@ -215,11 +207,14 @@ TEST(SimulatorTest, FinalVideoChunkBilledAtActualSize) {
   ev.session_start = true;
   ev.watch_fraction = 1.0;
 
-  Simulator sim(config, 0);
-  const auto result = sim.Run(gen, {ev});
+  const std::vector<synth::RequestEvent> events = {ev};
+  const SiteJob job{&gen, &events, 0};
+  trace::TraceBuffer trace;
+  trace::BufferSink sink(trace);
+  const auto result = RunSharded({&job, 1}, config, sink).front();
   const std::uint64_t expected_chunks =
       (obj.size_bytes + config.chunk_bytes - 1) / config.chunk_bytes;
-  ASSERT_EQ(result.trace.size(), expected_chunks);
+  ASSERT_EQ(trace.size(), expected_chunks);
   // Every chunk is a cold miss; origin traffic and miss-byte accounting
   // must both equal the object size, not a whole-chunk roundup.
   EXPECT_EQ(result.origin.bytes, obj.size_bytes);
@@ -227,13 +222,15 @@ TEST(SimulatorTest, FinalVideoChunkBilledAtActualSize) {
   // The emitted records already carried the true size; they must agree
   // with what the cache layer was billed.
   std::uint64_t response_bytes = 0;
-  for (const auto& r : result.trace.records()) response_bytes += r.response_bytes;
+  for (const auto& r : trace.records()) response_bytes += r.response_bytes;
   EXPECT_EQ(response_bytes, obj.size_bytes);
 }
 
 TEST(SimulatorTest, DeterministicAcrossRuns) {
-  const auto a = SimulateSite(synth::SiteProfile::V2(0.01), 0, SmallConfig(), 23);
-  const auto b = SimulateSite(synth::SiteProfile::V2(0.01), 0, SmallConfig(), 23);
+  const auto a = testutil::SimulateSite(
+      synth::SiteProfile::V2(0.01), 0, SmallConfig(), 23);
+  const auto b = testutil::SimulateSite(
+      synth::SiteProfile::V2(0.01), 0, SmallConfig(), 23);
   ASSERT_EQ(a.trace.size(), b.trace.size());
   for (std::size_t i = 0; i < a.trace.size(); i += 97) {
     EXPECT_EQ(a.trace[i], b.trace[i]);
@@ -241,14 +238,13 @@ TEST(SimulatorTest, DeterministicAcrossRuns) {
 }
 
 TEST(ScenarioTest, PaperStudyProducesAllFiveSites) {
-  const auto scenario = Scenario::PaperStudy(0.005, SmallConfig(), 31);
-  EXPECT_EQ(scenario.site_count(), 5u);
-  const auto merged = testutil::MaterializeMerged(scenario);
-  EXPECT_TRUE(merged.IsSortedByTime());
+  const auto study = testutil::RunPaperStudy(0.005, SmallConfig(), 31);
+  EXPECT_EQ(study.result.site_results.size(), 5u);
+  EXPECT_TRUE(study.trace.IsSortedByTime());
   std::set<std::uint32_t> publishers;
-  for (const auto& r : merged.records()) publishers.insert(r.publisher_id);
+  for (const auto& r : study.trace.records()) publishers.insert(r.publisher_id);
   EXPECT_EQ(publishers.size(), 5u);
-  EXPECT_EQ(scenario.registry().Get(0).name, "V-1");
+  EXPECT_EQ(study.registry().Get(0).name, "V-1");
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 #include <cmath>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 
 namespace atlas::analysis {
 namespace {
@@ -76,7 +76,7 @@ TEST(ImageBimodalityTest, TooFewSamplesIsFalse) {
 TEST(SizeClosedLoopTest, PaperShapeHolds) {
   cdn::SimulatorConfig config;
   const auto result =
-      cdn::SimulateSite(synth::SiteProfile::V2(0.02), 0, config, 7);
+      testutil::SimulateSite(synth::SiteProfile::V2(0.02), 0, config, 7);
   const auto sizes = ComputeSizeDistributions(result.trace, "V-2");
   EXPECT_GT(sizes.VideoAboveMb(), 0.8);
   EXPECT_GT(sizes.ImageBelowMb(), 0.8);
@@ -86,8 +86,10 @@ TEST(SizeClosedLoopTest, PaperShapeHolds) {
 TEST(SizeClosedLoopTest, P2HasLargestVideos) {
   // Fig. 5(a): P-2 has the largest video objects.
   cdn::SimulatorConfig config;
-  const auto p2 = cdn::SimulateSite(synth::SiteProfile::P2(0.05), 0, config, 9);
-  const auto v2 = cdn::SimulateSite(synth::SiteProfile::V2(0.02), 1, config, 9);
+  const auto p2 =
+      testutil::SimulateSite(synth::SiteProfile::P2(0.05), 0, config, 9);
+  const auto v2 =
+      testutil::SimulateSite(synth::SiteProfile::V2(0.02), 1, config, 9);
   const auto sp2 = ComputeSizeDistributions(p2.trace, "P-2");
   const auto sv2 = ComputeSizeDistributions(v2.trace, "V-2");
   if (!sp2.video.empty() && !sv2.video.empty()) {

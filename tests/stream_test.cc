@@ -7,7 +7,6 @@
 #include <sstream>
 
 #include "analysis/suite.h"
-#include "cdn/scenario.h"
 #include "scenario_fixtures.h"
 #include "trace/trace_io.h"
 #include "trace/useragent.h"
@@ -325,8 +324,8 @@ TEST(StreamingSuiteTest, ReportByteIdenticalToInMemoryAtAnyThreadCount) {
   // at 8.
   cdn::SimulatorConfig config;
   config.topology.edge_capacity_bytes = 256ULL << 20;
-  const auto scenario = cdn::Scenario::PaperStudy(0.01, config, 42);
-  const auto merged = testutil::MaterializeMerged(scenario);
+  const auto study = testutil::RunPaperStudy(0.01, config, 42);
+  const auto& merged = study.trace;
 
   const std::string path = ::testing::TempDir() + "/atlas_suite_stream.v2";
   WriteV2File(merged, path);
@@ -338,11 +337,10 @@ TEST(StreamingSuiteTest, ReportByteIdenticalToInMemoryAtAnyThreadCount) {
   std::string golden;
   for (const int threads : {1, 8}) {
     suite_config.threads = threads;
-    analysis::AnalysisSuite in_memory(merged, scenario.registry(),
-                                      suite_config);
+    BufferBlockSource buffer(merged);
+    analysis::AnalysisSuite in_memory(buffer, study.registry(), suite_config);
     TraceFileReader source(path);
-    analysis::AnalysisSuite streamed(source, scenario.registry(),
-                                     suite_config);
+    analysis::AnalysisSuite streamed(source, study.registry(), suite_config);
     const std::string mem_report = RenderedReport(in_memory);
     const std::string stream_report = RenderedReport(streamed);
     EXPECT_EQ(mem_report, stream_report) << "threads=" << threads;

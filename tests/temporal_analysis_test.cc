@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "analysis_fixtures.h"
-#include "cdn/simulator.h"
+#include "scenario_fixtures.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -86,9 +86,10 @@ TEST(PeakHourDistanceTest, WrapsAroundMidnight) {
 // large.
 TEST(HourlyVolumeClosedLoopTest, V1OppositeOfNonAdult) {
   cdn::SimulatorConfig config;
-  const auto v1 = cdn::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 3);
+  const auto v1 =
+      testutil::SimulateSite(synth::SiteProfile::V1(0.02), 0, config, 3);
   const auto n1 =
-      cdn::SimulateSite(synth::SiteProfile::NonAdult(0.02), 1, config, 3);
+      testutil::SimulateSite(synth::SiteProfile::NonAdult(0.02), 1, config, 3);
   const auto hv1 = ComputeHourlyVolume(v1.trace, "V-1");
   const auto hn1 = ComputeHourlyVolume(n1.trace, "N-1");
   // N-1 (amplitude 0.45, peak 21:00) is sharply diurnal.

@@ -9,7 +9,7 @@
 
 #include "analysis/suite.h"
 #include "analysis_fixtures.h"
-#include "cdn/scenario.h"
+#include "scenario_fixtures.h"
 #include "trace/block.h"
 #include "util/logging.h"
 #include "util/par.h"
@@ -219,12 +219,11 @@ TEST(TrendClusterThreadsTest, SuiteThreadCountBoundsTrendDtw) {
 // (diurnal) and decaying (long-/short-lived) populations.
 TEST(TrendClusterClosedLoopTest, V2VideoMixedTrends) {
   cdn::SimulatorConfig config;
-  std::vector<synth::SiteProfile> profiles = {synth::SiteProfile::V2(0.04)};
-  cdn::Scenario scenario(profiles, config, 11);
+  const auto study =
+      testutil::RunScenario({synth::SiteProfile::V2(0.04)}, config, 11);
   TrendClusterConfig tc;
   tc.content_class = trace::ContentClass::kVideo;
-  const auto result =
-      ComputeTrendClusters(scenario.run(0).result.trace, "V-2", tc);
+  const auto result = ComputeTrendClusters(study.trace, "V-2", tc);
   ASSERT_GE(result.clustered_objects, 20u);
   // Member-level shares are robust at small scales where a single mixed
   // mega-cluster can swallow the plurality vote.
