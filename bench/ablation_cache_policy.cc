@@ -4,7 +4,14 @@
 // capacities, for the video-heavy (V-1) and image-heavy (P-1) sites. §V's
 // implication under test: small-object-friendly policies (GDSF) shine on
 // image mixes; recency/frequency policies matter for chunked video.
+//
+// Capacities are 1/16, 1/8, 1/4 and 1/2 of each site's own working set:
+// the bytes the busiest DC's edge misses under an unbounded LRU, i.e. its
+// compulsory misses. Every swept cache is smaller than that DC's working
+// set, so every row evicts and the policies have something to decide.
+#include <algorithm>
 #include <iostream>
+#include <limits>
 #include <vector>
 
 #include "bench_common.h"
@@ -26,7 +33,8 @@ int main(int argc, char** argv) {
 
   const std::vector<synth::SiteProfile> profiles = {
       synth::SiteProfile::V1(scale), synth::SiteProfile::P1(scale)};
-  const std::vector<double> capacities_gb = {0.25, 0.5, 1.0, 2.0};
+  const std::vector<double> working_set_fractions = {1.0 / 16, 1.0 / 8,
+                                                     1.0 / 4, 1.0 / 2};
 
   std::cout << "=== Ablation: edge cache policy sweep (scale=" << scale
             << ") ===\n";
@@ -38,18 +46,30 @@ int main(int argc, char** argv) {
   std::cout << std::string(82, '-') << '\n';
   const energy::EnergyModel energy_model{cdn::EnergySpec{}};
   for (const auto& profile : profiles) {
-    for (double cap_gb : capacities_gb) {
+    cdn::SimulatorConfig unbounded;
+    unbounded.topology.edge_capacity_bytes =
+        std::numeric_limits<std::uint64_t>::max();
+    trace::CountingSink probe_sink;
+    const auto probe =
+        cdn::SimulateSite(profile, 0, unbounded, seed, probe_sink);
+    std::uint64_t working_set = 0;
+    for (const auto& dc : probe.per_dc_stats) {
+      working_set = std::max(working_set, dc.miss_bytes);
+    }
+    for (double fraction : working_set_fractions) {
+      const auto capacity = static_cast<std::uint64_t>(
+          static_cast<double>(working_set) * fraction);
+      const double cap_gb = static_cast<double>(capacity) / 1e9;
       for (int k = 0; k < cdn::kNumPolicyKinds; ++k) {
         cdn::SimulatorConfig config;
         config.topology.edge_policy = static_cast<cdn::PolicyKind>(k);
-        config.topology.edge_capacity_bytes =
-            static_cast<std::uint64_t>(cap_gb * 1e9 * scale * 20);
+        config.topology.edge_capacity_bytes = capacity;
         trace::CountingSink sink;
         const auto result = cdn::SimulateSite(profile, 0, config, seed, sink);
         std::cout << util::PadRight(profile.name, 6)
                   << util::PadRight(
                          cdn::ToString(static_cast<cdn::PolicyKind>(k)), 9)
-                  << util::PadLeft(util::FormatDouble(cap_gb, 2), 9)
+                  << util::PadLeft(util::FormatDouble(cap_gb, 3), 9)
                   << util::PadLeft(
                          util::FormatPercent(result.edge_stats.HitRatio(), 1), 8)
                   << util::PadLeft(util::FormatPercent(

@@ -12,6 +12,10 @@
 #   build-tsan       -DATLAS_SANITIZE=thread,    ctest -L sanitize
 #   build-asan       -DATLAS_SANITIZE=address,   full ctest suite
 #   build-ubsan      -DATLAS_SANITIZE=undefined, full ctest suite
+#   build-linkmap    scripts/unlinked.sh: -O0 -ffunction-sections builds of
+#                    the tree and benchmark/ linked with --gc-sections; fails
+#                    on a src/ function no shipped executable links unless
+#                    scripts/unlinked_survivors.txt lists it
 #
 # atlas-lint runs inside the default suite (`ctest -L lint`): the lint_tree
 # test re-lints the live tree against the checked-in .lint-baseline and
@@ -64,5 +68,8 @@ configure_and_test build-warn "" -DATLAS_EXTRA_WARNINGS=ON
 configure_and_test build-tsan sanitize -DATLAS_SANITIZE=thread
 configure_and_test build-asan "" -DATLAS_SANITIZE=address
 configure_and_test build-ubsan "" -DATLAS_SANITIZE=undefined
+
+echo "=== link map (scripts/unlinked.sh) ==="
+scripts/unlinked.sh
 
 echo "check.sh: all configurations OK"

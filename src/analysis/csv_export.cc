@@ -8,23 +8,6 @@
 
 namespace atlas::analysis {
 
-void WriteCompositionCsv(const std::vector<CompositionResult>& sites,
-                         std::ostream& out) {
-  util::CsvWriter csv(out);
-  csv.Row({"site", "class", "objects", "requests", "bytes"});
-  for (const auto& s : sites) {
-    for (int c = 0; c < trace::kNumContentClasses; ++c) {
-      const auto i = static_cast<std::size_t>(c);
-      csv.Field(s.site)
-          .Field(trace::ToString(static_cast<trace::ContentClass>(c)))
-          .Field(s.objects[i])
-          .Field(s.requests[i])
-          .Field(s.bytes[i]);
-      csv.EndRow();
-    }
-  }
-}
-
 void WriteHourlyVolumeCsv(const std::vector<HourlyVolume>& sites,
                           std::ostream& out) {
   util::CsvWriter csv(out);
@@ -65,26 +48,6 @@ void WriteAgingCsv(const std::vector<AgingResult>& sites, std::ostream& out) {
           .Field(static_cast<std::int64_t>(d + 1))
           .Field(s.fraction_requested[i], 6)
           .Field(s.fraction_requested_uncorrected[i], 6);
-      csv.EndRow();
-    }
-  }
-}
-
-void WriteResponseCodesCsv(const std::vector<CachingResult>& sites,
-                           std::ostream& out) {
-  util::CsvWriter csv(out);
-  csv.Row({"site", "class", "code", "count"});
-  for (const auto& s : sites) {
-    for (const auto& [code, count] : s.video_response_codes) {
-      csv.Field(s.site).Field("video").Field(
-          static_cast<std::uint64_t>(code));
-      csv.Field(count);
-      csv.EndRow();
-    }
-    for (const auto& [code, count] : s.image_response_codes) {
-      csv.Field(s.site).Field("image").Field(
-          static_cast<std::uint64_t>(code));
-      csv.Field(count);
       csv.EndRow();
     }
   }

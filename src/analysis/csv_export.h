@@ -1,6 +1,6 @@
 // CSV emitters for figure data.
 //
-// Each Render* function in report.h has a CSV twin here so the bench
+// CSV twins of the report.h tables the figure benches plot, so the bench
 // binaries can dump machine-readable series (--csv flag) for gnuplot /
 // matplotlib / pandas, alongside the human-readable tables.
 #pragma once
@@ -11,16 +11,10 @@
 #include <vector>
 
 #include "analysis/aging.h"
-#include "analysis/caching.h"
-#include "analysis/composition.h"
 #include "analysis/temporal.h"
 #include "stats/ecdf.h"
 
 namespace atlas::analysis {
-
-// site,class,objects,requests,bytes — Figs. 1-2 in one long table.
-void WriteCompositionCsv(const std::vector<CompositionResult>& sites,
-                         std::ostream& out);
 
 // hour,site1,site2,... percentages — Fig. 3.
 void WriteHourlyVolumeCsv(const std::vector<HourlyVolume>& sites,
@@ -34,9 +28,5 @@ void WriteCdfCsv(
 
 // site,age_days,fraction,fraction_uncorrected — Fig. 7.
 void WriteAgingCsv(const std::vector<AgingResult>& sites, std::ostream& out);
-
-// site,class,code,count — Fig. 16.
-void WriteResponseCodesCsv(const std::vector<CachingResult>& sites,
-                           std::ostream& out);
 
 }  // namespace atlas::analysis

@@ -42,22 +42,6 @@ void ValidateWindow(const stats::TimeSeries& series, std::size_t train_buckets,
 
 }  // namespace
 
-ForecastResult SeasonalNaiveForecast(const stats::TimeSeries& series,
-                                     std::size_t train_buckets,
-                                     std::size_t season) {
-  ValidateWindow(series, train_buckets, season);
-  ForecastResult result;
-  const std::size_t horizon = series.size() - train_buckets;
-  result.predictions.reserve(horizon);
-  // Last full season of the training window.
-  const std::size_t base = train_buckets - season;
-  for (std::size_t h = 0; h < horizon; ++h) {
-    result.predictions.push_back(series[base + (h % season)]);
-  }
-  FillErrors(series, train_buckets, result);
-  return result;
-}
-
 ForecastResult HoltWintersForecast(const stats::TimeSeries& series,
                                    std::size_t train_buckets,
                                    std::size_t season, double alpha,

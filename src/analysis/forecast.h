@@ -26,12 +26,6 @@ struct ForecastResult {
   double rmse = 0.0;
 };
 
-// Repeats the last full season of the training window across the horizon.
-// `season` in buckets (24 for hourly series).
-ForecastResult SeasonalNaiveForecast(const stats::TimeSeries& series,
-                                     std::size_t train_buckets,
-                                     std::size_t season = 24);
-
 // Additive Holt-Winters (triple exponential smoothing) with season length
 // `season`; alpha/beta/gamma are the level/trend/season smoothing factors.
 // Requires train_buckets >= 2 * season.

@@ -21,19 +21,6 @@ double ContinentStats::PeakHourlyBytes(int days) const {
   return peak / static_cast<double>(days);
 }
 
-std::uint64_t GeoResult::TotalRequests() const {
-  std::uint64_t total = 0;
-  for (const auto& c : continents) total += c.requests;
-  return total;
-}
-
-double GeoResult::RequestShare(synth::Continent c) const {
-  const auto total = TotalRequests();
-  return total == 0 ? 0.0
-                    : static_cast<double>(of(c).requests) /
-                          static_cast<double>(total);
-}
-
 GeoResult ComputeGeo(trace::BlockSource& source,
                      const std::string& site_name) {
   GeoResult result;

@@ -39,9 +39,6 @@ struct GeoResult {
   const ContinentStats& of(synth::Continent c) const {
     return continents[static_cast<std::size_t>(c)];
   }
-  std::uint64_t TotalRequests() const;
-  // Fraction of requests from continent c.
-  double RequestShare(synth::Continent c) const;
 };
 
 // Single pass over a block stream; memory is O(distinct users), never

@@ -5,19 +5,6 @@
 
 namespace atlas::analysis {
 
-double PopularityResult::SingletonFraction() const {
-  if (all_counts.empty()) return 0.0;
-  return all_counts.Evaluate(1.0);
-}
-
-std::unordered_map<std::uint64_t, std::uint64_t> RequestCountsByObject(
-    const trace::TraceBuffer& trace) {
-  std::unordered_map<std::uint64_t, std::uint64_t> counts;
-  counts.reserve(trace.size() / 4 + 1);
-  for (const auto& r : trace.records()) ++counts[r.url_hash];
-  return counts;
-}
-
 PopularityAccumulator::PopularityAccumulator(std::size_t size_hint) {
   counts_.reserve(size_hint / 4 + 1);
 }

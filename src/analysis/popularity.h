@@ -8,7 +8,6 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
@@ -31,9 +30,6 @@ struct PopularityResult {
   stats::PowerLawFit power_law;
   double top10_share = 0.0;  // requests owned by the top 10% of objects
   double gini = 0.0;
-
-  // Fraction of objects with exactly one request (the long tail's floor).
-  double SingletonFraction() const;
 };
 
 // Single-pass accumulator behind ComputePopularity; O(distinct objects)
@@ -56,9 +52,5 @@ class PopularityAccumulator {
 
 PopularityResult ComputePopularity(const trace::TraceBuffer& trace,
                                    const std::string& site_name);
-
-// Raw per-object request counts (used by several downstream analyses).
-std::unordered_map<std::uint64_t, std::uint64_t> RequestCountsByObject(
-    const trace::TraceBuffer& trace);
 
 }  // namespace atlas::analysis

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "analysis/feed.h"
 #include "analysis/state_codec.h"
-#include "util/sorted.h"
 
 namespace atlas::analysis {
 
@@ -18,42 +16,6 @@ double SessionResult::MedianIatSeconds() const {
 double SessionResult::MedianSessionSeconds() const {
   return session_length_seconds.empty() ? 0.0
                                         : session_length_seconds.Median();
-}
-
-std::vector<Session> Sessionize(const trace::TraceBuffer& trace,
-                                std::int64_t timeout_ms) {
-  if (timeout_ms <= 0) throw std::invalid_argument("Sessionize: bad timeout");
-
-  // Per-user chronological timestamps.
-  std::unordered_map<std::uint64_t, std::vector<std::int64_t>> per_user;
-  per_user.reserve(trace.size() / 4 + 1);
-  for (const auto& r : trace.records()) {
-    per_user[r.user_id].push_back(r.timestamp_ms);
-  }
-
-  // Sorted-user order: the returned vector's order must not depend on
-  // hash-table layout.
-  std::vector<Session> sessions;
-  for (const auto user : util::SortedKeys(per_user)) {
-    auto& times = per_user.at(user);
-    std::sort(times.begin(), times.end());
-    Session current;
-    current.user_id = user;
-    current.start_ms = times.front();
-    current.end_ms = times.front();
-    current.requests = 1;
-    for (std::size_t i = 1; i < times.size(); ++i) {
-      if (times[i] - current.end_ms > timeout_ms) {
-        sessions.push_back(current);
-        current.start_ms = times[i];
-        current.requests = 0;
-      }
-      current.end_ms = times[i];
-      ++current.requests;
-    }
-    sessions.push_back(current);
-  }
-  return sessions;
 }
 
 SessionAccumulator::SessionAccumulator(std::int64_t timeout_ms,
@@ -177,8 +139,7 @@ SessionResult ComputeSessions(const trace::TraceBuffer& trace,
                               std::int64_t timeout_ms) {
   SessionAccumulator acc(timeout_ms, trace.size());
   // The Ecdf-based result only depends on each user's sorted timestamps,
-  // so feeding an unsorted buffer in time order reproduces the historical
-  // sort-per-user output exactly.
+  // so an unsorted buffer is fed in stable time order.
   FeedTraceByTime(trace, acc);
   return acc.Finalize(site_name);
 }

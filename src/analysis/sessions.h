@@ -48,8 +48,8 @@ struct SessionResult {
 // non-decreasing timestamp order (throws std::invalid_argument otherwise);
 // state is one open session per user, not the full timestamp list, so
 // arbitrarily long traces stream through. The Ecdf-based result is
-// independent of cross-user interleaving, so it matches the historical
-// sort-per-user implementation exactly on sorted input.
+// independent of cross-user interleaving, so any sorted order of the same
+// records gives the same result.
 class SessionAccumulator {
  public:
   explicit SessionAccumulator(std::int64_t timeout_ms = kSessionTimeoutMs,
@@ -79,9 +79,5 @@ class SessionAccumulator {
 SessionResult ComputeSessions(const trace::TraceBuffer& trace,
                               const std::string& site_name,
                               std::int64_t timeout_ms = kSessionTimeoutMs);
-
-// The raw sessions (for engagement analyses and tests).
-std::vector<Session> Sessionize(const trace::TraceBuffer& trace,
-                                std::int64_t timeout_ms = kSessionTimeoutMs);
 
 }  // namespace atlas::analysis

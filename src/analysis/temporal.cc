@@ -95,9 +95,4 @@ void HourlyVolumeAccumulator::RestoreState(ckpt::Reader& r) {
   result_.week_series = LoadTimeSeries(r);
 }
 
-int PeakHourDistance(const HourlyVolume& a, const HourlyVolume& b) {
-  const int d = std::abs(a.PeakHour() - b.PeakHour());
-  return std::min(d, 24 - d);
-}
-
 }  // namespace atlas::analysis

@@ -59,8 +59,4 @@ class HourlyVolumeAccumulator {
 HourlyVolume ComputeHourlyVolume(const trace::TraceBuffer& site_trace,
                                  const std::string& site_name);
 
-// Phase distance in hours between two sites' peak hours (0..12); used to
-// quantify "V-1 is almost opposite to typical diurnal" (6-12h apart).
-int PeakHourDistance(const HourlyVolume& a, const HourlyVolume& b);
-
 }  // namespace atlas::analysis

@@ -14,14 +14,6 @@
 
 namespace atlas::analysis {
 
-double TrendClusterResult::ShareOf(synth::PatternType type) const {
-  double total = 0.0;
-  for (const auto& c : clusters) {
-    if (c.shape == type) total += c.share;
-  }
-  return total;
-}
-
 double TrendClusterResult::MemberShareOf(synth::PatternType type) const {
   if (clustered_objects == 0) return 0.0;
   return static_cast<double>(

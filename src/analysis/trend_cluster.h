@@ -73,8 +73,6 @@ struct TrendClusterResult {
   std::vector<std::uint64_t> object_hashes;
   std::vector<std::size_t> labels;
 
-  // Total share across clusters classified as `type`.
-  double ShareOf(synth::PatternType type) const;
   // Share of clustered objects whose own series classifies as `type`.
   double MemberShareOf(synth::PatternType type) const;
 };

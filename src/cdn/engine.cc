@@ -148,7 +148,7 @@ class Engine {
       throw std::invalid_argument("Topology: dcs_per_continent must be > 0");
     }
     threads_ = util::ResolveThreads(threads);
-    dcs_per_site_ = Topology::DcCount(config.topology);
+    dcs_per_site_ = DcCount(config.topology);
     Validate();
     BuildShards();
   }
@@ -568,7 +568,7 @@ void Engine::BuildShards() {
     std::vector<std::uint8_t> user_dc(users.size(), 0);
     users.ForEachUser([&](std::size_t u, const synth::UserInfo& user) {
       user_dc[u] = static_cast<std::uint8_t>(
-          Topology::RouteIndex(config_.topology, user.continent, user.user_id));
+          RouteIndex(config_.topology, user.continent, user.user_id));
     });
     const auto& events = *jobs_[s].events;
     for (std::size_t i = 0; i < events.size(); ++i) {

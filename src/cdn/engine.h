@@ -2,7 +2,7 @@
 //
 // One engine run drives any number of sites through the delivery
 // simulation concurrently. Work is sharded **by edge data center**: the
-// geo mapping pins every user to one home DC (Topology::RouteIndex), so a
+// geo mapping pins every user to one home DC (RouteIndex), so a
 // shard = (site, DC) owns its edge cache, the browser caches of the users
 // routed there, its slice of the site's time-sorted events, and a private
 // cursor into the site's push plan. Shards never share mutable state, so

@@ -33,8 +33,6 @@ enum class OpEventKind : std::uint8_t {
   // counters survive. dc == kAllDcs wipes every DC.
   kCacheFlush = 1,
 };
-const char* ToString(OpEventKind k);
-
 struct OpEvent {
   OpEventKind kind = OpEventKind::kDcOutage;
   // Outage window [start_ms, end_ms); flushes fire at start_ms.

@@ -112,7 +112,7 @@ struct SimulatorConfig {
 // associatively into site and scenario totals.
 struct SimulatorResult {
   CacheStats edge_stats;                 // aggregated over DCs
-  std::vector<CacheStats> per_dc_stats;  // indexed like Topology
+  std::vector<CacheStats> per_dc_stats;  // indexed like RouteIndex
   OriginStats origin;
   // Log records emitted into the sink.
   std::uint64_t records = 0;
@@ -129,11 +129,6 @@ struct SimulatorResult {
   // Folds `other` into this accumulator (counters add, cache stats merge,
   // per-DC slots merge index-wise).
   void Merge(const SimulatorResult& other);
-
-  // Checkpoints every counter (and the per-DC breakdown) so a resumed run
-  // can continue accumulating from where the interrupted one stopped.
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 };
 
 }  // namespace atlas::cdn

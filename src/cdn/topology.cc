@@ -1,53 +1,11 @@
 #include "cdn/topology.h"
 
-#include <stdexcept>
-
 #include "util/hash.h"
 
 namespace atlas::cdn {
-namespace {
 
-const char* ContinentCode(synth::Continent c) {
-  switch (c) {
-    case synth::Continent::kNorthAmerica:
-      return "na";
-    case synth::Continent::kEurope:
-      return "eu";
-    case synth::Continent::kAsia:
-      return "as";
-    case synth::Continent::kSouthAmerica:
-      return "sa";
-  }
-  return "??";
-}
-
-}  // namespace
-
-Topology::Topology(const TopologyConfig& config) : config_(config) {
-  if (config.dcs_per_continent <= 0) {
-    throw std::invalid_argument("Topology: dcs_per_continent must be > 0");
-  }
-  for (int c = 0; c < synth::kNumContinents; ++c) {
-    for (int i = 0; i < config.dcs_per_continent; ++i) {
-      DataCenter dc;
-      dc.continent = static_cast<synth::Continent>(c);
-      dc.name = std::string(ContinentCode(dc.continent)) + "-" +
-                std::to_string(i + 1);
-      dc.cache = CreateCache(config.edge_policy, config.edge_capacity_bytes,
-                             config.edge_ttl_ms);
-      dcs_.push_back(std::move(dc));
-    }
-  }
-}
-
-DataCenter& Topology::Route(synth::Continent continent,
-                            std::uint64_t user_id) {
-  return dcs_.at(RouteIndex(config_, continent, user_id));
-}
-
-std::size_t Topology::RouteIndex(const TopologyConfig& config,
-                                 synth::Continent continent,
-                                 std::uint64_t user_id) {
+std::size_t RouteIndex(const TopologyConfig& config, synth::Continent continent,
+                       std::uint64_t user_id) {
   const auto base = static_cast<std::size_t>(continent) *
                     static_cast<std::size_t>(config.dcs_per_continent);
   const auto shard = static_cast<std::size_t>(util::HashToBucket(
@@ -56,28 +14,9 @@ std::size_t Topology::RouteIndex(const TopologyConfig& config,
   return base + shard;
 }
 
-std::size_t Topology::DcCount(const TopologyConfig& config) {
+std::size_t DcCount(const TopologyConfig& config) {
   return static_cast<std::size_t>(synth::kNumContinents) *
          static_cast<std::size_t>(config.dcs_per_continent);
-}
-
-void Topology::FetchFromOrigin(std::uint64_t bytes) {
-  ++origin_.fetches;
-  origin_.bytes += bytes;
-}
-
-bool Topology::AnyPeerContains(const DataCenter& self,
-                               std::uint64_t key) const {
-  for (const auto& dc : dcs_) {
-    if (&dc != &self && dc.cache->Contains(key)) return true;
-  }
-  return false;
-}
-
-CacheStats Topology::TotalEdgeStats() const {
-  CacheStats total;
-  for (const auto& dc : dcs_) total.Merge(dc.cache->stats());
-  return total;
 }
 
 }  // namespace atlas::cdn

@@ -8,10 +8,8 @@
 // several); every edge miss is an origin fetch.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "cdn/cache.h"
 #include "synth/user_model.h"
@@ -23,12 +21,6 @@ struct OriginStats {
   std::uint64_t bytes = 0;
 };
 
-struct DataCenter {
-  std::string name;
-  synth::Continent continent;
-  std::unique_ptr<Cache> cache;
-};
-
 struct TopologyConfig {
   PolicyKind edge_policy = PolicyKind::kLru;
   std::uint64_t edge_capacity_bytes = 8ULL << 30;  // per DC
@@ -36,43 +28,14 @@ struct TopologyConfig {
   int dcs_per_continent = 1;
 };
 
-class Topology {
- public:
-  explicit Topology(const TopologyConfig& config);
+// Index (into DC order: continent-major, then the continent's DCs) of the
+// edge DC serving a user, chosen by continent and sharded by user id when
+// the continent has multiple DCs. The sharded simulation engine pins users
+// to shards with it.
+std::size_t RouteIndex(const TopologyConfig& config, synth::Continent continent,
+                       std::uint64_t user_id);
 
-  // The edge DC serving a user, chosen by continent and sharded by user id
-  // when the continent has multiple DCs.
-  DataCenter& Route(synth::Continent continent, std::uint64_t user_id);
-
-  // Index (into DC order) of the DC serving a user: Route(c, u) is
-  // dc(RouteIndex(config, c, u)) for the same config. Static so the sharded
-  // simulation engine can pin users to shards without building a Topology.
-  static std::size_t RouteIndex(const TopologyConfig& config,
-                                synth::Continent continent,
-                                std::uint64_t user_id);
-
-  // Number of edge DCs a config produces (continents x dcs_per_continent).
-  static std::size_t DcCount(const TopologyConfig& config);
-
-  // Records an origin fetch of `bytes` (every edge miss).
-  void FetchFromOrigin(std::uint64_t bytes);
-
-  // True if any data center other than `self` currently holds `key`
-  // (cooperative cache fill: a peer copy is cheaper than an origin fetch).
-  bool AnyPeerContains(const DataCenter& self, std::uint64_t key) const;
-
-  std::size_t dc_count() const { return dcs_.size(); }
-  const DataCenter& dc(std::size_t i) const { return dcs_.at(i); }
-  DataCenter& mutable_dc(std::size_t i) { return dcs_.at(i); }
-  const OriginStats& origin() const { return origin_; }
-
-  // Aggregated edge stats across all DCs.
-  CacheStats TotalEdgeStats() const;
-
- private:
-  TopologyConfig config_;
-  std::vector<DataCenter> dcs_;
-  OriginStats origin_;
-};
+// Number of edge DCs a config produces (continents x dcs_per_continent).
+std::size_t DcCount(const TopologyConfig& config);
 
 }  // namespace atlas::cdn

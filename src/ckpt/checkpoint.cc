@@ -336,13 +336,6 @@ void Reader::ExpectVersion(const std::string& what, std::uint32_t expected) {
   }
 }
 
-std::vector<std::string> Reader::SectionNames() const {
-  std::vector<std::string> names;
-  names.reserve(sections_.size());
-  for (const auto& [name, section] : sections_) names.push_back(name);
-  return names;
-}
-
 // ---------------------------------------------------------------------------
 // File helpers
 

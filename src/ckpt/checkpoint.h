@@ -67,7 +67,6 @@ class Writer {
   // First field of every Checkpointable blob (see header comment).
   void WriteVersion(std::uint32_t v) { WriteU32(v); }
 
-  std::uint64_t sections_written() const { return sections_; }
 
  private:
   void Put(const void* data, std::size_t size);
@@ -115,8 +114,6 @@ class Reader {
   void ExpectVersion(const std::string& what, std::uint32_t expected);
 
   std::size_t section_count() const { return sections_.size(); }
-  // Names in lexicographic order (deterministic).
-  std::vector<std::string> SectionNames() const;
 
  private:
   struct Section {

@@ -104,47 +104,6 @@ double DtwDistance(const std::vector<double>& a, const std::vector<double>& b,
   return prev[m];
 }
 
-std::vector<std::pair<std::size_t, std::size_t>> DtwPath(
-    const std::vector<double>& a, const std::vector<double>& b,
-    std::size_t band) {
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  if (n == 0 || m == 0) throw std::invalid_argument("DtwPath: empty series");
-  const std::size_t min_band = n > m ? n - m : m - n;
-  const std::size_t w = band == 0 ? std::max(n, m) : std::max(band, min_band);
-
-  // Full matrix (path recovery needs it); fine for the figure-sized inputs.
-  std::vector<std::vector<double>> d(n + 1, std::vector<double>(m + 1, kInf));
-  d[0][0] = 0.0;
-  for (std::size_t i = 1; i <= n; ++i) {
-    const std::size_t j_lo = i > w ? i - w : 1;
-    const std::size_t j_hi = std::min(m, i + w);
-    for (std::size_t j = j_lo; j <= j_hi; ++j) {
-      const double cost = std::abs(a[i - 1] - b[j - 1]);
-      d[i][j] = cost + std::min({d[i - 1][j], d[i][j - 1], d[i - 1][j - 1]});
-    }
-  }
-  std::vector<std::pair<std::size_t, std::size_t>> path;
-  std::size_t i = n, j = m;
-  while (i > 0 || j > 0) {
-    path.emplace_back(i - 1, j - 1);
-    if (i == 1 && j == 1) break;
-    double up = i > 1 ? d[i - 1][j] : kInf;
-    double left = j > 1 ? d[i][j - 1] : kInf;
-    double diag = (i > 1 && j > 1) ? d[i - 1][j - 1] : kInf;
-    if (diag <= up && diag <= left) {
-      --i;
-      --j;
-    } else if (up <= left) {
-      --i;
-    } else {
-      --j;
-    }
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 DistanceMatrix::DistanceMatrix(std::size_t n) : n_(n) {
   if (n < 2) throw std::invalid_argument("DistanceMatrix: need >= 2 items");
   data_.assign(n * (n - 1) / 2, 0.0);

@@ -23,11 +23,6 @@ namespace atlas::cluster {
 double DtwDistance(const std::vector<double>& a, const std::vector<double>& b,
                    std::size_t band = 0);
 
-// Optimal warping path as (i, j) index pairs, for tests and visualization.
-std::vector<std::pair<std::size_t, std::size_t>> DtwPath(
-    const std::vector<double>& a, const std::vector<double>& b,
-    std::size_t band = 0);
-
 // Condensed symmetric distance matrix over n items.
 class DistanceMatrix {
  public:

@@ -7,21 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "util/str.h"
-
 namespace atlas::cluster {
-
-const char* ToString(Linkage linkage) {
-  switch (linkage) {
-    case Linkage::kSingle:
-      return "single";
-    case Linkage::kComplete:
-      return "complete";
-    case Linkage::kAverage:
-      return "average";
-  }
-  return "?";
-}
 
 Dendrogram::Dendrogram(std::size_t leaves, std::vector<Merge> merges)
     : leaves_(leaves), merges_(std::move(merges)) {
@@ -93,17 +79,6 @@ std::vector<std::size_t> Dendrogram::CutAtK(std::size_t k) const {
   return LabelsFromMerges(leaves_, merges_, leaves_ - k);
 }
 
-std::vector<std::size_t> Dendrogram::CutAtHeight(double threshold) const {
-  std::size_t applied = 0;
-  // Merges are produced in nondecreasing height order for single/average/
-  // complete linkage on a metric, but guard anyway: apply the prefix of
-  // merges whose height is within the threshold.
-  while (applied < merges_.size() && merges_[applied].height <= threshold) {
-    ++applied;
-  }
-  return LabelsFromMerges(leaves_, merges_, applied);
-}
-
 std::vector<std::size_t> Dendrogram::ClusterSizes(
     const std::vector<std::size_t>& labels) {
   std::size_t k = 0;
@@ -111,24 +86,6 @@ std::vector<std::size_t> Dendrogram::ClusterSizes(
   std::vector<std::size_t> sizes(k, 0);
   for (std::size_t l : labels) ++sizes[l];
   return sizes;
-}
-
-std::string Dendrogram::RenderClusterShares(
-    const std::vector<std::size_t>& labels,
-    const std::vector<std::string>& names) const {
-  const auto sizes = ClusterSizes(labels);
-  const double total = static_cast<double>(labels.size());
-  std::string out;
-  for (std::size_t c = 0; c < sizes.size(); ++c) {
-    const std::string name =
-        c < names.size() ? names[c] : "cluster-" + std::to_string(c);
-    out += util::PadRight(name, 16) + " " +
-           util::PadLeft(util::FormatPercent(
-                             static_cast<double>(sizes[c]) / total, 0),
-                         5) +
-           "  (" + std::to_string(sizes[c]) + " objects)\n";
-  }
-  return out;
 }
 
 Dendrogram AgglomerativeCluster(const DistanceMatrix& distances,

@@ -19,7 +19,6 @@
 namespace atlas::cluster {
 
 enum class Linkage : std::uint8_t { kSingle = 0, kComplete = 1, kAverage = 2 };
-const char* ToString(Linkage linkage);
 
 // One agglomeration step. Nodes 0..n-1 are leaves; merge k creates node
 // n + k.
@@ -34,7 +33,6 @@ class Dendrogram {
  public:
   Dendrogram(std::size_t leaves, std::vector<Merge> merges);
 
-  std::size_t leaf_count() const { return leaves_; }
   const std::vector<Merge>& merges() const { return merges_; }
 
   // Flat clustering with exactly k clusters (1 <= k <= leaves): undo the
@@ -42,18 +40,9 @@ class Dendrogram {
   // by decreasing cluster size (label 0 = largest cluster).
   std::vector<std::size_t> CutAtK(std::size_t k) const;
 
-  // Flat clustering keeping only merges with height <= threshold.
-  std::vector<std::size_t> CutAtHeight(double threshold) const;
-
   // Cluster sizes for a labeling.
   static std::vector<std::size_t> ClusterSizes(
       const std::vector<std::size_t>& labels);
-
-  // Text rendering in the spirit of Fig. 8's x-axis: one line per cluster
-  // with its share of leaves, plus the merge heights. `names` (optional)
-  // labels each cluster.
-  std::string RenderClusterShares(const std::vector<std::size_t>& labels,
-                                  const std::vector<std::string>& names) const;
 
  private:
   std::size_t leaves_;

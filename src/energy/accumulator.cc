@@ -34,15 +34,6 @@ void EnergyAccumulator::Observe(const cdn::EpochSample& sample) {
   }
 }
 
-void EnergyAccumulator::Merge(const EnergyAccumulator& other) {
-  span_ms_ += other.span_ms_;
-  epochs_ += other.epochs_;
-  if (dcs_.size() < other.dcs_.size()) dcs_.resize(other.dcs_.size());
-  for (std::size_t d = 0; d < other.dcs_.size(); ++d) {
-    dcs_[d].Merge(other.dcs_[d]);
-  }
-}
-
 void EnergyAccumulator::SaveState(ckpt::Writer& w) const {
   w.WriteVersion(kEnergyAccumulatorStateVersion);
   w.WriteI64(span_ms_);

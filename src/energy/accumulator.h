@@ -4,8 +4,6 @@
 // epoch-observer hook and folds each barrier's per-DC counter deltas into
 // cumulative 64-bit counters. It is:
 //
-//   mergeable      — Merge() is associative with the default-constructed
-//                    accumulator as identity, like SimulatorResult;
 //   checkpointable — SaveState/RestoreState round-trip every counter, so
 //                    a killed run resumed from its checkpoint reports the
 //                    same joules to the bit;
@@ -39,9 +37,6 @@ class EnergyAccumulator {
   cdn::EpochObserver Observer() {
     return [this](const cdn::EpochSample& s) { Observe(s); };
   }
-
-  // Folds `other` in (counters add, per-DC slots merge index-wise).
-  void Merge(const EnergyAccumulator& other);
 
   // Versioned counter round-trip (section management is the caller's).
   void SaveState(ckpt::Writer& w) const;

@@ -10,20 +10,6 @@ constexpr double kJoulesPerKwh = 3.6e6;
 
 }  // namespace
 
-void DcCounters::Merge(const DcCounters& other) {
-  hits += other.hits;
-  misses += other.misses;
-  hit_bytes += other.hit_bytes;
-  miss_bytes += other.miss_bytes;
-  origin_fetches += other.origin_fetches;
-  origin_bytes += other.origin_bytes;
-  peer_fetches += other.peer_fetches;
-  peer_bytes += other.peer_bytes;
-  pushed_bytes += other.pushed_bytes;
-  revalidations += other.revalidations;
-  resident_kib_ms += other.resident_kib_ms;
-}
-
 void EnergyBreakdown::Add(const EnergyBreakdown& other) {
   server_j += other.server_j;
   network_j += other.network_j;

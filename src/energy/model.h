@@ -46,7 +46,6 @@ struct DcCounters {
   // Bytes egressed to users from this DC (hits plus miss-through traffic).
   std::uint64_t served_bytes() const { return hit_bytes + miss_bytes; }
 
-  void Merge(const DcCounters& other);
   bool operator==(const DcCounters&) const = default;
 };
 

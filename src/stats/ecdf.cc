@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 namespace atlas::stats {
-
-Ecdf::Ecdf(std::vector<double> samples) : samples_(std::move(samples)) {
-  Finalize();
-}
 
 void Ecdf::Add(double x) {
   samples_.push_back(x);
@@ -56,12 +51,6 @@ double Ecdf::Max() const {
   return samples_.back();
 }
 
-double Ecdf::Mean() const {
-  RequireFinalized();
-  return std::accumulate(samples_.begin(), samples_.end(), 0.0) /
-         static_cast<double>(samples_.size());
-}
-
 std::vector<std::pair<double, double>> Ecdf::LogGrid(std::size_t points,
                                                      double lo_clamp) const {
   RequireFinalized();
@@ -84,31 +73,6 @@ std::vector<std::pair<double, double>> Ecdf::LogGrid(std::size_t points,
     grid.emplace_back(x, Evaluate(x));
   }
   return grid;
-}
-
-std::vector<std::pair<double, double>> Ecdf::LinearGrid(
-    std::size_t points) const {
-  RequireFinalized();
-  if (points < 2) throw std::invalid_argument("Ecdf::LinearGrid: points < 2");
-  std::vector<std::pair<double, double>> grid;
-  grid.reserve(points);
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x = lo + (hi - lo) * static_cast<double>(i) /
-                              static_cast<double>(points - 1);
-    grid.emplace_back(x, Evaluate(x));
-  }
-  return grid;
-}
-
-double Ecdf::KsDistance(const Ecdf& a, const Ecdf& b) {
-  a.RequireFinalized();
-  b.RequireFinalized();
-  double d = 0.0;
-  for (double x : a.samples_) d = std::max(d, std::abs(a.Evaluate(x) - b.Evaluate(x)));
-  for (double x : b.samples_) d = std::max(d, std::abs(a.Evaluate(x) - b.Evaluate(x)));
-  return d;
 }
 
 }  // namespace atlas::stats

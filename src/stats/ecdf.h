@@ -14,13 +14,8 @@ namespace atlas::stats {
 
 class Ecdf {
  public:
-  Ecdf() = default;
-  // Takes ownership of samples; sorts once.
-  explicit Ecdf(std::vector<double> samples);
-
   void Add(double x);
-  // Must be called after the last Add and before evaluation (constructor
-  // from samples does this automatically). Idempotent.
+  // Must be called after the last Add and before evaluation. Idempotent.
   void Finalize();
 
   std::uint64_t count() const { return samples_.size(); }
@@ -35,17 +30,11 @@ class Ecdf {
 
   double Min() const;
   double Max() const;
-  double Mean() const;
 
   // Evaluation grid: `points` log-spaced x values spanning [max(min, lo_clamp),
   // max]. Suitable for the log-x CDF plots in the paper.
   std::vector<std::pair<double, double>> LogGrid(std::size_t points,
                                                  double lo_clamp = 1e-12) const;
-  // `points` evenly spaced x values spanning [min, max].
-  std::vector<std::pair<double, double>> LinearGrid(std::size_t points) const;
-
-  // Two-sample Kolmogorov-Smirnov distance: sup |F1 - F2|.
-  static double KsDistance(const Ecdf& a, const Ecdf& b);
 
   const std::vector<double>& sorted_samples() const { return samples_; }
 

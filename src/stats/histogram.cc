@@ -2,47 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 
-#include "util/str.h"
-
 namespace atlas::stats {
-
-LinearHistogram::LinearHistogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  if (!(lo < hi) || bins == 0) {
-    throw std::invalid_argument("LinearHistogram: need lo < hi and bins > 0");
-  }
-}
-
-void LinearHistogram::Add(double x, std::uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  const double frac = (x - lo_) / (hi_ - lo_);
-  auto idx = static_cast<std::size_t>(frac * static_cast<double>(counts_.size()));
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // x == hi - epsilon
-  counts_[idx] += weight;
-}
-
-double LinearHistogram::bin_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-double LinearHistogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
-std::size_t LinearHistogram::ModeBin() const {
-  return static_cast<std::size_t>(
-      std::max_element(counts_.begin(), counts_.end()) - counts_.begin());
-}
 
 LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade) {
   if (!(lo > 0.0) || !(hi > lo) || bins_per_decade == 0) {
@@ -72,12 +34,6 @@ void LogHistogram::Add(double x, std::uint64_t weight) {
   counts_[idx] += weight;
 }
 
-double LogHistogram::bin_lo(std::size_t i) const {
-  return std::pow(10.0, log_lo_ + step_ * static_cast<double>(i));
-}
-
-double LogHistogram::bin_hi(std::size_t i) const { return bin_lo(i + 1); }
-
 double LogHistogram::bin_mid(std::size_t i) const {
   return std::pow(10.0, log_lo_ + step_ * (static_cast<double>(i) + 0.5));
 }
@@ -95,27 +51,6 @@ std::vector<double> LogHistogram::Modes(double min_fraction) const {
     if (c >= left && c > right) modes.push_back(bin_mid(i));
   }
   return modes;
-}
-
-std::string LogHistogram::Render(std::size_t width) const {
-  std::string out;
-  const std::uint64_t peak =
-      counts_.empty() ? 0 : *std::max_element(counts_.begin(), counts_.end());
-  if (peak == 0) return "(empty histogram)\n";
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) continue;
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    char label[64];
-    std::snprintf(label, sizeof(label), "[%10.3g, %10.3g) ", bin_lo(i),
-                  bin_hi(i));
-    out += label;
-    out.append(std::max<std::size_t>(bar, 1), '#');
-    out += "  " + util::FormatCount(static_cast<double>(counts_[i]));
-    out += '\n';
-  }
-  return out;
 }
 
 }  // namespace atlas::stats

@@ -1,4 +1,4 @@
-// Linear- and log-binned histograms.
+// Log-binned histograms.
 //
 // LogHistogram is the workhorse for size and popularity data, which span
 // many decades (bytes .. hundreds of MB; 1 .. 10^5 requests). It mirrors the
@@ -6,38 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace atlas::stats {
-
-// Fixed-width bins over [lo, hi); values outside are counted in underflow /
-// overflow.
-class LinearHistogram {
- public:
-  LinearHistogram(double lo, double hi, std::size_t bins);
-
-  void Add(double x, std::uint64_t weight = 1);
-
-  std::size_t bin_count() const { return counts_.size(); }
-  std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
-
-  // Index of the most populated bin (first on tie); 0 if empty.
-  std::size_t ModeBin() const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
-  std::uint64_t total_ = 0;
-};
 
 // Logarithmic bins: bins_per_decade bins per power of ten, starting at `lo`
 // (> 0). Values below lo go to underflow.
@@ -47,10 +18,7 @@ class LogHistogram {
 
   void Add(double x, std::uint64_t weight = 1);
 
-  std::size_t bin_count() const { return counts_.size(); }
   std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
-  double bin_lo(std::size_t i) const;
-  double bin_hi(std::size_t i) const;
   // Geometric midpoint of bin i.
   double bin_mid(std::size_t i) const;
   std::uint64_t underflow() const { return underflow_; }
@@ -61,9 +29,6 @@ class LogHistogram {
   // of the total mass. Returns midpoints, ascending. Used to verify the
   // bimodal image-size distributions of Fig. 5(b).
   std::vector<double> Modes(double min_fraction = 0.02) const;
-
-  // ASCII rendering for reports: one line per non-empty bin.
-  std::string Render(std::size_t width = 50) const;
 
  private:
   double log_lo_;

@@ -58,24 +58,6 @@ double ZipfSampler::Pmf(std::uint64_t k) const {
   return std::pow(static_cast<double>(k), -s_) / normalizer_;
 }
 
-// --- BimodalLogNormal ------------------------------------------------------
-
-BimodalLogNormal::BimodalLogNormal(double mu1, double sigma1, double mu2,
-                                   double sigma2, double weight_first)
-    : mu1_(mu1), sigma1_(sigma1), mu2_(mu2), sigma2_(sigma2), w1_(weight_first) {
-  if (sigma1 < 0.0 || sigma2 < 0.0) {
-    throw std::invalid_argument("BimodalLogNormal: sigma must be >= 0");
-  }
-  if (weight_first < 0.0 || weight_first > 1.0) {
-    throw std::invalid_argument("BimodalLogNormal: weight must be in [0,1]");
-  }
-}
-
-double BimodalLogNormal::Sample(util::Rng& rng) const {
-  if (rng.NextBool(w1_)) return rng.NextLogNormal(mu1_, sigma1_);
-  return rng.NextLogNormal(mu2_, sigma2_);
-}
-
 // --- AliasTable -------------------------------------------------------------
 
 AliasTable::AliasTable(const std::vector<double>& weights) {
@@ -89,14 +71,13 @@ AliasTable::AliasTable(const std::vector<double>& weights) {
   if (total <= 0.0) {
     throw std::invalid_argument("AliasTable: weights must sum to > 0");
   }
-  normalized_.resize(n);
   prob_.assign(n, 0.0);
   alias_.assign(n, 0);
   std::deque<std::size_t> small, large;
   std::vector<double> scaled(n);
   for (std::size_t i = 0; i < n; ++i) {
-    normalized_[i] = weights[i] / total;
-    scaled[i] = normalized_[i] * static_cast<double>(n);
+    const double normalized = weights[i] / total;
+    scaled[i] = normalized * static_cast<double>(n);
     (scaled[i] < 1.0 ? small : large).push_back(i);
   }
   while (!small.empty() && !large.empty()) {
@@ -123,27 +104,6 @@ std::size_t AliasTable::Sample(util::Rng& rng) const {
   const std::size_t i =
       static_cast<std::size_t>(rng.NextBounded(prob_.size()));
   return rng.NextDouble() < prob_[i] ? i : alias_[i];
-}
-
-double AliasTable::Probability(std::size_t i) const {
-  return normalized_.at(i);
-}
-
-// --- TruncatedLogNormal -----------------------------------------------------
-
-TruncatedLogNormal::TruncatedLogNormal(double mu, double sigma, double lo,
-                                       double hi)
-    : mu_(mu), sigma_(sigma), lo_(lo), hi_(hi) {
-  if (!(lo < hi)) throw std::invalid_argument("TruncatedLogNormal: lo >= hi");
-}
-
-double TruncatedLogNormal::Sample(util::Rng& rng) const {
-  for (int attempt = 0; attempt < 4096; ++attempt) {
-    const double x = rng.NextLogNormal(mu_, sigma_);
-    if (x >= lo_ && x <= hi_) return x;
-  }
-  throw std::runtime_error(
-      "TruncatedLogNormal: acceptance region too small; check parameters");
 }
 
 }  // namespace atlas::stats

@@ -1,8 +1,7 @@
 // Distribution samplers for workload synthesis.
 //
 // ZipfSampler drives content popularity (the paper's long-tailed request
-// distributions, Fig. 6); BimodalLogNormal drives image sizes (the bimodal
-// CDFs of Fig. 5b); AliasTable provides O(1) sampling from arbitrary
+// distributions, Fig. 6); AliasTable provides O(1) sampling from arbitrary
 // discrete distributions (device mixes, response-code priors, ...).
 #pragma once
 
@@ -42,19 +41,6 @@ class ZipfSampler {
   mutable double normalizer_ = 0.0;  // lazily computed for Pmf
 };
 
-// Mixture of two lognormals; weight is the probability of the first
-// component. Models "thumbnail vs. full-resolution image" sizes.
-class BimodalLogNormal {
- public:
-  BimodalLogNormal(double mu1, double sigma1, double mu2, double sigma2,
-                   double weight_first);
-
-  double Sample(util::Rng& rng) const;
-
- private:
-  double mu1_, sigma1_, mu2_, sigma2_, w1_;
-};
-
 // Walker alias method: O(n) build, O(1) sample from a fixed discrete
 // distribution.
 class AliasTable {
@@ -63,26 +49,10 @@ class AliasTable {
 
   std::size_t Sample(util::Rng& rng) const;
   std::size_t size() const { return prob_.size(); }
-  // Exact normalized probability of index i (for testing).
-  double Probability(std::size_t i) const;
 
  private:
   std::vector<double> prob_;
   std::vector<std::size_t> alias_;
-  std::vector<double> normalized_;
-};
-
-// Truncated lognormal: resamples until the value lands in [lo, hi].
-// Throws if the acceptance region is implausibly small (> 64 rejections
-// on average would be a configuration bug).
-class TruncatedLogNormal {
- public:
-  TruncatedLogNormal(double mu, double sigma, double lo, double hi);
-
-  double Sample(util::Rng& rng) const;
-
- private:
-  double mu_, sigma_, lo_, hi_;
 };
 
 }  // namespace atlas::stats

@@ -1,7 +1,6 @@
 #include "stats/timeseries.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 #include <stdexcept>
 
@@ -28,40 +27,11 @@ double TimeSeries::Total() const {
   return std::accumulate(values_.begin(), values_.end(), 0.0);
 }
 
-double TimeSeries::Max() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double TimeSeries::Mean() const {
-  if (values_.empty()) return 0.0;
-  return Total() / static_cast<double>(values_.size());
-}
-
-std::size_t TimeSeries::ArgMax() const {
-  if (values_.empty()) return 0;
-  return static_cast<std::size_t>(
-      std::max_element(values_.begin(), values_.end()) - values_.begin());
-}
-
 TimeSeries TimeSeries::SumNormalized() const {
   TimeSeries out = *this;
   const double total = Total();
   if (total > 0.0) {
     for (double& v : out.values_) v /= total;
-  }
-  return out;
-}
-
-TimeSeries TimeSeries::ZNormalized() const {
-  TimeSeries out = *this;
-  const double mean = Mean();
-  double var = 0.0;
-  for (double v : values_) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(std::max<std::size_t>(values_.size(), 1));
-  const double sd = std::sqrt(var);
-  for (double& v : out.values_) {
-    v = sd > 0.0 ? (v - mean) / sd : 0.0;
   }
   return out;
 }
@@ -76,62 +46,6 @@ TimeSeries TimeSeries::Smoothed(std::size_t window) const {
     double sum = 0.0;
     for (std::size_t j = lo; j < hi; ++j) sum += values_[j];
     out.values_[i] = sum / static_cast<double>(hi - lo);
-  }
-  return out;
-}
-
-double TimeSeries::Autocorrelation(std::size_t lag) const {
-  const std::size_t n = values_.size();
-  if (lag >= n || n < 2) return 0.0;
-  const double mean = Mean();
-  double num = 0.0, den = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    den += (values_[i] - mean) * (values_[i] - mean);
-  }
-  if (den == 0.0) return 0.0;
-  for (std::size_t i = 0; i + lag < n; ++i) {
-    num += (values_[i] - mean) * (values_[i + lag] - mean);
-  }
-  return num / den;
-}
-
-double TimeSeries::MassIn(std::size_t start, std::size_t end) const {
-  const double total = Total();
-  if (total <= 0.0) return 0.0;
-  double sum = 0.0;
-  for (std::size_t i = start; i < std::min(end, values_.size()); ++i) {
-    sum += values_[i];
-  }
-  return sum / total;
-}
-
-TimeSeries TimeSeries::PointwiseMean(const std::vector<TimeSeries>& group) {
-  if (group.empty()) return TimeSeries();
-  const std::size_t n = group.front().size();
-  TimeSeries out(group.front().bucket_ms(), n);
-  for (const auto& ts : group) {
-    if (ts.size() != n) {
-      throw std::invalid_argument("PointwiseMean: length mismatch");
-    }
-    for (std::size_t i = 0; i < n; ++i) out.values_[i] += ts.values_[i];
-  }
-  for (double& v : out.values_) v /= static_cast<double>(group.size());
-  return out;
-}
-
-TimeSeries TimeSeries::PointwiseStddev(const std::vector<TimeSeries>& group) {
-  if (group.empty()) return TimeSeries();
-  const TimeSeries mean = PointwiseMean(group);
-  const std::size_t n = mean.size();
-  TimeSeries out(mean.bucket_ms(), n);
-  for (const auto& ts : group) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const double d = ts.values_[i] - mean.values_[i];
-      out.values_[i] += d * d;
-    }
-  }
-  for (double& v : out.values_) {
-    v = std::sqrt(v / static_cast<double>(group.size()));
   }
   return out;
 }

@@ -3,8 +3,7 @@
 // Per-object hourly request-count series are the input to the paper's DTW
 // clustering (Figs. 8-10); site-level hourly volume series are Fig. 3.
 // A TimeSeries is a dense vector of values at a fixed bucket width, with the
-// transforms the analyses need: normalization, smoothing, autocorrelation,
-// and shape features (peak position, decay).
+// transforms the analyses need: normalization and smoothing.
 #pragma once
 
 #include <cstdint>
@@ -32,31 +31,13 @@ class TimeSeries {
   const std::vector<double>& values() const { return values_; }
 
   double Total() const;
-  double Max() const;
-  double Mean() const;
-  // Index of the maximum (first on tie); 0 if empty.
-  std::size_t ArgMax() const;
 
   // Sum-normalized copy (series sums to 1; zero series stays zero). This is
   // the "normalized request count" of the paper's medoid plots.
   TimeSeries SumNormalized() const;
-  // Z-score normalized copy (zero mean, unit variance; constant series
-  // becomes all-zero).
-  TimeSeries ZNormalized() const;
 
   // Centered moving average with the given full window (odd preferred).
   TimeSeries Smoothed(std::size_t window) const;
-
-  // Autocorrelation at integer lag (biased estimator). Lag >= size gives 0.
-  double Autocorrelation(std::size_t lag) const;
-
-  // Fraction of total mass inside [start, end) bucket indices.
-  double MassIn(std::size_t start, std::size_t end) const;
-
-  // Element-wise mean / standard deviation across a set of equal-length
-  // series — used for medoid plots' shaded +-sigma regions.
-  static TimeSeries PointwiseMean(const std::vector<TimeSeries>& group);
-  static TimeSeries PointwiseStddev(const std::vector<TimeSeries>& group);
 
  private:
   std::int64_t bucket_ms_ = 1;

@@ -165,8 +165,6 @@ Catalog::Catalog(const SiteProfile& profile, util::Rng& rng)
     groups_[type].members.push_back(util::CheckedIndexU32(i, "object"));
     groups_[type].weights.push_back(obj.popularity_weight);
     groups_[type].weight_total += obj.popularity_weight;
-    ++counts_by_class_[static_cast<std::size_t>(obj.content_class)];
-    ++counts_by_pattern_[type];
     for (int h = 0; h < util::kHoursPerWeek; ++h) {
       const std::int64_t t =
           static_cast<std::int64_t>(h) * util::kMillisPerHour +
@@ -250,17 +248,6 @@ std::size_t Catalog::SampleObject(std::int64_t utc_ms, util::Rng& rng) const {
   // The whole group is dead despite positive hourly mass (cannot happen,
   // but the sampler must return something valid).
   return group.members.front();
-}
-
-double Catalog::DemandMassAt(std::int64_t utc_ms) const {
-  std::int64_t hour = utc_ms / util::kMillisPerHour;
-  hour = std::clamp<std::int64_t>(hour, 0, util::kHoursPerWeek - 1);
-  double total = 0.0;
-  for (int p = 0; p < kNumPatternTypes; ++p) {
-    total += hourly_mass_[static_cast<std::size_t>(p)]
-                         [static_cast<std::size_t>(hour)];
-  }
-  return total;
 }
 
 }  // namespace atlas::synth

@@ -73,17 +73,6 @@ class Catalog {
   // rejection within the type. O(1) expected.
   std::size_t SampleObject(std::int64_t utc_ms, util::Rng& rng) const;
 
-  // Total demand mass at an hour (for calibration / debugging).
-  double DemandMassAt(std::int64_t utc_ms) const;
-
-  // Aggregate stats for reports (accumulated during the build pass).
-  std::array<std::size_t, trace::kNumContentClasses> CountsByClass() const {
-    return counts_by_class_;
-  }
-  std::array<std::size_t, kNumPatternTypes> CountsByPattern() const {
-    return counts_by_pattern_;
-  }
-
   // The timezone phase the catalog's diurnal patterns were generated
   // against (demand-weighted mean user offset).
   double representative_tz_hours() const { return representative_tz_hours_; }
@@ -115,8 +104,6 @@ class Catalog {
   // Hourly demand mass per pattern group across the week.
   std::array<std::array<double, util::kHoursPerWeek>, kNumPatternTypes>
       hourly_mass_{};
-  std::array<std::size_t, trace::kNumContentClasses> counts_by_class_{};
-  std::array<std::size_t, kNumPatternTypes> counts_by_pattern_{};
   double representative_tz_hours_ = 0.0;
 };
 

@@ -33,10 +33,6 @@ class WeekHourDistribution {
   // the weekly distribution plus a uniform offset inside the hour.
   std::int64_t SampleLocalMs(util::Rng& rng) const;
 
-  double WeightOfHour(int hour_of_week) const {
-    return weights_.at(static_cast<std::size_t>(hour_of_week));
-  }
-
  private:
   std::array<double, util::kHoursPerWeek> weights_{};
   std::array<double, util::kHoursPerWeek> cumulative_{};

@@ -99,14 +99,9 @@ UserPopulation::UserPopulation(const SiteProfile& profile, util::Rng& rng)
   // other half; see SiteProfile::synth_table_budget_bytes).
   store_.BeginBuild(n, kUserShardItems, profile.synth_table_budget_bytes / 2);
 
-  std::vector<double> activities;
-  activities.reserve(std::min(n, kMaxPreallocItems));
   for (std::size_t i = 0; i < n; ++i) {
     store_.BeforeItem(i, rng);
-    const UserInfo u = GenerateUser(rng);
-    store_.Append(u);
-    activities.push_back(u.activity);
-    ++device_counts_[static_cast<std::size_t>(u.device)];
+    store_.Append(GenerateUser(rng));
   }
   store_.EndBuild([this](std::size_t shard, util::Rng& replay_rng,
                          std::vector<UserInfo>& out) {
@@ -116,22 +111,6 @@ UserPopulation::UserPopulation(const SiteProfile& profile, util::Rng& rng)
       out.push_back(GenerateUser(replay_rng));
     }
   });
-  activity_alias_ = std::make_unique<stats::AliasTable>(activities);
-}
-
-std::size_t UserPopulation::SampleUser(util::Rng& rng) const {
-  return activity_alias_->Sample(rng);
-}
-
-std::array<double, trace::kNumDeviceTypes> UserPopulation::DeviceShares()
-    const {
-  std::array<double, trace::kNumDeviceTypes> shares{};
-  if (store_.size() == 0) return shares;
-  for (std::size_t d = 0; d < shares.size(); ++d) {
-    shares[d] = static_cast<double>(device_counts_[d]) /
-                static_cast<double>(store_.size());
-  }
-  return shares;
 }
 
 }  // namespace atlas::synth

@@ -72,13 +72,6 @@ class UserPopulation {
     store_.ForEach(fn);
   }
 
-  // Draws a user index proportionally to activity.
-  std::size_t SampleUser(util::Rng& rng) const;
-
-  // Fraction of users per device type (ground truth for Fig. 4 validation;
-  // accumulated during the build pass).
-  std::array<double, trace::kNumDeviceTypes> DeviceShares() const;
-
   // True when the table exceeded its budget and went lazy (scale tests).
   bool lazy() const { return store_.lazy(); }
   const ShardStore<UserInfo>& store() const { return store_; }
@@ -88,10 +81,6 @@ class UserPopulation {
 
   SiteProfile profile_;  // kept for lazy replay
   ShardStore<UserInfo> store_;
-  // Resident regardless of mode: SampleUser must weight the whole
-  // population (~24 bytes/user, counted against the budget in DESIGN.md).
-  std::unique_ptr<stats::AliasTable> activity_alias_;
-  std::array<std::size_t, trace::kNumDeviceTypes> device_counts_{};
 };
 
 }  // namespace atlas::synth

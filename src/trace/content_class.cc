@@ -1,7 +1,5 @@
 #include "trace/content_class.h"
 
-#include "util/str.h"
-
 namespace atlas::trace {
 
 ContentClass ClassOf(FileType type) {
@@ -31,45 +29,6 @@ ContentClass ClassOf(FileType type) {
       return ContentClass::kOther;
   }
   return ContentClass::kOther;
-}
-
-FileType FileTypeFromExtension(std::string_view ext) {
-  while (!ext.empty() && ext.front() == '.') ext.remove_prefix(1);
-  const std::string lower = util::ToLower(ext);
-  if (lower == "flv") return FileType::kFlv;
-  if (lower == "mp4" || lower == "m4v") return FileType::kMp4;
-  if (lower == "mpg" || lower == "mpeg") return FileType::kMpg;
-  if (lower == "avi") return FileType::kAvi;
-  if (lower == "wmv") return FileType::kWmv;
-  if (lower == "webm") return FileType::kWebm;
-  if (lower == "jpg" || lower == "jpeg") return FileType::kJpg;
-  if (lower == "png") return FileType::kPng;
-  if (lower == "gif") return FileType::kGif;
-  if (lower == "tif" || lower == "tiff") return FileType::kTiff;
-  if (lower == "bmp") return FileType::kBmp;
-  if (lower == "webp") return FileType::kWebp;
-  if (lower == "html" || lower == "htm") return FileType::kHtml;
-  if (lower == "css") return FileType::kCss;
-  if (lower == "js") return FileType::kJs;
-  if (lower == "xml") return FileType::kXml;
-  if (lower == "txt") return FileType::kTxt;
-  if (lower == "json") return FileType::kJson;
-  if (lower == "mp3") return FileType::kMp3;
-  return FileType::kUnknown;
-}
-
-FileType FileTypeFromUrl(std::string_view url) {
-  // Strip query and fragment.
-  const std::size_t q = url.find_first_of("?#");
-  if (q != std::string_view::npos) url = url.substr(0, q);
-  // Last path segment.
-  const std::size_t slash = url.rfind('/');
-  if (slash != std::string_view::npos) url = url.substr(slash + 1);
-  const std::size_t dot = url.rfind('.');
-  if (dot == std::string_view::npos || dot + 1 >= url.size()) {
-    return FileType::kUnknown;
-  }
-  return FileTypeFromExtension(url.substr(dot + 1));
 }
 
 }  // namespace atlas::trace

@@ -5,21 +5,11 @@
 // other (e.g., text, audio, HTML, CSS, XML, JS)".
 #pragma once
 
-#include <string_view>
-
 #include "trace/record.h"
 
 namespace atlas::trace {
 
 // Maps a concrete file type to its content class.
 ContentClass ClassOf(FileType type);
-
-// Parses a file extension ("mp4", ".JPG", "jpeg") into a FileType; unknown
-// extensions map to FileType::kUnknown (class kOther).
-FileType FileTypeFromExtension(std::string_view ext);
-
-// Extracts the extension from a URL path ("/a/b/clip.mp4?x=1" -> "mp4") and
-// classifies it. URLs with no extension yield kUnknown.
-FileType FileTypeFromUrl(std::string_view url);
 
 }  // namespace atlas::trace

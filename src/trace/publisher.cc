@@ -43,14 +43,6 @@ std::optional<std::uint32_t> PublisherRegistry::FindByName(
   return std::nullopt;
 }
 
-std::vector<std::uint32_t> PublisherRegistry::AdultIds() const {
-  std::vector<std::uint32_t> ids;
-  for (const auto& p : publishers_) {
-    if (p.is_adult()) ids.push_back(p.id);
-  }
-  return ids;
-}
-
 PublisherRegistry PublisherRegistry::PaperSites() {
   PublisherRegistry reg;
   reg.Register("V-1", SiteKind::kAdultVideo);

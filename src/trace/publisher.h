@@ -28,7 +28,6 @@ struct Publisher {
   std::string name;  // anonymized label, e.g. "V-1"
   SiteKind kind = SiteKind::kNonAdult;
 
-  bool is_adult() const { return kind != SiteKind::kNonAdult; }
 };
 
 class PublisherRegistry {
@@ -43,8 +42,6 @@ class PublisherRegistry {
 
   std::size_t size() const { return publishers_.size(); }
   const std::vector<Publisher>& all() const { return publishers_; }
-
-  std::vector<std::uint32_t> AdultIds() const;
 
   // The paper's five-site study population: V-1, V-2, P-1, P-2, S-1 (in that
   // order), plus one non-adult control publisher "N-1".

@@ -67,14 +67,6 @@ ContentClass ContentClassFromString(const std::string& s) {
   throw std::invalid_argument("unknown ContentClass: " + s);
 }
 
-DeviceType DeviceTypeFromString(const std::string& s) {
-  if (s == "Desktop") return DeviceType::kDesktop;
-  if (s == "Android") return DeviceType::kAndroid;
-  if (s == "iOS") return DeviceType::kIos;
-  if (s == "Misc") return DeviceType::kMisc;
-  throw std::invalid_argument("unknown DeviceType: " + s);
-}
-
 FileType FileTypeFromString(const std::string& s) {
   for (int i = 0; i < kNumFileTypes; ++i) {
     const auto t = static_cast<FileType>(i);

@@ -86,7 +86,6 @@ const char* ToString(CacheStatus s);
 // Parses the textual forms produced by ToString (used by the CSV reader).
 // Throws std::invalid_argument on unknown names.
 ContentClass ContentClassFromString(const std::string& s);
-DeviceType DeviceTypeFromString(const std::string& s);
 FileType FileTypeFromString(const std::string& s);
 CacheStatus CacheStatusFromString(const std::string& s);
 

@@ -263,50 +263,21 @@ ResumedTraceFile::ResumedTraceFile(const std::string& path, ckpt::Reader& r) {
   writer_ = std::make_unique<TraceWriter>(io_, resume);
 }
 
-TraceReader::TraceReader(std::istream& in, std::size_t v1_block_records)
-    : in_(in),
-      v1_block_records_(
-          std::clamp<std::size_t>(v1_block_records, 1, kMaxBlockRecords)) {
+TraceReader::TraceReader(std::istream& in) : in_(in) {
   char magic[4];
   in_.read(magic, sizeof(magic));
   if (!in_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("trace_io: bad magic");
   }
-  version_ = ReadLe<std::uint32_t>(in_);
-  if (version_ != 1 && version_ != kBlockFormatVersion) {
+  const auto version = ReadLe<std::uint32_t>(in_);
+  if (version != kBlockFormatVersion) {
     throw std::runtime_error("trace_io: unsupported version " +
-                             std::to_string(version_));
+                             std::to_string(version));
   }
   header_count_ = ReadLe<std::uint64_t>(in_);
-  if (version_ == 1 && header_count_ == kUnknownCount) {
-    throw std::runtime_error("trace_io: bad record count");
-  }
 }
 
-std::optional<std::uint64_t> TraceReader::declared_count() const {
-  if (header_count_ == kUnknownCount) return std::nullopt;
-  return header_count_;
-}
-
-std::size_t TraceReader::ReadRawV1() {
-  const std::uint64_t remaining = header_count_ - records_read_;
-  if (remaining == 0) {
-    done_ = true;
-    return 0;
-  }
-  const auto n = static_cast<std::size_t>(
-      std::min<std::uint64_t>(remaining, v1_block_records_));
-  raw_.resize(n * wire::kRecordWireSize);
-  in_.read(reinterpret_cast<char*>(raw_.data()),
-           static_cast<std::streamsize>(raw_.size()));
-  if (static_cast<std::size_t>(in_.gcount()) != raw_.size()) {
-    throw std::runtime_error("trace_io: truncated input");
-  }
-  records_read_ += n;
-  return n;
-}
-
-std::uint32_t TraceReader::ReadRawV2() {
+std::uint32_t TraceReader::ReadRaw() {
   const auto nrec = ReadLe<std::uint32_t>(in_);
   const auto payload_bytes = ReadLe<std::uint32_t>(in_);
   const auto crc = ReadLe<std::uint32_t>(in_);
@@ -345,7 +316,7 @@ std::uint32_t TraceReader::ReadRawV2() {
 
 const RecordBlock* TraceReader::NextBlock() {
   if (done_) return nullptr;
-  const std::size_t n = version_ == 1 ? ReadRawV1() : ReadRawV2();
+  const std::size_t n = ReadRaw();
   if (n == 0) return nullptr;
   block_.DecodeWire(raw_.data(), n);
   return &block_;
@@ -357,10 +328,8 @@ std::ifstream& TraceFileReader::Checked(std::ifstream& in,
   return in;
 }
 
-TraceFileReader::TraceFileReader(const std::string& path,
-                                 std::size_t v1_block_records)
-    : in_(path, std::ios::binary),
-      reader_(Checked(in_, path), v1_block_records) {}
+TraceFileReader::TraceFileReader(const std::string& path)
+    : in_(path, std::ios::binary), reader_(Checked(in_, path)) {}
 
 void WriteV2(const TraceBuffer& trace, std::ostream& out,
              std::size_t block_records) {

@@ -14,10 +14,10 @@
 // at the kUnknownCount sentinel and readers learn the count from the
 // trailer. A trace of any length streams through one block of memory.
 //
-// TraceReader yields v1 and v2 files alike through BlockSource::NextBlock,
-// and BufferBlockSource does the same for in-memory TraceBuffers — which
-// is how the one-shot in-memory analysis path is built on top of the
-// streaming one.
+// TraceReader yields v2 files through BlockSource::NextBlock, and
+// BufferBlockSource does the same for in-memory TraceBuffers — which is how
+// the one-shot in-memory analysis path is built on top of the streaming
+// one. Version 2 is the only trace format; any other version fails at open.
 #pragma once
 
 #include <cstdint>
@@ -132,38 +132,26 @@ class TraceWriter {
   bool finished_ = false;
 };
 
-// Reads v1 or v2 trace streams (dispatching on the header version) through
-// bounded memory. For v2, every block's length fields and CRC are verified
-// and the trailer count is cross-checked against the records actually
-// delivered, so truncation and bit-rot surface as errors, not short reads.
+// Reads v2 trace streams through bounded memory. Every block's length
+// fields and CRC are verified and the trailer count is cross-checked
+// against the records actually delivered, so truncation and bit-rot
+// surface as errors, not short reads.
 class TraceReader final : public BlockSource {
  public:
   // Throws std::runtime_error on bad magic or unsupported version.
-  // `v1_block_records` sizes the blocks cut from an unframed v1 stream; v2
-  // blocks arrive as they were written.
-  explicit TraceReader(std::istream& in,
-                       std::size_t v1_block_records = kDefaultBlockRecords);
+  explicit TraceReader(std::istream& in);
 
-  // One whole CRC block decoded column-wise per call (for v1 streams,
-  // v1_block_records rows at a time); nullptr at end of stream.
+  // One whole CRC block decoded column-wise per call; nullptr at end of
+  // stream. Blocks arrive as they were written.
   const RecordBlock* NextBlock() override;
 
-  std::uint32_t version() const { return version_; }
-  // Count from the header; nullopt for a v2 stream whose writer could not
-  // seek (the count is then only known from the trailer, at end of read).
-  std::optional<std::uint64_t> declared_count() const;
-  std::uint64_t records_read() const { return records_read_; }
 
  private:
-  // Reads + validates the next raw payload into raw_ (v2: one CRC block,
-  // v1: up to v1_block_records records). Returns the record count, 0 at a
-  // (validated) end of stream.
-  std::size_t ReadRawV1();
-  std::uint32_t ReadRawV2();
+  // Reads + validates the next CRC block's payload into raw_. Returns the
+  // record count, 0 at a (validated) end of stream.
+  std::uint32_t ReadRaw();
 
   std::istream& in_;
-  std::size_t v1_block_records_;
-  std::uint32_t version_ = 0;
   std::uint64_t header_count_ = 0;
   std::uint64_t records_read_ = 0;
   bool done_ = false;
@@ -176,14 +164,8 @@ class TraceReader final : public BlockSource {
 class TraceFileReader final : public BlockSource {
  public:
   // Throws std::runtime_error if the file cannot be opened or parsed.
-  explicit TraceFileReader(const std::string& path,
-                           std::size_t v1_block_records = kDefaultBlockRecords);
+  explicit TraceFileReader(const std::string& path);
   const RecordBlock* NextBlock() override { return reader_.NextBlock(); }
-
-  std::uint32_t version() const { return reader_.version(); }
-  std::optional<std::uint64_t> declared_count() const {
-    return reader_.declared_count();
-  }
 
  private:
   static std::ifstream& Checked(std::ifstream& in, const std::string& path);
@@ -216,7 +198,7 @@ void WriteV2File(const TraceBuffer& trace, const std::string& path,
 
 // Drains a source into a TraceBuffer (the in-memory bridge).
 TraceBuffer ReadAllRecords(BlockSource& source);
-// Reads a v1 *or* v2 trace file into memory.
+// Reads a trace file into memory.
 TraceBuffer ReadAnyBinaryFile(const std::string& path);
 
 }  // namespace atlas::trace

@@ -1,43 +1,14 @@
 #include "trace/trace_buffer.h"
 
 #include <algorithm>
-#include <unordered_set>
-
-#include "trace/content_class.h"
 
 namespace atlas::trace {
-
-void TraceBuffer::Append(const TraceBuffer& other) {
-  records_.insert(records_.end(), other.records_.begin(),
-                  other.records_.end());
-}
-
-void TraceBuffer::SortByTime() {
-  std::stable_sort(records_.begin(), records_.end(),
-                   [](const LogRecord& a, const LogRecord& b) {
-                     return a.timestamp_ms < b.timestamp_ms;
-                   });
-}
 
 bool TraceBuffer::IsSortedByTime() const {
   return std::is_sorted(records_.begin(), records_.end(),
                         [](const LogRecord& a, const LogRecord& b) {
                           return a.timestamp_ms < b.timestamp_ms;
                         });
-}
-
-std::int64_t TraceBuffer::StartMs() const {
-  if (records_.empty()) return 0;
-  std::int64_t lo = records_.front().timestamp_ms;
-  for (const auto& r : records_) lo = std::min(lo, r.timestamp_ms);
-  return lo;
-}
-
-std::int64_t TraceBuffer::EndMs() const {
-  if (records_.empty()) return 0;
-  std::int64_t hi = records_.front().timestamp_ms;
-  for (const auto& r : records_) hi = std::max(hi, r.timestamp_ms);
-  return hi;
 }
 
 TraceBuffer TraceBuffer::Filter(
@@ -53,50 +24,6 @@ TraceBuffer TraceBuffer::FilterByPublisher(std::uint32_t publisher_id) const {
   return Filter([publisher_id](const LogRecord& r) {
     return r.publisher_id == publisher_id;
   });
-}
-
-TraceBuffer TraceBuffer::FilterByClass(ContentClass content_class) const {
-  return Filter([content_class](const LogRecord& r) {
-    return ClassOf(r.file_type) == content_class;
-  });
-}
-
-std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-TraceBuffer::GroupByObject() const {
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> groups;
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    groups[records_[i].url_hash].push_back(i);
-  }
-  return groups;
-}
-
-std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>
-TraceBuffer::GroupByUser() const {
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> groups;
-  for (std::uint32_t i = 0; i < records_.size(); ++i) {
-    groups[records_[i].user_id].push_back(i);
-  }
-  return groups;
-}
-
-std::size_t TraceBuffer::UniqueUsers() const {
-  std::unordered_set<std::uint64_t> users;
-  users.reserve(records_.size() / 4 + 1);
-  for (const auto& r : records_) users.insert(r.user_id);
-  return users.size();
-}
-
-std::size_t TraceBuffer::UniqueObjects() const {
-  std::unordered_set<std::uint64_t> objects;
-  objects.reserve(records_.size() / 4 + 1);
-  for (const auto& r : records_) objects.insert(r.url_hash);
-  return objects.size();
-}
-
-std::uint64_t TraceBuffer::TotalBytes() const {
-  std::uint64_t total = 0;
-  for (const auto& r : records_) total += r.response_bytes;
-  return total;
 }
 
 }  // namespace atlas::trace

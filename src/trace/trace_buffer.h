@@ -1,14 +1,9 @@
-// In-memory trace with the grouped views the analyses need.
-//
-// A TraceBuffer owns a vector of LogRecords. Analyses need three access
-// patterns: chronological scan, per-object grouping, and per-(user, site)
-// grouping; the buffer provides each as an index built on demand.
+// In-memory trace: a vector of LogRecords in stream order.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "trace/record.h"
@@ -22,8 +17,6 @@ class TraceBuffer {
       : records_(std::move(records)) {}
 
   void Add(const LogRecord& record) { records_.push_back(record); }
-  void Append(const TraceBuffer& other);
-  void Reserve(std::size_t n) { records_.reserve(n); }
 
   std::size_t size() const { return records_.size(); }
   bool empty() const { return records_.empty(); }
@@ -31,33 +24,11 @@ class TraceBuffer {
   const std::vector<LogRecord>& records() const { return records_; }
   std::vector<LogRecord>& mutable_records() { return records_; }
 
-  // Sorts by timestamp (stable, so equal-time records keep insert order).
-  void SortByTime();
   bool IsSortedByTime() const;
-
-  // First/last timestamps; 0 if empty.
-  std::int64_t StartMs() const;
-  std::int64_t EndMs() const;
 
   // Returns a new buffer containing records matching the predicate.
   TraceBuffer Filter(const std::function<bool(const LogRecord&)>& pred) const;
   TraceBuffer FilterByPublisher(std::uint32_t publisher_id) const;
-  TraceBuffer FilterByClass(ContentClass content_class) const;
-
-  // Record indices grouped by object (url_hash). Indices within each group
-  // are in record order (chronological once SortByTime has run).
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> GroupByObject()
-      const;
-  // Grouped by user.
-  std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> GroupByUser()
-      const;
-
-  // Distinct users / objects in the trace.
-  std::size_t UniqueUsers() const;
-  std::size_t UniqueObjects() const;
-
-  // Total bytes delivered (sum of response_bytes).
-  std::uint64_t TotalBytes() const;
 
  private:
   std::vector<LogRecord> records_;

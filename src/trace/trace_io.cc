@@ -1,55 +1,16 @@
 #include "trace/trace_io.h"
 
-#include <algorithm>
-#include <cstring>
-#include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <stdexcept>
 
 #include "trace/content_class.h"
-#include "trace/wire_format.h"
 #include "util/csv.h"
 #include "util/str.h"
 
 namespace atlas::trace {
 namespace {
-
-constexpr char kMagic[4] = {'A', 'T', 'L', 'S'};
-
-// The header's record count is corruption-controlled until the records
-// themselves parse; never pre-allocate more than this many on its say-so.
-// (A genuine giant trace still loads fine — the vector just grows.)
-constexpr std::uint64_t kMaxPreallocRecords = 1u << 20;
-
-template <typename T>
-void WriteLe(std::ostream& out, T value) {
-  unsigned char bytes[sizeof(T)];
-  wire::StoreLe(bytes, value);
-  out.write(reinterpret_cast<const char*>(bytes), sizeof(T));
-}
-
-template <typename T>
-T ReadLe(std::istream& in) {
-  unsigned char bytes[sizeof(T)];
-  in.read(reinterpret_cast<char*>(bytes), sizeof(T));
-  if (!in) throw std::runtime_error("trace_io: truncated input");
-  return wire::LoadLe<T>(bytes);
-}
-
-void WriteRecord(std::ostream& out, const LogRecord& r) {
-  unsigned char buf[wire::kRecordWireSize];
-  wire::EncodeRecord(r, buf);
-  out.write(reinterpret_cast<const char*>(buf), sizeof(buf));
-}
-
-LogRecord ReadRecord(std::istream& in) {
-  unsigned char buf[wire::kRecordWireSize];
-  in.read(reinterpret_cast<char*>(buf), sizeof(buf));
-  if (!in) throw std::runtime_error("trace_io: truncated input");
-  return wire::DecodeRecord(buf);
-}
 
 // Parses a CSV field into a narrow record column, rejecting out-of-range
 // values instead of silently wrapping (a publisher_id of 2^32 + 1 must not
@@ -65,50 +26,6 @@ T ParseNarrowField(const std::string& field, const char* name) {
 }
 
 }  // namespace
-
-void WriteBinary(const TraceBuffer& trace, std::ostream& out) {
-  out.write(kMagic, sizeof(kMagic));
-  WriteLe(out, kTraceFormatVersion);
-  WriteLe(out, static_cast<std::uint64_t>(trace.size()));
-  for (const auto& r : trace.records()) WriteRecord(out, r);
-  // Flush before checking: a disk-full failure often only surfaces when the
-  // buffered tail hits the OS, and an ofstream destructor swallows it.
-  out.flush();
-  if (!out) throw std::runtime_error("trace_io: write failed");
-}
-
-void WriteBinaryFile(const TraceBuffer& trace, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) throw std::runtime_error("trace_io: cannot open " + path);
-  WriteBinary(trace, out);
-  out.close();
-  if (out.fail()) throw std::runtime_error("trace_io: close failed: " + path);
-}
-
-TraceBuffer ReadBinary(std::istream& in) {
-  char magic[4];
-  in.read(magic, sizeof(magic));
-  if (!in || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    throw std::runtime_error("trace_io: bad magic");
-  }
-  const auto version = ReadLe<std::uint32_t>(in);
-  if (version != kTraceFormatVersion) {
-    throw std::runtime_error("trace_io: unsupported version " +
-                             std::to_string(version));
-  }
-  const auto count = ReadLe<std::uint64_t>(in);
-  TraceBuffer trace;
-  trace.Reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(count, kMaxPreallocRecords)));
-  for (std::uint64_t i = 0; i < count; ++i) trace.Add(ReadRecord(in));
-  return trace;
-}
-
-TraceBuffer ReadBinaryFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("trace_io: cannot open " + path);
-  return ReadBinary(in);
-}
 
 void WriteCsv(const TraceBuffer& trace, std::ostream& out) {
   util::CsvWriter writer(out);

@@ -1,29 +1,12 @@
-// Trace serialization: a versioned binary format plus CSV import/export.
-//
-// Binary layout (little-endian), format v1:
-//   magic "ATLS" | u32 version | u64 record_count | records...
-// Each record is written field-by-field (no struct memcpy), so the format is
-// independent of compiler padding and stable across platforms. The block-
-// based, checksummed v2 format and its streaming reader/writer live in
-// stream.h; ReadAnyBinaryFile there accepts either version.
+// Trace CSV import/export. The binary trace format (v2: framed,
+// CRC-checked blocks) and its reader/writer live in stream.h.
 #pragma once
 
 #include <iosfwd>
-#include <string>
 
 #include "trace/trace_buffer.h"
 
 namespace atlas::trace {
-
-inline constexpr std::uint32_t kTraceFormatVersion = 1;
-
-// Throws std::runtime_error on I/O failure.
-void WriteBinary(const TraceBuffer& trace, std::ostream& out);
-void WriteBinaryFile(const TraceBuffer& trace, const std::string& path);
-
-// Throws std::runtime_error on I/O failure, bad magic, or version mismatch.
-TraceBuffer ReadBinary(std::istream& in);
-TraceBuffer ReadBinaryFile(const std::string& path);
 
 // CSV with a header row; enums are written as their textual names so the
 // files are directly consumable by pandas and friends. WriteCsv throws

@@ -8,31 +8,6 @@ namespace atlas::trace {
 
 using util::ContainsIgnoreCase;
 
-const char* ToString(OsFamily os) {
-  switch (os) {
-    case OsFamily::kWindows: return "Windows";
-    case OsFamily::kMacOs: return "macOS";
-    case OsFamily::kLinux: return "Linux";
-    case OsFamily::kAndroidOs: return "Android";
-    case OsFamily::kIosOs: return "iOS";
-    case OsFamily::kOtherOs: return "Other";
-  }
-  return "?";
-}
-
-const char* ToString(BrowserFamily browser) {
-  switch (browser) {
-    case BrowserFamily::kChrome: return "Chrome";
-    case BrowserFamily::kFirefox: return "Firefox";
-    case BrowserFamily::kSafari: return "Safari";
-    case BrowserFamily::kEdge: return "Edge";
-    case BrowserFamily::kIe: return "IE";
-    case BrowserFamily::kOpera: return "Opera";
-    case BrowserFamily::kOtherBrowser: return "Other";
-  }
-  return "?";
-}
-
 UaInfo ParseUserAgent(std::string_view ua) {
   UaInfo info;
 

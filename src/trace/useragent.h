@@ -48,9 +48,6 @@ struct UaInfo {
   bool operator==(const UaInfo&) const = default;
 };
 
-const char* ToString(OsFamily os);
-const char* ToString(BrowserFamily browser);
-
 // Classifies a raw User-Agent header. Order of rules matters (e.g. every
 // Chrome UA also contains "Safari"); the implementation documents the
 // precedence it uses.

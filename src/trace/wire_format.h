@@ -1,5 +1,5 @@
-// On-the-wire encoding of a single LogRecord, shared by the v1 whole-file
-// serializer (trace_io) and the v2 block stream (stream.h).
+// On-the-wire encoding of a single LogRecord, the payload unit of the v2
+// block stream (stream.h).
 //
 // Records are encoded field by field, little-endian, with no padding — 51
 // bytes each — so files are identical across compilers and platforms.

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cstdio>
-#include <fstream>
 #include <sstream>
 
 namespace atlas::util::config {
@@ -294,25 +293,10 @@ namespace {
 }
 }  // namespace
 
-bool Value::AsBool(const std::string& source) const {
-  if (kind != Kind::kBool) KindMismatch(*this, source, "bool");
-  return bool_value;
-}
-
-std::int64_t Value::AsInt(const std::string& source) const {
-  if (kind != Kind::kInt) KindMismatch(*this, source, "integer");
-  return int_value;
-}
-
 double Value::AsFloat(const std::string& source) const {
   if (kind == Kind::kInt) return static_cast<double>(int_value);
   if (kind != Kind::kFloat) KindMismatch(*this, source, "float");
   return float_value;
-}
-
-const std::string& Value::AsString(const std::string& source) const {
-  if (kind != Kind::kString) KindMismatch(*this, source, "string");
-  return string_value;
 }
 
 const Value* Value::Find(const std::string& key) const {
@@ -375,16 +359,6 @@ Value ParseToml(std::string_view text, const std::string& source) {
     offset = nl + 1;
   }
   return root;
-}
-
-Value ParseTomlFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw ConfigError(path + ": cannot open file");
-  }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return ParseToml(buf.str(), path);
 }
 
 TableView::TableView(const Value& table, std::string path, std::string source)

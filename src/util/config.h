@@ -53,12 +53,9 @@ class Value {
   std::vector<Value> array;
   std::vector<std::pair<std::string, Value>> table;
 
-  // Typed accessors; throw ConfigError naming the value's position when the
-  // kind does not match. AsFloat accepts integers (TOML writes `1` for 1.0).
-  bool AsBool(const std::string& source) const;
-  std::int64_t AsInt(const std::string& source) const;
+  // Typed accessor; throws ConfigError naming the value's position when the
+  // kind does not match. Accepts integers (TOML writes `1` for 1.0).
   double AsFloat(const std::string& source) const;
-  const std::string& AsString(const std::string& source) const;
 
   // Table lookup; nullptr when absent.
   const Value* Find(const std::string& key) const;
@@ -69,9 +66,6 @@ const char* ToString(Value::Kind kind);
 // Parses TOML text into a root table Value. `source` names the input in
 // errors (a file path, or "<inline>").
 Value ParseToml(std::string_view text, const std::string& source);
-
-// Reads and parses a TOML file; file-open failures are ConfigErrors too.
-Value ParseTomlFile(const std::string& path);
 
 // Schema-walking view over a parsed table: every getter marks its key
 // consumed, and RejectUnknownKeys() fails on the first key nothing read.

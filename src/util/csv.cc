@@ -52,7 +52,6 @@ CsvWriter& CsvWriter::Field(double value, int decimals) {
 void CsvWriter::EndRow() {
   out_ << '\n';
   row_started_ = false;
-  ++rows_written_;
 }
 
 void CsvWriter::Row(const std::vector<std::string>& fields) {

@@ -34,13 +34,11 @@ class CsvWriter {
   // Convenience: writes an entire row of string fields.
   void Row(const std::vector<std::string>& fields);
 
-  std::size_t rows_written() const { return rows_written_; }
 
  private:
   std::ostream& out_;
   char delim_;
   bool row_started_ = false;
-  std::size_t rows_written_ = 0;
 };
 
 // Parses one CSV line into fields, honoring quotes. Throws on unterminated

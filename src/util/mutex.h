@@ -51,7 +51,6 @@ class ATLAS_SCOPED_CAPABILITY MutexLock {
 class CondVar {
  public:
   void Wait(Mutex& mu) ATLAS_REQUIRES(mu) { cv_.wait(mu); }
-  void NotifyOne() { cv_.notify_one(); }
   void NotifyAll() { cv_.notify_all(); }
 
  private:

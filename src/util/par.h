@@ -126,7 +126,6 @@ class ShardedRng {
 
   std::size_t shards() const { return seeds_.size(); }
   std::uint64_t seed(std::size_t shard) const { return seeds_.at(shard); }
-  Rng MakeRng(std::size_t shard) const { return Rng(seeds_.at(shard)); }
 
  private:
   std::vector<std::uint64_t> seeds_;

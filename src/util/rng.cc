@@ -41,13 +41,6 @@ std::uint64_t Rng::Next() {
   return result;
 }
 
-Rng Rng::Fork(std::uint64_t tag) {
-  // Mix the tag with fresh output so forks with equal tags taken at different
-  // points in the parent stream still diverge.
-  SplitMix64 sm(Next() ^ (tag * 0xd1342543de82ef95ULL + 0x2545f4914f6cdd1dULL));
-  return Rng(sm.Next());
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> uniform double in [0, 1).
   return static_cast<double>(Next() >> 11) * 0x1.0p-53;
@@ -70,14 +63,6 @@ std::uint64_t Rng::NextBounded(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::NextInt(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("NextInt: lo > hi");
-  const std::uint64_t span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<std::int64_t>(Next());  // full 64-bit range
-  return lo + static_cast<std::int64_t>(NextBounded(span));
-}
-
 double Rng::NextRange(double lo, double hi) {
   return lo + (hi - lo) * NextDouble();
 }
@@ -86,14 +71,6 @@ bool Rng::NextBool(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-double Rng::NextExponential(double lambda) {
-  if (lambda <= 0.0) {
-    throw std::invalid_argument("NextExponential: lambda must be > 0");
-  }
-  // 1 - U is in (0, 1], so the log is finite.
-  return -std::log1p(-NextDouble()) / lambda;
 }
 
 double Rng::NextGaussian() {
@@ -132,13 +109,6 @@ double Rng::NextPareto(double x_m, double alpha) {
   return x_m / std::pow(u, 1.0 / alpha);
 }
 
-double Rng::NextWeibull(double lambda, double k) {
-  if (lambda <= 0.0 || k <= 0.0) {
-    throw std::invalid_argument("NextWeibull: lambda and k must be > 0");
-  }
-  return lambda * std::pow(-std::log1p(-NextDouble()), 1.0 / k);
-}
-
 std::uint64_t Rng::NextGeometric(double p) {
   if (p <= 0.0 || p > 1.0) {
     throw std::invalid_argument("NextGeometric: p must be in (0, 1]");
@@ -149,26 +119,6 @@ std::uint64_t Rng::NextGeometric(double p) {
     u = NextDouble();
   } while (u == 0.0);
   return static_cast<std::uint64_t>(std::floor(std::log(u) / std::log1p(-p)));
-}
-
-std::uint64_t Rng::NextPoisson(double lambda) {
-  if (lambda < 0.0) {
-    throw std::invalid_argument("NextPoisson: lambda must be >= 0");
-  }
-  if (lambda == 0.0) return 0;
-  if (lambda < 64.0) {
-    const double l = std::exp(-lambda);
-    std::uint64_t k = 0;
-    double p = 1.0;
-    do {
-      ++k;
-      p *= NextDouble();
-    } while (p > l);
-    return k - 1;
-  }
-  // Normal approximation, adequate for workload rates.
-  const double x = NextGaussian(lambda, std::sqrt(lambda));
-  return x <= 0.0 ? 0 : static_cast<std::uint64_t>(x + 0.5);
 }
 
 std::size_t Rng::NextWeighted(const std::vector<double>& weights) {

@@ -41,11 +41,6 @@ class Rng {
   result_type operator()() { return Next(); }
   std::uint64_t Next();
 
-  // Derives an independently-seeded child generator. Children created with
-  // distinct tags (or successive calls) have uncorrelated streams, which lets
-  // each simulated site/user/module own its own stream without global locks.
-  Rng Fork(std::uint64_t tag);
-
   // Uniform real in [0, 1).
   double NextDouble();
 
@@ -53,17 +48,11 @@ class Rng {
   // method (unbiased). bound must be > 0.
   std::uint64_t NextBounded(std::uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t NextInt(std::int64_t lo, std::int64_t hi);
-
   // Uniform real in [lo, hi).
   double NextRange(double lo, double hi);
 
   // Bernoulli trial with success probability p (clamped to [0, 1]).
   bool NextBool(double p);
-
-  // Exponential with rate lambda (> 0); mean 1/lambda.
-  double NextExponential(double lambda);
 
   // Standard normal via Box-Muller (cached second variate).
   double NextGaussian();
@@ -75,15 +64,8 @@ class Rng {
   // Pareto with scale x_m (> 0) and shape alpha (> 0).
   double NextPareto(double x_m, double alpha);
 
-  // Weibull with scale lambda (> 0) and shape k (> 0).
-  double NextWeibull(double lambda, double k);
-
   // Geometric: number of failures before first success, p in (0, 1].
   std::uint64_t NextGeometric(double p);
-
-  // Poisson with mean lambda (>= 0). Uses Knuth for small lambda and a
-  // normal approximation above 64 (adequate for workload synthesis).
-  std::uint64_t NextPoisson(double lambda);
 
   // Picks an index in [0, weights.size()) proportionally to weights.
   // Weights must be non-negative and sum to > 0. O(n); for hot paths use

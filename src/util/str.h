@@ -18,7 +18,6 @@ std::string_view Trim(std::string_view s);
 std::string ToLower(std::string_view s);
 
 bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
 bool ContainsIgnoreCase(std::string_view haystack, std::string_view needle);
 
 // "1.5 KB", "258.0 GB" — powers of 1024, one decimal.

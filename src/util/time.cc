@@ -1,28 +1,11 @@
 #include "util/time.h"
 
-#include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace atlas::util {
 
 const char* const kDayNames[7] = {"Sat", "Sun", "Mon", "Tue",
                                   "Wed", "Thu", "Fri"};
-
-TimeZone TimeZone::FromHours(double offset_hours) {
-  const double q = offset_hours * 4.0;
-  const double rounded = std::nearbyint(q);
-  if (std::abs(q - rounded) > 1e-9) {
-    throw std::invalid_argument(
-        "TimeZone::FromHours: offset must be a multiple of 15 minutes");
-  }
-  if (rounded < -14 * 4 || rounded > 14 * 4) {
-    throw std::invalid_argument("TimeZone::FromHours: offset out of range");
-  }
-  TimeZone tz;
-  tz.offset_quarter_hours_ = static_cast<std::int8_t>(rounded);
-  return tz;
-}
 
 namespace {
 
@@ -37,14 +20,6 @@ std::int64_t WrapToWeek(std::int64_t local_ms) {
 
 int HourOfDay(std::int64_t local_ms) {
   return static_cast<int>((WrapToWeek(local_ms) / kMillisPerHour) % 24);
-}
-
-int HourOfWeek(std::int64_t local_ms) {
-  return static_cast<int>(WrapToWeek(local_ms) / kMillisPerHour);
-}
-
-int DayOfWeek(std::int64_t local_ms) {
-  return static_cast<int>(WrapToWeek(local_ms) / kMillisPerDay);
 }
 
 std::string FormatTimestamp(std::int64_t ms) {

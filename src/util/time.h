@@ -4,7 +4,8 @@
 // timestamps are milliseconds since the (simulated) trace start, which is
 // taken to be Saturday 00:00:00 UTC — the paper's medoid plots run
 // Sat..Fri. The paper converts timestamps to the *user's local timezone*
-// before computing hourly volumes (Fig. 3); TimeZone captures that.
+// before computing hourly volumes (Fig. 3); each record carries its user's
+// UTC offset (trace::LogRecord::tz_offset_quarter_hours) for that.
 #pragma once
 
 #include <cstdint>
@@ -22,39 +23,9 @@ inline constexpr int kHoursPerWeek = 7 * 24;
 // Day index 0 == Saturday (trace starts Saturday, per the paper's figures).
 extern const char* const kDayNames[7];
 
-// A fixed UTC offset, in quarter-hours to cover :30/:45 zones compactly.
-class TimeZone {
- public:
-  constexpr TimeZone() = default;
-  static TimeZone FromHours(double offset_hours);
-  static constexpr TimeZone Utc() { return TimeZone(); }
-
-  double offset_hours() const { return offset_quarter_hours_ / 4.0; }
-  std::int64_t offset_millis() const {
-    return static_cast<std::int64_t>(offset_quarter_hours_) * 15 *
-           kMillisPerMinute;
-  }
-
-  // Converts a trace timestamp (ms since trace start, UTC) to local ms.
-  std::int64_t ToLocal(std::int64_t utc_ms) const {
-    return utc_ms + offset_millis();
-  }
-
-  bool operator==(const TimeZone&) const = default;
-
- private:
-  std::int8_t offset_quarter_hours_ = 0;
-};
-
 // Hour-of-day in [0, 24) for a local timestamp. Timestamps before trace
 // start (possible after tz shifts) are wrapped.
 int HourOfDay(std::int64_t local_ms);
-
-// Hour-of-week in [0, 168); hour 0 is Saturday 00:00 local.
-int HourOfWeek(std::int64_t local_ms);
-
-// Day-of-week index in [0, 7); 0 == Saturday.
-int DayOfWeek(std::int64_t local_ms);
 
 // Formats a trace timestamp as "Day HH:MM:SS" for reports.
 std::string FormatTimestamp(std::int64_t ms);

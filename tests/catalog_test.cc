@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <map>
 #include <set>
 
@@ -32,7 +33,10 @@ TEST(CatalogTest, UrlHashesUnique) {
 TEST(CatalogTest, ClassMixMatchesProfile) {
   const auto profile = SiteProfile::V2(0.1);  // 5560 objects
   const auto catalog = MakeCatalog(profile);
-  const auto counts = catalog.CountsByClass();
+  std::array<std::size_t, trace::kNumContentClasses> counts{};
+  catalog.ForEachObject([&](std::size_t, const ObjectMeta& obj) {
+    ++counts[static_cast<std::size_t>(obj.content_class)];
+  });
   const double n = static_cast<double>(catalog.size());
   EXPECT_NEAR(counts[0] / n, 0.15, 0.02);  // video
   EXPECT_NEAR(counts[1] / n, 0.84, 0.02);  // image
@@ -132,13 +136,6 @@ TEST(CatalogTest, SampleObjectFavorsPopularObjects) {
   int max_count = 0;
   for (const auto& [idx, c] : counts) max_count = std::max(max_count, c);
   EXPECT_GT(max_count, 30000 / static_cast<int>(catalog.size()) * 5);
-}
-
-TEST(CatalogTest, DemandMassPositiveThroughoutWeek) {
-  const auto catalog = MakeCatalog(SiteProfile::S1(0.02));
-  for (int h = 0; h < util::kHoursPerWeek; h += 6) {
-    EXPECT_GT(catalog.DemandMassAt(h * util::kMillisPerHour), 0.0);
-  }
 }
 
 TEST(CatalogTest, DeterministicUnderSeed) {

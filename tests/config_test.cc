@@ -12,6 +12,11 @@ namespace {
 
 Value Parse(const std::string& text) { return ParseToml(text, "<test>"); }
 
+// Typed reads go through TableView, the getters scenario files use.
+TableView View(const Value& table) {
+  return TableView(table, "root", "<test>");
+}
+
 std::string ErrorOf(const std::string& text) {
   try {
     ParseToml(text, "<test>");
@@ -31,26 +36,26 @@ TEST(ConfigTest, ParsesScalarsWithTypes) {
       "neg = -7\n"
       "on = true\n"
       "off = false\n");
-  EXPECT_EQ(root.Find("name")->AsString("<test>"), "abc");
-  EXPECT_EQ(root.Find("count")->AsInt("<test>"), 42);
-  EXPECT_EQ(root.Find("big")->AsInt("<test>"), 1000000);
+  EXPECT_EQ(View(root).GetString("name"), "abc");
+  EXPECT_EQ(View(root).GetInt("count"), 42);
+  EXPECT_EQ(View(root).GetInt("big"), 1000000);
   EXPECT_DOUBLE_EQ(root.Find("ratio")->AsFloat("<test>"), 0.25);
   EXPECT_DOUBLE_EQ(root.Find("sci")->AsFloat("<test>"), 1000.0);
-  EXPECT_EQ(root.Find("neg")->AsInt("<test>"), -7);
-  EXPECT_TRUE(root.Find("on")->AsBool("<test>"));
-  EXPECT_FALSE(root.Find("off")->AsBool("<test>"));
+  EXPECT_EQ(View(root).GetInt("neg"), -7);
+  EXPECT_TRUE(View(root).GetBool("on"));
+  EXPECT_FALSE(View(root).GetBool("off"));
 }
 
 TEST(ConfigTest, IntPromotesToFloatButNotBack) {
   const Value root = Parse("x = 3\n");
   EXPECT_DOUBLE_EQ(root.Find("x")->AsFloat("<test>"), 3.0);
   const Value f = Parse("y = 3.5\n");
-  EXPECT_THROW(f.Find("y")->AsInt("<test>"), ConfigError);
+  EXPECT_THROW(View(f).GetInt("y"), ConfigError);
 }
 
 TEST(ConfigTest, StringEscapes) {
   const Value root = Parse(R"(s = "a\"b\\c\nd")" "\n");
-  EXPECT_EQ(root.Find("s")->AsString("<test>"), "a\"b\\c\nd");
+  EXPECT_EQ(View(root).GetString("s"), "a\"b\\c\nd");
 }
 
 TEST(ConfigTest, ArraysAndTrailingComma) {
@@ -58,7 +63,8 @@ TEST(ConfigTest, ArraysAndTrailingComma) {
   const Value* xs = root.Find("xs");
   ASSERT_EQ(xs->kind, Value::Kind::kArray);
   ASSERT_EQ(xs->array.size(), 3u);
-  EXPECT_EQ(xs->array[2].AsInt("<test>"), 3);
+  EXPECT_EQ(xs->array[2].kind, Value::Kind::kInt);
+  EXPECT_EQ(xs->array[2].int_value, 3);
 }
 
 TEST(ConfigTest, DottedTableHeaders) {
@@ -69,8 +75,8 @@ TEST(ConfigTest, DottedTableHeaders) {
       "y = 2\n");
   const Value* a = root.Find("a");
   ASSERT_NE(a, nullptr);
-  EXPECT_EQ(a->Find("b")->Find("x")->AsInt("<test>"), 1);
-  EXPECT_EQ(a->Find("c")->Find("y")->AsInt("<test>"), 2);
+  EXPECT_EQ(View(*a->Find("b")).GetInt("x"), 1);
+  EXPECT_EQ(View(*a->Find("c")).GetInt("y"), 2);
 }
 
 TEST(ConfigTest, ArrayOfTables) {
@@ -82,7 +88,7 @@ TEST(ConfigTest, ArrayOfTables) {
   const Value* sites = root.Find("site");
   ASSERT_EQ(sites->kind, Value::Kind::kArray);
   ASSERT_EQ(sites->array.size(), 2u);
-  EXPECT_EQ(sites->array[1].Find("name")->AsString("<test>"), "two");
+  EXPECT_EQ(View(sites->array[1]).GetString("name"), "two");
 }
 
 TEST(ConfigTest, CommentsAndBlankLines) {
@@ -90,7 +96,7 @@ TEST(ConfigTest, CommentsAndBlankLines) {
       "# leading comment\n"
       "\n"
       "x = 1  # trailing comment\n");
-  EXPECT_EQ(root.Find("x")->AsInt("<test>"), 1);
+  EXPECT_EQ(View(root).GetInt("x"), 1);
 }
 
 TEST(ConfigTest, ErrorsCarrySourceLineAndColumn) {
@@ -160,7 +166,7 @@ TEST(ConfigTest, ConsumedNestedTablesPassRejectUnknownKeys) {
 TEST(ConfigTest, TomlStringEscapesRoundTrip) {
   const std::string literal = TomlString("a\"b\\c\nd");
   const Value root = Parse("s = " + literal + "\n");
-  EXPECT_EQ(root.Find("s")->AsString("<test>"), "a\"b\\c\nd");
+  EXPECT_EQ(View(root).GetString("s"), "a\"b\\c\nd");
 }
 
 TEST(ConfigTest, TomlFloatRoundTripsExactly) {

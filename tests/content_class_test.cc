@@ -26,35 +26,5 @@ TEST(ClassOfTest, PaperCategories) {
   EXPECT_EQ(ClassOf(FileType::kUnknown), ContentClass::kOther);
 }
 
-TEST(FileTypeFromExtensionTest, CaseAndDotInsensitive) {
-  EXPECT_EQ(FileTypeFromExtension("mp4"), FileType::kMp4);
-  EXPECT_EQ(FileTypeFromExtension(".MP4"), FileType::kMp4);
-  EXPECT_EQ(FileTypeFromExtension("JPEG"), FileType::kJpg);
-  EXPECT_EQ(FileTypeFromExtension("jpg"), FileType::kJpg);
-  EXPECT_EQ(FileTypeFromExtension("tif"), FileType::kTiff);
-  EXPECT_EQ(FileTypeFromExtension("htm"), FileType::kHtml);
-  EXPECT_EQ(FileTypeFromExtension("m4v"), FileType::kMp4);
-  EXPECT_EQ(FileTypeFromExtension("mpeg"), FileType::kMpg);
-}
-
-TEST(FileTypeFromExtensionTest, UnknownExtensions) {
-  EXPECT_EQ(FileTypeFromExtension("exe"), FileType::kUnknown);
-  EXPECT_EQ(FileTypeFromExtension(""), FileType::kUnknown);
-}
-
-TEST(FileTypeFromUrlTest, ParsesPaths) {
-  EXPECT_EQ(FileTypeFromUrl("/videos/clip.mp4"), FileType::kMp4);
-  EXPECT_EQ(FileTypeFromUrl("/a/b/thumb.jpg?size=small"), FileType::kJpg);
-  EXPECT_EQ(FileTypeFromUrl("https://x.com/v/1.flv#t=30"), FileType::kFlv);
-  EXPECT_EQ(FileTypeFromUrl("/gallery.with.dots/pic.png"), FileType::kPng);
-}
-
-TEST(FileTypeFromUrlTest, NoExtension) {
-  EXPECT_EQ(FileTypeFromUrl("/api/stream"), FileType::kUnknown);
-  EXPECT_EQ(FileTypeFromUrl("/dir/"), FileType::kUnknown);
-  EXPECT_EQ(FileTypeFromUrl("/file."), FileType::kUnknown);
-  EXPECT_EQ(FileTypeFromUrl(""), FileType::kUnknown);
-}
-
 }  // namespace
 }  // namespace atlas::trace

@@ -13,7 +13,6 @@ TEST(CsvWriterTest, PlainRow) {
   w.Field("a").Field("b").Field(std::uint64_t{42});
   w.EndRow();
   EXPECT_EQ(out.str(), "a,b,42\n");
-  EXPECT_EQ(w.rows_written(), 1u);
 }
 
 TEST(CsvWriterTest, QuotesSpecialCharacters) {

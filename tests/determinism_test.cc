@@ -12,7 +12,6 @@
 #include "analysis/suite.h"
 #include "scenario_fixtures.h"
 #include "synth/workload.h"
-#include "trace/trace_io.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/par.h"
@@ -33,9 +32,7 @@ std::string SimulatedTraceBytes(std::uint64_t seed) {
   config.topology.edge_capacity_bytes = 256ULL << 20;
   const auto result =
       testutil::SimulateSite(synth::SiteProfile::P1(0.01), 7, config, seed);
-  std::ostringstream out;
-  trace::WriteBinary(result.trace, out);
-  return out.str();
+  return testutil::FlatTraceBytes(result.trace);
 }
 
 TEST(DeterminismTest, GeneratorEventsIdenticalAcrossThreadCounts) {
@@ -87,7 +84,7 @@ TEST(DeterminismTest, RepeatedRunsAreByteIdentical) {
   EXPECT_NE(SimulatedTraceBytes(7), SimulatedTraceBytes(8));
 }
 
-// FNV-1a digest over the serialized P-1 trace (seed 99, scale 0.01). If this
+// FNV-1a digest over the flat P-1 trace bytes (seed 99, scale 0.01). If this
 // moves, per-shard RNG stream assignment changed — a silent break of every
 // recorded trace. Update it only for a deliberate generator change, and say
 // so in the commit message.

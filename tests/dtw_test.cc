@@ -87,41 +87,6 @@ TEST(DtwDistanceTest, EmptyThrows) {
   EXPECT_THROW(DtwDistance({1.0}, {}), std::invalid_argument);
 }
 
-TEST(DtwPathTest, StartsAndEndsAtCorners) {
-  const auto path = DtwPath({1, 2, 3}, {1, 3});
-  ASSERT_FALSE(path.empty());
-  EXPECT_EQ(path.front(), (std::pair<std::size_t, std::size_t>{0, 0}));
-  EXPECT_EQ(path.back(), (std::pair<std::size_t, std::size_t>{2, 1}));
-}
-
-TEST(DtwPathTest, MonotoneSteps) {
-  util::Rng rng(11);
-  std::vector<double> a, b;
-  for (int i = 0; i < 25; ++i) a.push_back(rng.NextDouble());
-  for (int i = 0; i < 18; ++i) b.push_back(rng.NextDouble());
-  const auto path = DtwPath(a, b);
-  for (std::size_t i = 1; i < path.size(); ++i) {
-    const auto di = path[i].first - path[i - 1].first;
-    const auto dj = path[i].second - path[i - 1].second;
-    EXPECT_LE(di, 1u);
-    EXPECT_LE(dj, 1u);
-    EXPECT_TRUE(di == 1 || dj == 1);
-  }
-}
-
-TEST(DtwPathTest, PathCostEqualsDistance) {
-  util::Rng rng(13);
-  std::vector<double> a, b;
-  for (int i = 0; i < 20; ++i) {
-    a.push_back(rng.NextDouble());
-    b.push_back(rng.NextDouble());
-  }
-  const auto path = DtwPath(a, b);
-  double cost = 0;
-  for (const auto& [i, j] : path) cost += std::abs(a[i] - b[j]);
-  EXPECT_NEAR(cost, DtwDistance(a, b), 1e-9);
-}
-
 TEST(DistanceMatrixTest, SymmetricStorage) {
   DistanceMatrix m(4);
   m.Set(1, 3, 2.5);

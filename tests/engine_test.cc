@@ -23,7 +23,6 @@
 #include "synth/site_profile.h"
 #include "trace/sink.h"
 #include "trace/stream.h"
-#include "trace/trace_io.h"
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/mem.h"
@@ -34,7 +33,7 @@ namespace {
 
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-// Pre-refactor golden digests: FNV-1a over the v1-serialized trace bytes,
+// Pre-refactor golden digests: FNV-1a over the flat trace bytes,
 // captured from the sequential simulator at the commit before the sharded
 // engine landed. If one of these moves, the engine no longer reproduces
 // the monolithic simulator byte for byte — that is a correctness bug, not
@@ -57,9 +56,7 @@ cdn::SimulatorConfig GoldenConfig() {
 }
 
 std::uint64_t Digest(const trace::TraceBuffer& buffer) {
-  std::ostringstream out;
-  trace::WriteBinary(buffer, out);
-  return util::Fnv1a64(out.str());
+  return util::Fnv1a64(testutil::FlatTraceBytes(buffer));
 }
 
 TEST(EngineGoldenTest, ScenarioMergedMatchesSequentialAtAnyThreadCount) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "analysis/composition.h"
 #include "analysis_fixtures.h"
 #include "scenario_fixtures.h"
 #include "util/time.h"
@@ -28,8 +29,6 @@ TEST(GeoTest, GroupsByTimezoneContinent) {
   EXPECT_EQ(geo.of(synth::Continent::kEurope).requests, 1u);
   EXPECT_EQ(geo.of(synth::Continent::kAsia).requests, 1u);
   EXPECT_EQ(geo.of(synth::Continent::kSouthAmerica).requests, 0u);
-  EXPECT_EQ(geo.TotalRequests(), 4u);
-  EXPECT_DOUBLE_EQ(geo.RequestShare(synth::Continent::kNorthAmerica), 0.5);
 }
 
 TEST(GeoTest, UtcHourlyAccounting) {
@@ -49,8 +48,11 @@ TEST(GeoTest, UtcHourlyAccounting) {
 
 TEST(GeoTest, EmptyTraceSafe) {
   const auto geo = ComputeGeo(trace::TraceBuffer{}, "E");
-  EXPECT_EQ(geo.TotalRequests(), 0u);
-  EXPECT_DOUBLE_EQ(geo.RequestShare(synth::Continent::kEurope), 0.0);
+  for (const auto& c : geo.continents) {
+    EXPECT_EQ(c.requests, 0u);
+    EXPECT_EQ(c.unique_users, 0u);
+  }
+  EXPECT_EQ(geo.span_ms, 0);
 }
 
 // Closed loop: the generator's continent mix is recovered from the trace.
@@ -61,14 +63,23 @@ TEST(GeoClosedLoopTest, RecoversContinentMix) {
   const auto geo = ComputeGeo(sim.trace, "V-1");
   // Profile mix {NA 0.45, EU 0.30, AS 0.15, SA 0.10}; request shares follow
   // user shares loosely (heavy-tailed activity adds variance).
-  EXPECT_GT(geo.RequestShare(synth::Continent::kNorthAmerica), 0.2);
-  EXPECT_GT(geo.RequestShare(synth::Continent::kEurope), 0.1);
-  EXPECT_GT(geo.RequestShare(synth::Continent::kAsia), 0.02);
-  EXPECT_GT(geo.RequestShare(synth::Continent::kSouthAmerica), 0.02);
-  // Every region's users are a subset of the site's users.
+  const auto records = static_cast<double>(sim.trace.size());
+  const auto share = [&](synth::Continent c) {
+    return static_cast<double>(geo.of(c).requests) / records;
+  };
+  EXPECT_GT(share(synth::Continent::kNorthAmerica), 0.2);
+  EXPECT_GT(share(synth::Continent::kEurope), 0.1);
+  EXPECT_GT(share(synth::Continent::kAsia), 0.02);
+  EXPECT_GT(share(synth::Continent::kSouthAmerica), 0.02);
+  // Every record and every user lands in exactly one region.
+  std::uint64_t requests = 0;
   std::uint64_t users = 0;
-  for (const auto& c : geo.continents) users += c.unique_users;
-  EXPECT_EQ(users, sim.trace.UniqueUsers());
+  for (const auto& c : geo.continents) {
+    requests += c.requests;
+    users += c.unique_users;
+  }
+  EXPECT_EQ(requests, sim.trace.size());
+  EXPECT_EQ(users, ComputeDatasetSummary(sim.trace, "V-1").users);
 }
 
 }  // namespace

@@ -9,45 +9,9 @@
 namespace atlas::stats {
 namespace {
 
-TEST(LinearHistogramTest, BinsAndBounds) {
-  LinearHistogram h(0.0, 10.0, 5);
-  h.Add(0.0);
-  h.Add(1.9);
-  h.Add(9.99);
-  h.Add(-1.0);
-  h.Add(10.0);  // hi is exclusive -> overflow
-  EXPECT_EQ(h.bin(0), 2u);
-  EXPECT_EQ(h.bin(4), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
-}
-
-TEST(LinearHistogramTest, WeightedAdd) {
-  LinearHistogram h(0, 10, 2);
-  h.Add(1.0, 5);
-  EXPECT_EQ(h.bin(0), 5u);
-  EXPECT_EQ(h.total(), 5u);
-}
-
-TEST(LinearHistogramTest, ModeBin) {
-  LinearHistogram h(0, 3, 3);
-  h.Add(0.5);
-  h.Add(1.5);
-  h.Add(1.6);
-  EXPECT_EQ(h.ModeBin(), 1u);
-}
-
-TEST(LinearHistogramTest, RejectsBadArgs) {
-  EXPECT_THROW(LinearHistogram(1, 1, 5), std::invalid_argument);
-  EXPECT_THROW(LinearHistogram(0, 1, 0), std::invalid_argument);
-}
-
 TEST(LogHistogramTest, DecadeBinning) {
   LogHistogram h(1.0, 1e4, 1);  // 4 bins, one per decade
-  EXPECT_EQ(h.bin_count(), 4u);
+  EXPECT_THROW(h.bin(4), std::out_of_range);
   h.Add(5);     // [1, 10)
   h.Add(50);    // [10, 100)
   h.Add(5000);  // [1000, 10000)
@@ -69,9 +33,8 @@ TEST(LogHistogramTest, UnderOverflow) {
 
 TEST(LogHistogramTest, BinEdgesAreGeometric) {
   LogHistogram h(1.0, 100.0, 1);
-  EXPECT_NEAR(h.bin_lo(0), 1.0, 1e-9);
-  EXPECT_NEAR(h.bin_hi(0), 10.0, 1e-9);
   EXPECT_NEAR(h.bin_mid(0), std::sqrt(10.0), 1e-9);
+  EXPECT_NEAR(h.bin_mid(1), std::sqrt(1000.0), 1e-9);
 }
 
 TEST(LogHistogramTest, DetectsBimodalModes) {
@@ -95,13 +58,6 @@ TEST(LogHistogramTest, UnimodalHasOneMode) {
     h.Add(rng.NextLogNormal(std::log(5e4), 0.4));
   }
   EXPECT_EQ(h.Modes(0.02).size(), 1u);
-}
-
-TEST(LogHistogramTest, RenderShowsBars) {
-  LogHistogram h(1.0, 100.0, 1);
-  h.Add(5, 10);
-  const std::string render = h.Render(20);
-  EXPECT_NE(render.find('#'), std::string::npos);
 }
 
 TEST(LogHistogramTest, RejectsBadArgs) {

@@ -7,7 +7,7 @@
 
 #include "analysis/suite.h"
 #include "scenario_fixtures.h"
-#include "trace/trace_io.h"
+#include "trace/stream.h"
 #include "util/logging.h"
 
 namespace atlas {
@@ -171,8 +171,9 @@ TEST_F(PaperStudyTest, ReportRenders) {
 TEST_F(PaperStudyTest, TraceSerializationRoundTrip) {
   const auto& merged = study_->trace;
   std::stringstream stream;
-  trace::WriteBinary(merged, stream);
-  const auto loaded = trace::ReadBinary(stream);
+  trace::WriteV2(merged, stream);
+  trace::TraceReader reader(stream);
+  const auto loaded = trace::ReadAllRecords(reader);
   ASSERT_EQ(loaded.size(), merged.size());
   for (std::size_t i = 0; i < merged.size(); i += 1009) {
     EXPECT_EQ(loaded[i], merged[i]);

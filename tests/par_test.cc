@@ -181,9 +181,6 @@ TEST(ShardedRngTest, DeterministicPerShard) {
   ASSERT_EQ(a.shards(), 16u);
   for (std::size_t s = 0; s < a.shards(); ++s) {
     EXPECT_EQ(a.seed(s), b.seed(s));
-    Rng ra = a.MakeRng(s);
-    Rng rb = b.MakeRng(s);
-    for (int i = 0; i < 8; ++i) EXPECT_EQ(ra.Next(), rb.Next());
   }
 }
 

@@ -11,15 +11,6 @@ namespace {
 using testing::MakeRecord;
 using testing::RecordSpec;
 
-TEST(RequestCountsByObjectTest, Counts) {
-  trace::TraceBuffer buf;
-  for (int i = 0; i < 5; ++i) buf.Add(MakeRecord({.t = i, .url = 1}));
-  buf.Add(MakeRecord({.t = 10, .url = 2}));
-  const auto counts = RequestCountsByObject(buf);
-  EXPECT_EQ(counts.at(1), 5u);
-  EXPECT_EQ(counts.at(2), 1u);
-}
-
 TEST(PopularityTest, SplitsByClass) {
   trace::TraceBuffer buf;
   for (int i = 0; i < 7; ++i) {
@@ -41,7 +32,8 @@ TEST(PopularityTest, SingletonFraction) {
   buf.Add(MakeRecord({.t = 1, .url = 2}));
   buf.Add(MakeRecord({.t = 2, .url = 2}));
   const auto result = ComputePopularity(buf, "X");
-  EXPECT_DOUBLE_EQ(result.SingletonFraction(), 0.5);
+  // Half the objects were requested exactly once.
+  EXPECT_DOUBLE_EQ(result.all_counts.Evaluate(1.0), 0.5);
 }
 
 TEST(PopularityTest, SkewMetricsOnUniformDemand) {

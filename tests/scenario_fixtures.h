@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "synth/site_profile.h"
 #include "trace/sink.h"
 #include "trace/trace_buffer.h"
+#include "trace/wire_format.h"
 
 namespace atlas::testutil {
 
@@ -60,6 +62,23 @@ inline BufferedSite SimulateSite(const synth::SiteProfile& profile,
   static_cast<cdn::SimulatorResult&>(out) =
       cdn::SimulateSite(profile, publisher_id, config, seed, sink);
   return out;
+}
+
+// A trace as one flat byte image: "ATLS", u32 1, u64 record count, then
+// every record's wire encoding back to back. The engine and determinism
+// golden digests are FNV-1a over exactly these bytes.
+inline std::string FlatTraceBytes(const trace::TraceBuffer& trace) {
+  std::string bytes = "ATLS";
+  bytes.resize(16 + trace.size() * trace::wire::kRecordWireSize);
+  auto* out = reinterpret_cast<unsigned char*>(bytes.data());
+  trace::wire::StoreLe(out + 4, std::uint32_t{1});
+  trace::wire::StoreLe(out + 8, static_cast<std::uint64_t>(trace.size()));
+  out += 16;
+  for (const auto& r : trace.records()) {
+    trace::wire::EncodeRecord(r, out);
+    out += trace::wire::kRecordWireSize;
+  }
+  return bytes;
 }
 
 }  // namespace atlas::testutil

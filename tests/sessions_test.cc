@@ -15,6 +15,8 @@ using testing::MakeRecord;
 using testing::RecordSpec;
 using util::kMillisPerMinute;
 
+// Sessionization runs through ComputeSessions' SessionAccumulator; the
+// result carries per-session lengths (seconds) and request counts.
 TEST(SessionizeTest, TimeoutSplitsSessions) {
   trace::TraceBuffer buf;
   // User 1: requests at 0, 1min, 2min (one session), then 30min (second).
@@ -22,61 +24,44 @@ TEST(SessionizeTest, TimeoutSplitsSessions) {
   buf.Add(MakeRecord({.t = kMillisPerMinute, .user = 1}));
   buf.Add(MakeRecord({.t = 2 * kMillisPerMinute, .user = 1}));
   buf.Add(MakeRecord({.t = 30 * kMillisPerMinute, .user = 1}));
-  const auto sessions = Sessionize(buf);
-  ASSERT_EQ(sessions.size(), 2u);
-  EXPECT_EQ(sessions[0].requests, 3u);
-  EXPECT_EQ(sessions[0].LengthMs(), 2 * kMillisPerMinute);
-  EXPECT_EQ(sessions[1].requests, 1u);
-  EXPECT_EQ(sessions[1].LengthMs(), 0);
+  const auto result = ComputeSessions(buf, "X");
+  ASSERT_EQ(result.session_count, 2u);
+  EXPECT_EQ(result.requests_per_session.sorted_samples(),
+            (std::vector<double>{1.0, 3.0}));
+  EXPECT_EQ(result.session_length_seconds.sorted_samples(),
+            (std::vector<double>{0.0, 120.0}));
 }
 
 TEST(SessionizeTest, BoundaryGapExactlyTimeoutStays) {
   trace::TraceBuffer buf;
   buf.Add(MakeRecord({.t = 0, .user = 1}));
   buf.Add(MakeRecord({.t = kSessionTimeoutMs, .user = 1}));
-  EXPECT_EQ(Sessionize(buf).size(), 1u);
+  EXPECT_EQ(ComputeSessions(buf, "X").session_count, 1u);
   trace::TraceBuffer buf2;
   buf2.Add(MakeRecord({.t = 0, .user = 1}));
   buf2.Add(MakeRecord({.t = kSessionTimeoutMs + 1, .user = 1}));
-  EXPECT_EQ(Sessionize(buf2).size(), 2u);
+  EXPECT_EQ(ComputeSessions(buf2, "X").session_count, 2u);
 }
 
 TEST(SessionizeTest, UsersIndependent) {
   trace::TraceBuffer buf;
   buf.Add(MakeRecord({.t = 0, .user = 1}));
   buf.Add(MakeRecord({.t = 1000, .user = 2}));
-  const auto sessions = Sessionize(buf);
-  EXPECT_EQ(sessions.size(), 2u);
+  EXPECT_EQ(ComputeSessions(buf, "X").session_count, 2u);
 }
 
 TEST(SessionizeTest, UnsortedInputHandled) {
   trace::TraceBuffer buf;
   buf.Add(MakeRecord({.t = 2 * kMillisPerMinute, .user = 1}));
   buf.Add(MakeRecord({.t = 0, .user = 1}));
-  const auto sessions = Sessionize(buf);
-  ASSERT_EQ(sessions.size(), 1u);
-  EXPECT_EQ(sessions[0].LengthMs(), 2 * kMillisPerMinute);
-}
-
-TEST(SessionizeTest, OutputOrderIsUserSortedNotHashOrdered) {
-  // The returned vector's order must be a function of the input, not of
-  // hash-table layout: ascending user id, chronological within a user.
-  trace::TraceBuffer buf;
-  for (const std::uint64_t user : {9u, 3u, 7u, 1u, 5u}) {
-    buf.Add(MakeRecord({.t = 0, .user = user}));
-    buf.Add(MakeRecord({.t = 40 * kMillisPerMinute, .user = user}));
-  }
-  const auto sessions = Sessionize(buf);
-  ASSERT_EQ(sessions.size(), 10u);
-  for (std::size_t i = 0; i < sessions.size(); ++i) {
-    EXPECT_EQ(sessions[i].user_id, 2 * (i / 2) + 1) << "index " << i;
-    EXPECT_EQ(sessions[i].start_ms,
-              i % 2 == 0 ? 0 : 40 * kMillisPerMinute);
-  }
+  const auto result = ComputeSessions(buf, "X");
+  ASSERT_EQ(result.session_count, 1u);
+  EXPECT_DOUBLE_EQ(result.session_length_seconds.Max(), 120.0);
 }
 
 TEST(SessionizeTest, BadTimeoutThrows) {
-  EXPECT_THROW(Sessionize(trace::TraceBuffer{}, 0), std::invalid_argument);
+  EXPECT_THROW(ComputeSessions(trace::TraceBuffer{}, "X", 0),
+               std::invalid_argument);
 }
 
 TEST(ComputeSessionsTest, IatIncludesInterSessionGaps) {
@@ -96,7 +81,8 @@ TEST(ComputeSessionsTest, RequestsPerSessionDistribution) {
   buf.Add(MakeRecord({.t = 0, .user = 2}));
   const auto result = ComputeSessions(buf, "X");
   EXPECT_EQ(result.session_count, 2u);
-  EXPECT_DOUBLE_EQ(result.requests_per_session.Mean(), 1.5);
+  // Sessions of 2 and 1 requests.
+  EXPECT_DOUBLE_EQ(result.requests_per_session.Median(), 1.5);
 }
 
 // Closed loop (Figs. 11-12): video sites have much shorter IATs than image

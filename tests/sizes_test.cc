@@ -67,7 +67,10 @@ TEST(ImageBimodalityTest, DetectsTwoPopulations) {
 }
 
 TEST(ImageBimodalityTest, TooFewSamplesIsFalse) {
-  stats::Ecdf e({1e3, 1e6});
+  stats::Ecdf e;
+  e.Add(1e3);
+  e.Add(1e6);
+  e.Finalize();
   EXPECT_FALSE(ImageSizesAreBimodal(e));
 }
 

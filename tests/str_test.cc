@@ -40,8 +40,6 @@ TEST(ToLowerTest, MixedCase) {
 TEST(StartsEndsWithTest, Basics) {
   EXPECT_TRUE(StartsWith("--flag", "--"));
   EXPECT_FALSE(StartsWith("-", "--"));
-  EXPECT_TRUE(EndsWith("clip.mp4", ".mp4"));
-  EXPECT_FALSE(EndsWith("mp4", ".mp4"));
 }
 
 TEST(ContainsIgnoreCaseTest, Matches) {

@@ -8,7 +8,6 @@
 
 #include "analysis/suite.h"
 #include "scenario_fixtures.h"
-#include "trace/trace_io.h"
 #include "trace/useragent.h"
 #include "util/hash.h"
 #include "util/mem.h"
@@ -35,8 +34,8 @@ TraceBuffer MakeSampleTrace(std::size_t n, std::uint64_t seed = 17) {
     r.file_type = static_cast<FileType>(rng.NextBounded(kNumFileTypes));
     r.cache_status =
         rng.NextBool(0.8) ? CacheStatus::kHit : CacheStatus::kMiss;
-    r.tz_offset_quarter_hours =
-        static_cast<std::int8_t>(rng.NextInt(-32, 36));
+    r.tz_offset_quarter_hours = static_cast<std::int8_t>(
+        static_cast<std::int64_t>(rng.NextBounded(69)) - 32);
     buf.Add(r);
   }
   return buf;
@@ -51,10 +50,9 @@ std::string SerializeV2(const TraceBuffer& buf,
 
 // Reads through TraceReader::NextBlock, the one decoder every reader uses:
 // corrupt input must fail loudly there — never a short silent read.
-TraceBuffer Drain(const std::string& data,
-                  std::size_t v1_block_records = kDefaultBlockRecords) {
+TraceBuffer Drain(const std::string& data) {
   std::stringstream in(data);
-  TraceReader reader(in, v1_block_records);
+  TraceReader reader(in);
   return ReadAllRecords(reader);
 }
 
@@ -114,7 +112,7 @@ TEST(StreamRoundTripTest, BlockBoundaries) {
   for (const std::size_t n : {1UL, 8UL, 24UL, 25UL, 31UL}) {
     const TraceBuffer original = MakeSampleTrace(n, n);
     const TraceBuffer loaded =
-        Drain(SerializeV2(original, /*block_records=*/8), 8);
+        Drain(SerializeV2(original, /*block_records=*/8));
     ASSERT_EQ(loaded.size(), n);
     EXPECT_EQ(loaded[n - 1], original[n - 1]);
   }
@@ -128,11 +126,12 @@ TEST(StreamRoundTripTest, WriterCountsRecords) {
   writer.Finish();
   writer.Finish();  // idempotent
   EXPECT_EQ(writer.written(), 10u);
+  // A seekable sink gets the count patched into the header.
   std::stringstream in(out.str());
-  TraceReader reader(in);
-  EXPECT_EQ(reader.version(), kBlockFormatVersion);
-  ASSERT_TRUE(reader.declared_count().has_value());
-  EXPECT_EQ(*reader.declared_count(), 10u);
+  const ScanResult scan = ScanV2Blocks(in);
+  EXPECT_TRUE(scan.error.empty()) << scan.error;
+  ASSERT_TRUE(scan.header_count.has_value());
+  EXPECT_EQ(*scan.header_count, 10u);
 }
 
 TEST(StreamRoundTripTest, UnknownCountSentinelReadsViaTrailer) {
@@ -141,52 +140,14 @@ TEST(StreamRoundTripTest, UnknownCountSentinelReadsViaTrailer) {
   const TraceBuffer original = MakeSampleTrace(50);
   std::string data = SerializeV2(original);
   PatchU64(data, kCountOffset, kUnknownCount);
+  std::stringstream scan_in(data);
+  EXPECT_FALSE(ScanV2Blocks(scan_in).header_count.has_value());
   std::stringstream in(data);
   TraceReader reader(in);
-  EXPECT_FALSE(reader.declared_count().has_value());
   TraceBuffer loaded = ReadAllRecords(reader);
   ASSERT_EQ(loaded.size(), 50u);
   EXPECT_EQ(loaded[49], original[49]);
 }
-
-TEST(StreamRoundTripTest, TraceReaderReadsV1Streams) {
-  const TraceBuffer original = MakeSampleTrace(100);
-  std::stringstream v1;
-  WriteBinary(original, v1);
-  std::stringstream in(v1.str());
-  TraceReader reader(in, /*v1_block_records=*/16);
-  EXPECT_EQ(reader.version(), 1u);
-  ASSERT_TRUE(reader.declared_count().has_value());
-  EXPECT_EQ(*reader.declared_count(), 100u);
-  const TraceBuffer loaded = ReadAllRecords(reader);
-  ASSERT_EQ(loaded.size(), 100u);
-  for (std::size_t i = 0; i < 100; ++i) {
-    EXPECT_EQ(loaded[i], original[i]) << "record " << i;
-  }
-}
-
-TEST(StreamRoundTripTest, ReadAnyBinaryFileHandlesBothFormats) {
-  const TraceBuffer original = MakeSampleTrace(64);
-  const std::string v1_path = ::testing::TempDir() + "/atlas_stream_v1.bin";
-  const std::string v2_path = ::testing::TempDir() + "/atlas_stream_v2.bin";
-  WriteBinaryFile(original, v1_path);
-  WriteV2File(original, v2_path, /*block_records=*/16);
-  const TraceBuffer from_v1 = ReadAnyBinaryFile(v1_path);
-  const TraceBuffer from_v2 = ReadAnyBinaryFile(v2_path);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-  ASSERT_EQ(from_v1.size(), original.size());
-  ASSERT_EQ(from_v2.size(), original.size());
-  for (std::size_t i = 0; i < original.size(); ++i) {
-    EXPECT_EQ(from_v1[i], original[i]);
-    EXPECT_EQ(from_v2[i], original[i]);
-  }
-}
-
-// --- Corruption corpus --------------------------------------------------------
-// Every mutation must surface as std::runtime_error — never a short read,
-// never garbage records, never an allocation driven by attacker-controlled
-// lengths.
 
 TEST(StreamCorruptionTest, BadMagicRejected) {
   std::string data = SerializeV2(MakeSampleTrace(10));
@@ -198,6 +159,16 @@ TEST(StreamCorruptionTest, UnsupportedVersionRejected) {
   std::string data = SerializeV2(MakeSampleTrace(10));
   PatchU32(data, 4, 99);
   EXPECT_THROW(Drain(data), std::runtime_error);
+  // The retired flat format is refused at open, by its version number.
+  PatchU32(data, 4, 1);
+  try {
+    Drain(data);
+    ADD_FAILURE() << "a version 1 header was accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported version 1"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(StreamCorruptionTest, PayloadBitFlipFailsCrc) {
@@ -397,23 +368,17 @@ void WriteBigSyntheticTrace(const std::string& path, std::uint32_t pub) {
   writer.Finish();
 }
 
-// Streams a big trace file in `format` ("v1" or "v2") through the full
-// AnalysisSuite and asserts peak RSS growth stays under the budget.
-void ExpectSuiteStreamsUnderBudget(const std::string& format) {
+TEST(StreamMemoryTest, BatchSuiteStreamsLargeTraceUnderBlockBudget) {
+  // The SoA path holds one decoded RecordBlock at a time; it must not
+  // re-buffer the trace (e.g. by accumulating blocks in the demultiplexer).
   if (UnderSanitizer()) {
     GTEST_SKIP() << "RSS not meaningful under sanitizer instrumentation";
   }
   PublisherRegistry registry;
   const std::uint32_t pub = registry.Register("T-1", SiteKind::kAdultVideo);
 
-  const std::string path =
-      ::testing::TempDir() + "/atlas_big_stream." + format;
+  const std::string path = ::testing::TempDir() + "/atlas_big_stream.v2";
   WriteBigSyntheticTrace(path, pub);
-  if (format == "v1") {
-    // The v1 writer needs the record count up front, so the trace is
-    // rewritten whole — before the watermark below is reset.
-    WriteBinaryFile(ReadAnyBinaryFile(path), path);
-  }
 
   if (!util::ResetPeakRss()) {
     std::remove(path.c_str());
@@ -425,7 +390,6 @@ void ExpectSuiteStreamsUnderBudget(const std::string& format) {
     suite_config.run_trend_clusters = false;
     suite_config.threads = 1;
     TraceFileReader source(path);
-    ASSERT_EQ(source.version(), format == "v1" ? 1u : kBlockFormatVersion);
     analysis::AnalysisSuite suite(source, registry, suite_config);
     ASSERT_EQ(suite.sites().size(), 1u);
     EXPECT_EQ(suite.sites()[0].summary.records, kBigTraceRecords);
@@ -435,21 +399,8 @@ void ExpectSuiteStreamsUnderBudget(const std::string& format) {
 
   ASSERT_GE(peak, baseline);
   EXPECT_LT(peak - baseline, kStreamBudgetBytes)
-      << "streaming suite (" << format
-      << " input) exceeded its memory budget (grew "
+      << "streaming suite exceeded its memory budget (grew "
       << (peak - baseline) / (1 << 20) << " MB)";
-}
-
-TEST(StreamMemoryTest, SuiteStreamsLargeTraceUnderBlockBudget) {
-  // A v1 file has no block framing; the reader cuts it into blocks of
-  // v1_block_records rows, so it must stream in the same budget.
-  ExpectSuiteStreamsUnderBudget("v1");
-}
-
-TEST(StreamMemoryTest, BatchSuiteStreamsLargeTraceUnderBlockBudget) {
-  // The SoA path holds one decoded RecordBlock at a time; it must not
-  // re-buffer the trace (e.g. by accumulating blocks in the demultiplexer).
-  ExpectSuiteStreamsUnderBudget("v2");
 }
 
 // A sink that accepts `capacity` bytes, then fails every write — the

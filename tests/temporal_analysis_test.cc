@@ -70,17 +70,6 @@ TEST(HourlyVolumeTest, WeekSeriesAccumulates) {
             static_cast<std::size_t>(util::kHoursPerWeek));
 }
 
-TEST(PeakHourDistanceTest, WrapsAroundMidnight) {
-  HourlyVolume a, b;
-  a.percent_by_hour[23] = 100.0;
-  b.percent_by_hour[1] = 100.0;
-  EXPECT_EQ(PeakHourDistance(a, b), 2);
-  HourlyVolume c, d;
-  c.percent_by_hour[2] = 100.0;
-  d.percent_by_hour[14] = 100.0;
-  EXPECT_EQ(PeakHourDistance(c, d), 12);
-}
-
 // Closed loop (Fig. 3): V-1's peak lands in the late-night/early-morning
 // band while the non-adult control peaks in the evening; the phase gap is
 // large.

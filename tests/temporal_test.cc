@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 
 namespace atlas::synth {
@@ -46,9 +47,14 @@ TEST(WeekHourDistributionTest, SamplesConcentrateAtPeak) {
 TEST(WeekHourDistributionTest, WeightsCoverAllHours) {
   const SiteProfile p = SiteProfile::P1(0.01);
   WeekHourDistribution dist(p);
-  for (int h = 0; h < util::kHoursPerWeek; ++h) {
-    EXPECT_GT(dist.WeightOfHour(h), 0.0);
+  // Every hour of the week has positive weight, so every hour is drawn.
+  util::Rng rng(5);
+  std::array<int, util::kHoursPerWeek> draws{};
+  for (int i = 0; i < 1000 * util::kHoursPerWeek; ++i) {
+    ++draws[static_cast<std::size_t>(dist.SampleLocalMs(rng) /
+                                     util::kMillisPerHour)];
   }
+  for (const int n : draws) EXPECT_GT(n, 0);
 }
 
 TEST(PatternParamsTest, SampleRespectsTypeRanges) {

@@ -5,38 +5,6 @@
 namespace atlas::util {
 namespace {
 
-TEST(TimeZoneTest, UtcIsZero) {
-  EXPECT_EQ(TimeZone::Utc().offset_hours(), 0.0);
-  EXPECT_EQ(TimeZone::Utc().offset_millis(), 0);
-}
-
-TEST(TimeZoneTest, WholeHourOffsets) {
-  const TimeZone tz = TimeZone::FromHours(-8.0);
-  EXPECT_DOUBLE_EQ(tz.offset_hours(), -8.0);
-  EXPECT_EQ(tz.offset_millis(), -8 * kMillisPerHour);
-}
-
-TEST(TimeZoneTest, HalfHourOffset) {
-  const TimeZone tz = TimeZone::FromHours(5.5);  // India
-  EXPECT_DOUBLE_EQ(tz.offset_hours(), 5.5);
-}
-
-TEST(TimeZoneTest, QuarterHourOffset) {
-  const TimeZone tz = TimeZone::FromHours(5.75);  // Nepal
-  EXPECT_DOUBLE_EQ(tz.offset_hours(), 5.75);
-}
-
-TEST(TimeZoneTest, RejectsNonQuarterOffsets) {
-  EXPECT_THROW(TimeZone::FromHours(1.1), std::invalid_argument);
-  EXPECT_THROW(TimeZone::FromHours(15.0), std::invalid_argument);
-  EXPECT_THROW(TimeZone::FromHours(-15.0), std::invalid_argument);
-}
-
-TEST(TimeZoneTest, ToLocalShifts) {
-  const TimeZone tz = TimeZone::FromHours(2.0);
-  EXPECT_EQ(tz.ToLocal(0), 2 * kMillisPerHour);
-}
-
 TEST(HourOfDayTest, StartOfTrace) { EXPECT_EQ(HourOfDay(0), 0); }
 
 TEST(HourOfDayTest, MidDay) {
@@ -50,19 +18,6 @@ TEST(HourOfDayTest, NextDayWraps) {
 TEST(HourOfDayTest, NegativeWrapsIntoWeek) {
   // One hour before trace start = Friday 23:00 of the wrapped week.
   EXPECT_EQ(HourOfDay(-kMillisPerHour), 23);
-}
-
-TEST(HourOfWeekTest, Boundaries) {
-  EXPECT_EQ(HourOfWeek(0), 0);
-  EXPECT_EQ(HourOfWeek(kMillisPerWeek - 1), 167);
-  EXPECT_EQ(HourOfWeek(kMillisPerWeek), 0);
-}
-
-TEST(DayOfWeekTest, SaturdayIsDayZero) {
-  EXPECT_EQ(DayOfWeek(0), 0);
-  EXPECT_EQ(DayOfWeek(kMillisPerDay), 1);        // Sunday
-  EXPECT_EQ(DayOfWeek(6 * kMillisPerDay), 6);    // Friday
-  EXPECT_EQ(DayOfWeek(7 * kMillisPerDay), 0);    // wraps to Saturday
 }
 
 TEST(FormatTimestampTest, Formats) {

@@ -31,13 +31,6 @@ TEST(TimeSeriesTest, RejectsBadBucketWidth) {
   EXPECT_THROW(TimeSeries(-10, 5), std::invalid_argument);
 }
 
-TEST(TimeSeriesTest, MaxMeanArgMax) {
-  TimeSeries ts(1, {1.0, 5.0, 3.0});
-  EXPECT_DOUBLE_EQ(ts.Max(), 5.0);
-  EXPECT_DOUBLE_EQ(ts.Mean(), 3.0);
-  EXPECT_EQ(ts.ArgMax(), 1u);
-}
-
 TEST(TimeSeriesTest, SumNormalized) {
   TimeSeries ts(1, {2.0, 2.0, 4.0});
   const auto norm = ts.SumNormalized();
@@ -46,16 +39,6 @@ TEST(TimeSeriesTest, SumNormalized) {
   // Zero series stays zero (no NaN).
   TimeSeries zero(1, 3);
   EXPECT_DOUBLE_EQ(zero.SumNormalized().Total(), 0.0);
-}
-
-TEST(TimeSeriesTest, ZNormalized) {
-  TimeSeries ts(1, {1.0, 2.0, 3.0});
-  const auto z = ts.ZNormalized();
-  EXPECT_NEAR(z[0] + z[1] + z[2], 0.0, 1e-12);
-  EXPECT_NEAR(z[2], -z[0], 1e-12);
-  // Constant series -> all zero.
-  TimeSeries flat(1, {4.0, 4.0});
-  EXPECT_DOUBLE_EQ(flat.ZNormalized()[0], 0.0);
 }
 
 TEST(TimeSeriesTest, SmoothedPreservesMeanOfFlat) {
@@ -77,46 +60,6 @@ TEST(TimeSeriesTest, SmoothWindowOneIsIdentity) {
   const auto sm = ts.Smoothed(1);
   EXPECT_DOUBLE_EQ(sm[0], 1.0);
   EXPECT_DOUBLE_EQ(sm[1], 2.0);
-}
-
-TEST(TimeSeriesTest, AutocorrelationOfPeriodicSignal) {
-  // Period 24 cosine over one week of hours.
-  TimeSeries ts(1, 168);
-  for (std::size_t i = 0; i < 168; ++i) {
-    ts[i] = std::cos(2.0 * M_PI * static_cast<double>(i) / 24.0);
-  }
-  EXPECT_GT(ts.Autocorrelation(24), 0.8);
-  EXPECT_LT(ts.Autocorrelation(12), -0.8);
-}
-
-TEST(TimeSeriesTest, AutocorrelationEdgeCases) {
-  TimeSeries ts(1, {1.0, 2.0});
-  EXPECT_DOUBLE_EQ(ts.Autocorrelation(5), 0.0);
-  TimeSeries flat(1, {3.0, 3.0, 3.0});
-  EXPECT_DOUBLE_EQ(flat.Autocorrelation(1), 0.0);
-}
-
-TEST(TimeSeriesTest, MassIn) {
-  TimeSeries ts(1, {1.0, 1.0, 2.0, 0.0});
-  EXPECT_DOUBLE_EQ(ts.MassIn(0, 2), 0.5);
-  EXPECT_DOUBLE_EQ(ts.MassIn(2, 10), 0.5);
-  EXPECT_DOUBLE_EQ(ts.MassIn(3, 4), 0.0);
-}
-
-TEST(TimeSeriesTest, PointwiseMeanAndStddev) {
-  std::vector<TimeSeries> group = {TimeSeries(1, {1.0, 4.0}),
-                                   TimeSeries(1, {3.0, 4.0})};
-  const auto mean = TimeSeries::PointwiseMean(group);
-  EXPECT_DOUBLE_EQ(mean[0], 2.0);
-  EXPECT_DOUBLE_EQ(mean[1], 4.0);
-  const auto sd = TimeSeries::PointwiseStddev(group);
-  EXPECT_DOUBLE_EQ(sd[0], 1.0);
-  EXPECT_DOUBLE_EQ(sd[1], 0.0);
-}
-
-TEST(TimeSeriesTest, PointwiseMismatchThrows) {
-  std::vector<TimeSeries> group = {TimeSeries(1, 2), TimeSeries(1, 3)};
-  EXPECT_THROW(TimeSeries::PointwiseMean(group), std::invalid_argument);
 }
 
 }  // namespace

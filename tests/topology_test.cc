@@ -3,97 +3,113 @@
 #include <gtest/gtest.h>
 
 #include <map>
-#include <set>
+
+#include "cdn/scenario.h"
+#include "synth/site_profile.h"
+#include "trace/sink.h"
 
 namespace atlas::cdn {
 namespace {
 
 TEST(TopologyTest, OneDcPerContinentByDefault) {
-  Topology topo(TopologyConfig{});
-  EXPECT_EQ(topo.dc_count(), 4u);
+  EXPECT_EQ(DcCount(TopologyConfig{}), 4u);
 }
 
 TEST(TopologyTest, MultipleDcsPerContinent) {
   TopologyConfig config;
   config.dcs_per_continent = 3;
-  Topology topo(config);
-  EXPECT_EQ(topo.dc_count(), 12u);
+  EXPECT_EQ(DcCount(config), 12u);
 }
 
 TEST(TopologyTest, RoutesToOwnContinent) {
-  Topology topo(TopologyConfig{});
+  TopologyConfig config;
+  config.dcs_per_continent = 3;
   for (int c = 0; c < synth::kNumContinents; ++c) {
     const auto continent = static_cast<synth::Continent>(c);
-    const auto& dc = topo.Route(continent, 12345);
-    EXPECT_EQ(dc.continent, continent);
+    // DC order is continent-major.
+    EXPECT_EQ(RouteIndex(config, continent, 12345) / 3,
+              static_cast<std::size_t>(c));
   }
 }
 
 TEST(TopologyTest, RoutingIsStablePerUser) {
   TopologyConfig config;
   config.dcs_per_continent = 4;
-  Topology topo(config);
   for (std::uint64_t user = 1; user < 50; ++user) {
-    const auto& a = topo.Route(synth::Continent::kEurope, user);
-    const auto& b = topo.Route(synth::Continent::kEurope, user);
-    EXPECT_EQ(&a, &b);
+    EXPECT_EQ(RouteIndex(config, synth::Continent::kEurope, user),
+              RouteIndex(config, synth::Continent::kEurope, user));
   }
 }
 
 TEST(TopologyTest, ShardingSpreadsUsers) {
   TopologyConfig config;
   config.dcs_per_continent = 4;
-  Topology topo(config);
-  std::map<const DataCenter*, int> counts;
+  std::map<std::size_t, int> counts;
   for (std::uint64_t user = 0; user < 4000; ++user) {
-    ++counts[&topo.Route(synth::Continent::kAsia, user * 2654435761ULL)];
+    ++counts[RouteIndex(config, synth::Continent::kAsia,
+                        user * 2654435761ULL)];
   }
   EXPECT_EQ(counts.size(), 4u);
   for (const auto& [dc, count] : counts) {
+    EXPECT_LT(dc, DcCount(config));
     EXPECT_GT(count, 700);  // ~1000 expected per shard
   }
 }
 
-TEST(TopologyTest, DcNamesDistinct) {
-  TopologyConfig config;
-  config.dcs_per_continent = 2;
-  Topology topo(config);
-  std::set<std::string> names;
-  for (std::size_t i = 0; i < topo.dc_count(); ++i) {
-    names.insert(topo.dc(i).name);
-  }
-  EXPECT_EQ(names.size(), topo.dc_count());
-}
-
+// The engine builds every edge cache from TopologyConfig.
 TEST(TopologyTest, EdgePolicyApplied) {
-  TopologyConfig config;
-  config.edge_policy = PolicyKind::kGdsf;
-  Topology topo(config);
-  EXPECT_EQ(topo.dc(0).cache->name(), "GDSF");
+  SimulatorConfig lru;
+  lru.topology.edge_capacity_bytes = 4ULL << 20;
+  SimulatorConfig gdsf = lru;
+  gdsf.topology.edge_policy = PolicyKind::kGdsf;
+  trace::CountingSink sink;
+  const auto a = SimulateSite(synth::SiteProfile::P2(0.01), 0, lru, 1, sink);
+  const auto b = SimulateSite(synth::SiteProfile::P2(0.01), 0, gdsf, 1, sink);
+  EXPECT_EQ(a.edge_stats.accesses(), b.edge_stats.accesses());
+  EXPECT_NE(a.edge_stats.hits, b.edge_stats.hits);
 }
 
+// Every edge miss is filled from a sibling DC or from the origin.
 TEST(TopologyTest, OriginAccounting) {
-  Topology topo(TopologyConfig{});
-  topo.FetchFromOrigin(100);
-  topo.FetchFromOrigin(250);
-  EXPECT_EQ(topo.origin().fetches, 2u);
-  EXPECT_EQ(topo.origin().bytes, 350u);
+  SimulatorConfig config;
+  config.topology.edge_capacity_bytes = 16ULL << 20;
+  config.topology.dcs_per_continent = 2;
+  config.peer_fill = true;
+  trace::CountingSink sink;
+  const auto r =
+      SimulateSite(synth::SiteProfile::P2(0.01), 0, config, 1, sink);
+  EXPECT_GT(r.origin.fetches, 0u);
+  EXPECT_GT(r.peer_fetches, 0u);
+  EXPECT_EQ(r.origin.fetches + r.peer_fetches, r.edge_stats.misses);
 }
 
+// The site's edge stats are the sum of its DCs'.
 TEST(TopologyTest, TotalEdgeStatsAggregates) {
-  Topology topo(TopologyConfig{});
-  topo.mutable_dc(0).cache->Access(1, 100, 0);
-  topo.mutable_dc(0).cache->Access(1, 100, 1);
-  topo.mutable_dc(1).cache->Access(2, 100, 0);
-  const auto total = topo.TotalEdgeStats();
-  EXPECT_EQ(total.hits, 1u);
-  EXPECT_EQ(total.misses, 2u);
+  SimulatorConfig config;
+  config.topology.edge_capacity_bytes = 16ULL << 20;
+  config.topology.dcs_per_continent = 2;
+  trace::CountingSink sink;
+  const auto r =
+      SimulateSite(synth::SiteProfile::P2(0.01), 0, config, 1, sink);
+  ASSERT_EQ(r.per_dc_stats.size(), DcCount(config.topology));
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+  for (const auto& dc : r.per_dc_stats) {
+    hits += dc.hits;
+    misses += dc.misses;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(r.edge_stats.hits, hits);
+  EXPECT_EQ(r.edge_stats.misses, misses);
 }
 
 TEST(TopologyTest, RejectsBadConfig) {
-  TopologyConfig config;
-  config.dcs_per_continent = 0;
-  EXPECT_THROW(Topology{config}, std::invalid_argument);
+  SimulatorConfig config;
+  config.topology.dcs_per_continent = 0;
+  trace::CountingSink sink;
+  EXPECT_THROW(
+      SimulateSite(synth::SiteProfile::P2(0.01), 0, config, 1, sink),
+      std::invalid_argument);
 }
 
 }  // namespace

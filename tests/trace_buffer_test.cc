@@ -21,29 +21,6 @@ LogRecord Make(std::int64_t t, std::uint64_t url, std::uint64_t user,
   return r;
 }
 
-TEST(TraceBufferTest, SortByTimeIsStable) {
-  TraceBuffer buf;
-  buf.Add(Make(5, 1, 1));
-  buf.Add(Make(1, 2, 1));
-  buf.Add(Make(5, 3, 1));
-  EXPECT_FALSE(buf.IsSortedByTime());
-  buf.SortByTime();
-  EXPECT_TRUE(buf.IsSortedByTime());
-  EXPECT_EQ(buf[0].url_hash, 2u);
-  EXPECT_EQ(buf[1].url_hash, 1u);  // stable: 1 before 3 at equal time
-  EXPECT_EQ(buf[2].url_hash, 3u);
-}
-
-TEST(TraceBufferTest, StartEndMs) {
-  TraceBuffer buf;
-  EXPECT_EQ(buf.StartMs(), 0);
-  EXPECT_EQ(buf.EndMs(), 0);
-  buf.Add(Make(10, 1, 1));
-  buf.Add(Make(3, 2, 1));
-  EXPECT_EQ(buf.StartMs(), 3);
-  EXPECT_EQ(buf.EndMs(), 10);
-}
-
 TEST(TraceBufferTest, FilterByPublisher) {
   TraceBuffer buf;
   buf.Add(Make(1, 1, 1, 0));
@@ -54,63 +31,26 @@ TEST(TraceBufferTest, FilterByPublisher) {
   for (const auto& r : filtered.records()) EXPECT_EQ(r.publisher_id, 0u);
 }
 
+// The predicate `atlas-trace filter --class` applies.
 TEST(TraceBufferTest, FilterByClass) {
   TraceBuffer buf;
   buf.Add(Make(1, 1, 1, 0, FileType::kMp4));
   buf.Add(Make(2, 2, 1, 0, FileType::kJpg));
   buf.Add(Make(3, 3, 1, 0, FileType::kCss));
-  EXPECT_EQ(buf.FilterByClass(ContentClass::kVideo).size(), 1u);
-  EXPECT_EQ(buf.FilterByClass(ContentClass::kImage).size(), 1u);
-  EXPECT_EQ(buf.FilterByClass(ContentClass::kOther).size(), 1u);
-}
-
-TEST(TraceBufferTest, GroupByObjectPreservesOrder) {
-  TraceBuffer buf;
-  buf.Add(Make(1, 7, 1));
-  buf.Add(Make(2, 8, 2));
-  buf.Add(Make(3, 7, 3));
-  const auto groups = buf.GroupByObject();
-  ASSERT_EQ(groups.size(), 2u);
-  const auto& g7 = groups.at(7);
-  ASSERT_EQ(g7.size(), 2u);
-  EXPECT_EQ(g7[0], 0u);
-  EXPECT_EQ(g7[1], 2u);
-}
-
-TEST(TraceBufferTest, GroupByUser) {
-  TraceBuffer buf;
-  buf.Add(Make(1, 1, 100));
-  buf.Add(Make(2, 2, 200));
-  buf.Add(Make(3, 3, 100));
-  const auto groups = buf.GroupByUser();
-  EXPECT_EQ(groups.at(100).size(), 2u);
-  EXPECT_EQ(groups.at(200).size(), 1u);
-}
-
-TEST(TraceBufferTest, UniqueCountsAndBytes) {
-  TraceBuffer buf;
-  buf.Add(Make(1, 1, 100, 0, FileType::kJpg, 10));
-  buf.Add(Make(2, 1, 200, 0, FileType::kJpg, 20));
-  buf.Add(Make(3, 2, 100, 0, FileType::kJpg, 30));
-  EXPECT_EQ(buf.UniqueObjects(), 2u);
-  EXPECT_EQ(buf.UniqueUsers(), 2u);
-  EXPECT_EQ(buf.TotalBytes(), 60u);
-}
-
-TEST(TraceBufferTest, AppendConcatenates) {
-  TraceBuffer a, b;
-  a.Add(Make(1, 1, 1));
-  b.Add(Make(2, 2, 2));
-  a.Append(b);
-  EXPECT_EQ(a.size(), 2u);
+  const auto of_class = [&](ContentClass c) {
+    return buf.Filter(
+        [c](const LogRecord& r) { return ClassOf(r.file_type) == c; });
+  };
+  EXPECT_EQ(of_class(ContentClass::kVideo).size(), 1u);
+  EXPECT_EQ(of_class(ContentClass::kImage).size(), 1u);
+  EXPECT_EQ(of_class(ContentClass::kOther).size(), 1u);
 }
 
 TEST(TraceBufferTest, EmptyBehaviour) {
   TraceBuffer buf;
   EXPECT_TRUE(buf.empty());
   EXPECT_TRUE(buf.IsSortedByTime());
-  EXPECT_EQ(buf.UniqueUsers(), 0u);
-  EXPECT_TRUE(buf.GroupByObject().empty());
+  EXPECT_TRUE(buf.FilterByPublisher(0).empty());
 }
 
 }  // namespace

@@ -1,3 +1,5 @@
+// Trace serialization: the v2 binary format through its writer and reader,
+// and CSV import/export.
 #include "trace/trace_io.h"
 
 #include <gtest/gtest.h>
@@ -7,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "trace/stream.h"
 #include "util/rng.h"
 
 namespace atlas::trace {
@@ -28,18 +31,24 @@ TraceBuffer MakeSampleTrace(std::size_t n) {
     r.file_type = static_cast<FileType>(rng.NextBounded(kNumFileTypes));
     r.cache_status =
         rng.NextBool(0.8) ? CacheStatus::kHit : CacheStatus::kMiss;
-    r.tz_offset_quarter_hours =
-        static_cast<std::int8_t>(rng.NextInt(-32, 36));
+    r.tz_offset_quarter_hours = static_cast<std::int8_t>(
+        static_cast<std::int64_t>(rng.NextBounded(69)) - 32);
     buf.Add(r);
   }
   return buf;
 }
 
+// Binary traces are the v2 block format (WriteV2 / TraceReader).
+TraceBuffer ReadTrace(std::istream& in) {
+  TraceReader reader(in);
+  return ReadAllRecords(reader);
+}
+
 TEST(BinaryIoTest, RoundTripPreservesEveryField) {
   const TraceBuffer original = MakeSampleTrace(500);
   std::stringstream stream;
-  WriteBinary(original, stream);
-  const TraceBuffer loaded = ReadBinary(stream);
+  WriteV2(original, stream);
+  const TraceBuffer loaded = ReadTrace(stream);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     EXPECT_EQ(loaded[i], original[i]) << "record " << i;
@@ -48,45 +57,46 @@ TEST(BinaryIoTest, RoundTripPreservesEveryField) {
 
 TEST(BinaryIoTest, EmptyTrace) {
   std::stringstream stream;
-  WriteBinary(TraceBuffer{}, stream);
-  EXPECT_EQ(ReadBinary(stream).size(), 0u);
+  WriteV2(TraceBuffer{}, stream);
+  EXPECT_EQ(ReadTrace(stream).size(), 0u);
 }
 
 TEST(BinaryIoTest, BadMagicRejected) {
   std::stringstream stream("NOPE00000000");
-  EXPECT_THROW(ReadBinary(stream), std::runtime_error);
+  EXPECT_THROW(ReadTrace(stream), std::runtime_error);
 }
 
 TEST(BinaryIoTest, TruncatedInputRejected) {
   const TraceBuffer original = MakeSampleTrace(10);
   std::stringstream stream;
-  WriteBinary(original, stream);
+  WriteV2(original, stream);
   std::string data = stream.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  EXPECT_THROW(ReadBinary(truncated), std::runtime_error);
+  EXPECT_THROW(ReadTrace(truncated), std::runtime_error);
 }
 
 TEST(BinaryIoTest, VersionMismatchRejected) {
   std::stringstream stream;
-  WriteBinary(TraceBuffer{}, stream);
+  WriteV2(TraceBuffer{}, stream);
   std::string data = stream.str();
   data[4] = 99;  // clobber version byte
   std::stringstream bad(data);
-  EXPECT_THROW(ReadBinary(bad), std::runtime_error);
+  EXPECT_THROW(ReadTrace(bad), std::runtime_error);
 }
 
 TEST(BinaryIoTest, FileRoundTrip) {
   const TraceBuffer original = MakeSampleTrace(50);
   const std::string path = ::testing::TempDir() + "/atlas_trace_test.bin";
-  WriteBinaryFile(original, path);
-  const TraceBuffer loaded = ReadBinaryFile(path);
+  WriteV2File(original, path);
+  const TraceBuffer loaded = ReadAnyBinaryFile(path);
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded[17], original[17]);
 }
 
 TEST(BinaryIoTest, MissingFileThrows) {
-  EXPECT_THROW(ReadBinaryFile("/nonexistent/path/x.bin"), std::runtime_error);
+  EXPECT_THROW(ReadAnyBinaryFile("/nonexistent/path/x.bin"),
+               std::runtime_error);
 }
 
 TEST(CsvIoTest, RoundTrip) {
@@ -127,7 +137,8 @@ TEST(RoundTripPropertyTest, BinaryCsvBinaryPreservesRandomizedRecords) {
   TraceBuffer original;
   for (std::size_t i = 0; i < 2000; ++i) {
     LogRecord r;
-    r.timestamp_ms = rng.NextInt(0, 7LL * 24 * 3600 * 1000);
+    r.timestamp_ms = static_cast<std::int64_t>(
+        rng.NextBounded(7ULL * 24 * 3600 * 1000 + 1));
     r.url_hash = rng.Next();
     r.user_id = rng.Next();
     switch (rng.NextBounded(4)) {
@@ -158,14 +169,15 @@ TEST(RoundTripPropertyTest, BinaryCsvBinaryPreservesRandomizedRecords) {
     r.file_type = static_cast<FileType>(rng.NextBounded(kNumFileTypes));
     r.cache_status =
         rng.NextBool(0.5) ? CacheStatus::kHit : CacheStatus::kMiss;
-    r.tz_offset_quarter_hours = static_cast<std::int8_t>(rng.NextInt(-56, 56));
+    r.tz_offset_quarter_hours = static_cast<std::int8_t>(
+        static_cast<std::int64_t>(rng.NextBounded(113)) - 56);
     original.Add(r);
   }
 
   // binary -> buffer
   std::stringstream bin1;
-  WriteBinary(original, bin1);
-  const TraceBuffer from_binary = ReadBinary(bin1);
+  WriteV2(original, bin1);
+  const TraceBuffer from_binary = ReadTrace(bin1);
   ASSERT_EQ(from_binary.size(), original.size());
 
   // -> CSV -> buffer
@@ -179,35 +191,35 @@ TEST(RoundTripPropertyTest, BinaryCsvBinaryPreservesRandomizedRecords) {
 
   // -> binary again: byte-identical to the first serialization.
   std::stringstream bin2;
-  WriteBinary(from_csv, bin2);
+  WriteV2(from_csv, bin2);
   EXPECT_EQ(bin1.str(), bin2.str());
 }
 
 TEST(BinaryIoTest, HugeDeclaredCountFailsCleanlyNotOom) {
-  // Regression: a corrupt header declaring ~2^60 records used to drive
-  // Reserve() straight off that number. The count is attacker-controlled
-  // until records actually parse; the prealloc must be clamped and the
-  // (immediate) truncation reported as the ordinary parse error.
+  // A corrupt header declaring ~2^60 records must not drive an allocation:
+  // the count is attacker-controlled until records actually parse, so the
+  // reader only checks it against the blocks it delivered.
   std::stringstream stream;
-  WriteBinary(MakeSampleTrace(3), stream);
+  WriteV2(MakeSampleTrace(3), stream);
   std::string data = stream.str();
   const std::uint64_t huge = 1ULL << 60;
   for (int i = 0; i < 8; ++i) {
     data[8 + i] = static_cast<char>((huge >> (8 * i)) & 0xFF);
   }
   std::stringstream bad(data);
-  EXPECT_THROW(ReadBinary(bad), std::runtime_error);  // not std::bad_alloc
+  EXPECT_THROW(ReadTrace(bad), std::runtime_error);  // not std::bad_alloc
 }
 
 TEST(BinaryIoTest, NegativeTimestampRejected) {
   // The wire format stores timestamp_ms as two's complement; a negative
   // value can only come from corruption and every consumer assumes
-  // non-negative clocks.
+  // non-negative clocks. The writer encodes it as given; the block decode
+  // must reject it even under an intact CRC.
   TraceBuffer buf = MakeSampleTrace(2);
   buf.mutable_records()[1].timestamp_ms = -5;
   std::stringstream stream;
-  WriteBinary(buf, stream);
-  EXPECT_THROW(ReadBinary(stream), std::runtime_error);
+  WriteV2(buf, stream);
+  EXPECT_THROW(ReadTrace(stream), std::runtime_error);
 }
 
 TEST(CsvIoTest, NegativeTimestampRejected) {
@@ -325,7 +337,7 @@ TEST(FailingStreamTest, WriteBinarySurfacesShortWrite) {
   const TraceBuffer trace = MakeSampleTrace(100);
   FullDiskBuf buf(64);  // header fits, records don't
   std::ostream out(&buf);
-  EXPECT_THROW(WriteBinary(trace, out), std::runtime_error);
+  EXPECT_THROW(WriteV2(trace, out), std::runtime_error);
 }
 
 TEST(FailingStreamTest, WriteCsvSurfacesShortWrite) {
@@ -339,7 +351,7 @@ TEST(FailingStreamTest, WriteBinaryToHealthySinkStillSucceeds) {
   // The failure check must not reject a sink that merely buffers lazily.
   const TraceBuffer trace = MakeSampleTrace(10);
   std::ostringstream out;
-  EXPECT_NO_THROW(WriteBinary(trace, out));
+  EXPECT_NO_THROW(WriteV2(trace, out));
 }
 
 }  // namespace

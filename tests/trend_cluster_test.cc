@@ -4,6 +4,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 
@@ -24,32 +25,30 @@ using util::kMillisPerHour;
 
 // Builds a trace with `n` planted objects per archetype: diurnal objects
 // request hourly all week modulated by hour-of-day; short-lived ones burst
-// for a few hours.
+// for a few hours. Records are emitted in time order (hour, repetition,
+// object), diurnal objects first at equal timestamps.
 trace::TraceBuffer PlantedTrace(int per_type, int requests_scale = 2) {
   trace::TraceBuffer buf;
-  std::uint64_t url = 1;
   std::uint64_t user = 1000;
-  // Diurnal: requests every hour, more at "night".
-  for (int obj = 0; obj < per_type; ++obj, ++url) {
-    for (int h = 0; h < util::kHoursPerWeek; ++h) {
-      const int reps =
-          1 + requests_scale * ((h % 24) < 8 ? 2 : 0);  // peak hours 0-7
-      for (int r = 0; r < reps; ++r) {
-        buf.Add(MakeRecord({.t = h * kMillisPerHour + r, .url = url,
-                            .user = user++, .type = trace::FileType::kJpg}));
+  const auto add = [&](std::int64_t t, std::uint64_t url) {
+    buf.Add(MakeRecord({.t = t, .url = url, .user = user++,
+                        .type = trace::FileType::kJpg}));
+  };
+  for (int h = 0; h < util::kHoursPerWeek; ++h) {
+    // Diurnal: requests every hour, more at "night" (peak hours 0-7).
+    const int diurnal_reps = 1 + requests_scale * ((h % 24) < 8 ? 2 : 0);
+    // Short-lived: a burst in the first 6 hours of day 0.
+    const int burst_reps = h < 6 ? 12 * requests_scale : 0;
+    for (int r = 0; r < std::max(diurnal_reps, burst_reps); ++r) {
+      const std::int64_t t = h * kMillisPerHour + r;
+      for (int obj = 0; obj < per_type && r < diurnal_reps; ++obj) {
+        add(t, static_cast<std::uint64_t>(1 + obj));
+      }
+      for (int obj = 0; obj < per_type && r < burst_reps; ++obj) {
+        add(t, static_cast<std::uint64_t>(1 + per_type + obj));
       }
     }
   }
-  // Short-lived: a burst in the first 6 hours of day 0.
-  for (int obj = 0; obj < per_type; ++obj, ++url) {
-    for (int h = 0; h < 6; ++h) {
-      for (int r = 0; r < 12 * requests_scale; ++r) {
-        buf.Add(MakeRecord({.t = h * kMillisPerHour + r, .url = url,
-                            .user = user++, .type = trace::FileType::kJpg}));
-      }
-    }
-  }
-  buf.SortByTime();
   return buf;
 }
 
@@ -166,11 +165,11 @@ TEST(ComputeTrendClustersTest, ShareOfSumsPatternShares) {
   config.content_class = trace::ContentClass::kImage;
   config.k = 2;
   const auto result = ComputeTrendClusters(buf, "X", config);
-  EXPECT_NEAR(result.ShareOf(synth::PatternType::kDiurnal) +
-                  result.ShareOf(synth::PatternType::kShortLived) +
-                  result.ShareOf(synth::PatternType::kLongLived) +
-                  result.ShareOf(synth::PatternType::kFlashCrowd) +
-                  result.ShareOf(synth::PatternType::kOutlier),
+  EXPECT_NEAR(result.MemberShareOf(synth::PatternType::kDiurnal) +
+                  result.MemberShareOf(synth::PatternType::kShortLived) +
+                  result.MemberShareOf(synth::PatternType::kLongLived) +
+                  result.MemberShareOf(synth::PatternType::kFlashCrowd) +
+                  result.MemberShareOf(synth::PatternType::kOutlier),
               1.0, 1e-9);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
 
 namespace atlas::synth {
@@ -28,10 +29,14 @@ TEST(UserPopulationTest, UserIdsUnique) {
 TEST(UserPopulationTest, DeviceSharesMatchProfile) {
   const auto profile = SiteProfile::S1(0.5);  // 30000 users
   const auto users = MakeUsers(profile);
-  const auto shares = users.DeviceShares();
-  for (int d = 0; d < trace::kNumDeviceTypes; ++d) {
-    EXPECT_NEAR(shares[static_cast<std::size_t>(d)],
-                profile.device_mix[static_cast<std::size_t>(d)], 0.02);
+  std::array<std::size_t, trace::kNumDeviceTypes> counts{};
+  users.ForEachUser([&](std::size_t, const UserInfo& u) {
+    ++counts[static_cast<std::size_t>(u.device)];
+  });
+  for (std::size_t d = 0; d < counts.size(); ++d) {
+    EXPECT_NEAR(static_cast<double>(counts[d]) /
+                    static_cast<double>(users.size()),
+                profile.device_mix[d], 0.02);
   }
 }
 
@@ -90,23 +95,6 @@ TEST(UserPopulationTest, ActivityIsHeavyTailed) {
   });
   // The heaviest user dwarfs the mean.
   EXPECT_GT(max_activity, 10.0 * sum / static_cast<double>(users.size()));
-}
-
-TEST(UserPopulationTest, SampleUserWeightedByActivity) {
-  SiteProfile profile = SiteProfile::V1(0.01);
-  const auto users = MakeUsers(profile, 3);
-  util::Rng rng(5);
-  std::vector<int> counts(users.size(), 0);
-  const int draws = 200000;
-  for (int i = 0; i < draws; ++i) ++counts[users.SampleUser(rng)];
-  // Find the most active user; they must be sampled most often.
-  std::size_t heaviest = 0;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (users.user(i).activity > users.user(heaviest).activity) heaviest = i;
-  }
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    EXPECT_LE(counts[i], counts[heaviest] + 600);
-  }
 }
 
 TEST(ContinentTest, FromTzRoundTrip) {

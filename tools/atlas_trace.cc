@@ -1,15 +1,11 @@
 // atlas_trace — command-line trace utility.
 //
-//   atlas_trace info    <trace.bin> [--stream]     summary + per-publisher stats
+//   atlas_trace info    <trace.bin>                summary + per-publisher stats
 //   atlas_trace head    <trace.bin> [--n 20]       print the first records
 //   atlas_trace tocsv   <trace.bin> <out.csv>      binary -> CSV
 //   atlas_trace tobin   <trace.csv> <out.bin>      CSV -> binary
 //   atlas_trace filter  <in.bin> <out.bin> [--publisher N] [--class video]
 //                       [--from-ms T] [--to-ms T]  subset a trace
-//   atlas_trace convert <in.bin> <out.bin> [--to v2] [--block-records N]
-//                                                  rewrite between formats
-//   atlas_trace gen     <out.bin> [--scale 0.05] [--seed 42] [--threads N]
-//                       [--format v1]              generate a fresh study trace
 //   atlas_trace simulate <out.v2> [--spec scenario.toml] [--scale 0.05]
 //                       [--seed 42] [--threads N]
 //                       [--peer-fill] [--epoch-min 60]
@@ -41,10 +37,10 @@
 //                                                  file instead of the
 //                                                  default paper-study sites
 //
-// Every reading command accepts both the v1 flat format and the v2 block
-// format (trace/stream.h). `info --stream`, v1->v2 `convert`, `simulate`,
-// and `analyze` run in bounded memory — one block at a time — so they work
-// on traces larger than RAM. CSV files are directly loadable in pandas/DuckDB.
+// Binary traces are the v2 block format (trace/stream.h). `info`, `head`,
+// `simulate`, and `analyze` run in bounded memory — one block at a time — so
+// they work on traces larger than RAM. CSV files are directly loadable in
+// pandas/DuckDB.
 //
 // Crash recovery: `simulate --checkpoint-every N` snapshots the engine,
 // generators, and the trace writer's partial tail block every N epoch
@@ -82,17 +78,14 @@ using namespace atlas;
 
 int Usage(const char* prog) {
   std::cerr << "usage: " << prog
-            << " <info|head|tocsv|tobin|filter|convert|gen|simulate|verify|"
-               "analyze> <args...>\n"
-               "  info    <trace.bin> [--stream]\n"
+            << " <info|head|tocsv|tobin|filter|simulate|verify|analyze> "
+               "<args...>\n"
+               "  info    <trace.bin>\n"
                "  head    <trace.bin> [--n 20]\n"
                "  tocsv   <trace.bin> <out.csv>\n"
                "  tobin   <trace.csv> <out.bin>\n"
                "  filter  <in.bin> <out.bin> [--publisher N] [--class C] "
                "[--from-ms T] [--to-ms T]\n"
-               "  convert <in.bin> <out.bin> [--to v2] [--block-records N]\n"
-               "  gen     <out.bin> [--scale 0.05] [--seed 42] [--threads N] "
-               "[--format v1]\n"
                "  simulate <out.v2> [--spec scenario.toml] [--scale 0.05] "
                "[--seed 42] [--threads N] [--peer-fill] [--epoch-min 60] "
                "[--energy-report] "
@@ -105,8 +98,8 @@ int Usage(const char* prog) {
 }
 
 // Everything `info` prints, gathered in one pass over a record stream. The
-// per-user/object sets are O(distinct), not O(records), so the streaming
-// path is bounded by the population, never the trace length.
+// per-user/object sets are O(distinct), not O(records), so memory is
+// bounded by the population, never the trace length.
 struct InfoStats {
   struct PerPublisher {
     std::uint64_t records = 0;
@@ -148,23 +141,13 @@ struct InfoStats {
 
 int CmdInfo(const std::string& path, int argc, char** argv) {
   util::Flags flags;
-  flags.DefineBool("stream", false,
-                   "single-pass bounded-memory scan (works on traces larger "
-                   "than RAM, v1 or v2)");
   flags.Parse(argc, argv);
 
   InfoStats stats;
-  if (flags.GetBool("stream")) {
-    trace::TraceFileReader source(path);
-    for (const auto* block = source.NextBlock(); block != nullptr;
-         block = source.NextBlock()) {
-      for (std::size_t i = 0; i < block->size(); ++i) {
-        stats.Add(block->Row(i));
-      }
-    }
-  } else {
-    const auto trace = trace::ReadAnyBinaryFile(path);
-    for (const auto& r : trace.records()) stats.Add(r);
+  trace::TraceFileReader source(path);
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    for (std::size_t i = 0; i < block->size(); ++i) stats.Add(block->Row(i));
   }
 
   std::cout << path << ": " << stats.records << " records, "
@@ -210,30 +193,35 @@ int CmdHead(const std::string& path, int argc, char** argv) {
   util::Flags flags;
   flags.DefineInt("n", 20, "records to print");
   flags.Parse(argc, argv);
-  const auto trace = trace::ReadAnyBinaryFile(path);
-  const auto n = std::min<std::size_t>(
-      static_cast<std::size_t>(flags.GetInt("n")), trace.size());
+  // Reads only as many blocks as the first --n rows span.
+  trace::TraceFileReader source(path);
   std::cout << util::PadRight("time", 14) << util::PadRight("pub", 5)
             << util::PadRight("type", 6) << util::PadLeft("size", 11)
             << util::PadLeft("sent", 11) << util::PadLeft("code", 6)
             << util::PadLeft("cache", 7) << "  url_hash\n";
   std::cout << std::string(78, '-') << '\n';
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto& r = trace[i];
-    char hash[20];
-    std::snprintf(hash, sizeof(hash), "%016llx",
-                  static_cast<unsigned long long>(r.url_hash));
-    std::cout << util::PadRight(util::FormatTimestamp(r.timestamp_ms), 14)
-              << util::PadRight(std::to_string(r.publisher_id), 5)
-              << util::PadRight(trace::ToString(r.file_type), 6)
-              << util::PadLeft(
-                     util::FormatBytes(static_cast<double>(r.object_size)), 11)
-              << util::PadLeft(
-                     util::FormatBytes(static_cast<double>(r.response_bytes)),
-                     11)
-              << util::PadLeft(std::to_string(r.response_code), 6)
-              << util::PadLeft(trace::ToString(r.cache_status), 7) << "  "
-              << hash << '\n';
+  auto left = static_cast<std::size_t>(flags.GetInt("n"));
+  while (left > 0) {
+    const auto* block = source.NextBlock();
+    if (block == nullptr) break;
+    for (std::size_t i = 0; i < block->size() && left > 0; ++i, --left) {
+      const trace::LogRecord r = block->Row(i);
+      char hash[20];
+      std::snprintf(hash, sizeof(hash), "%016llx",
+                    static_cast<unsigned long long>(r.url_hash));
+      std::cout << util::PadRight(util::FormatTimestamp(r.timestamp_ms), 14)
+                << util::PadRight(std::to_string(r.publisher_id), 5)
+                << util::PadRight(trace::ToString(r.file_type), 6)
+                << util::PadLeft(
+                       util::FormatBytes(static_cast<double>(r.object_size)),
+                       11)
+                << util::PadLeft(
+                       util::FormatBytes(static_cast<double>(r.response_bytes)),
+                       11)
+                << util::PadLeft(std::to_string(r.response_code), 6)
+                << util::PadLeft(trace::ToString(r.cache_status), 7) << "  "
+                << hash << '\n';
+    }
   }
   return 0;
 }
@@ -257,7 +245,7 @@ int CmdToBin(const std::string& in, const std::string& out) {
     return 1;
   }
   const auto trace = trace::ReadCsv(stream);
-  trace::WriteBinaryFile(trace, out);
+  trace::WriteV2File(trace, out);
   std::cout << "wrote " << trace.size() << " records to " << out << '\n';
   return 0;
 }
@@ -288,98 +276,9 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
     if (to >= 0 && r.timestamp_ms >= to) return false;
     return true;
   });
-  trace::WriteBinaryFile(filtered, out);
+  trace::WriteV2File(filtered, out);
   std::cout << "kept " << filtered.size() << " / " << trace.size()
             << " records -> " << out << '\n';
-  return 0;
-}
-
-int CmdConvert(const std::string& in, const std::string& out, int argc,
-               char** argv) {
-  util::Flags flags;
-  flags.DefineString("to", "v2", "target format: v1 or v2");
-  flags.DefineInt("block-records",
-                  static_cast<std::int64_t>(trace::kDefaultBlockRecords),
-                  "records per v2 block");
-  flags.Parse(argc, argv);
-  const std::string to = flags.GetString("to");
-  const auto block_records =
-      static_cast<std::size_t>(flags.GetInt("block-records"));
-  if (to == "v2") {
-    // Block-to-block streaming: bounded memory regardless of trace size.
-    trace::TraceFileReader source(in, block_records);
-    std::ofstream sink(out, std::ios::binary);
-    if (!sink) {
-      std::cerr << "cannot open " << out << '\n';
-      return 1;
-    }
-    trace::TraceWriter writer(sink, block_records);
-    for (const auto* block = source.NextBlock(); block != nullptr;
-         block = source.NextBlock()) {
-      for (std::size_t i = 0; i < block->size(); ++i) {
-        writer.Add(block->Row(i));
-      }
-    }
-    writer.Finish();
-    std::cout << "converted " << writer.written() << " records (v"
-              << source.version() << " -> v2) -> " << out << '\n';
-    return 0;
-  }
-  if (to == "v1") {
-    // v1 needs its record count up front, so the trace is materialized.
-    const auto trace = trace::ReadAnyBinaryFile(in);
-    trace::WriteBinaryFile(trace, out);
-    std::cout << "converted " << trace.size() << " records (-> v1) -> " << out
-              << '\n';
-    return 0;
-  }
-  std::cerr << "unknown --to format '" << to << "' (expected v1 or v2)\n";
-  return 2;
-}
-
-int CmdGen(const std::string& out, int argc, char** argv) {
-  util::Flags flags;
-  flags.DefineDouble("scale", 0.05, "population scale");
-  flags.DefineInt("seed", 42, "RNG seed");
-  flags.DefineInt("threads", 0,
-                  "worker threads (0 = hardware concurrency); the trace is "
-                  "identical at any value");
-  flags.DefineString("format", "v1", "output format: v1 (flat) or v2 (block)");
-  flags.Parse(argc, argv);
-  util::SetLogLevel(util::LogLevel::kWarn);
-  util::SetDefaultThreads(static_cast<int>(flags.GetInt("threads")));
-  const std::string format = flags.GetString("format");
-  if (format != "v1" && format != "v2") {
-    std::cerr << "unknown --format '" << format << "' (expected v1 or v2)\n";
-    return 2;
-  }
-  cdn::SimulatorConfig config;
-  auto profiles =
-      synth::SiteProfile::PaperAdultSites(flags.GetDouble("scale"));
-  const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed"));
-  if (format == "v2") {
-    // Fully out-of-core: the engine's merged stream goes straight to disk.
-    std::ofstream stream(out, std::ios::binary);
-    if (!stream) {
-      std::cerr << "cannot open " << out << '\n';
-      return 1;
-    }
-    trace::TraceWriter writer(stream);
-    trace::WriterSink sink(writer);
-    cdn::StreamScenario(std::move(profiles), config, seed, sink);
-    writer.Finish();
-    std::cout << "generated " << writer.written() << " records -> " << out
-              << '\n';
-    return 0;
-  }
-  // v1 needs its record count up front, so the merged trace is collected in
-  // one buffer (still no second copy: the stream merges per-shard slices
-  // directly into it).
-  trace::TraceBuffer merged;
-  trace::BufferSink sink(merged);
-  cdn::StreamScenario(std::move(profiles), config, seed, sink);
-  trace::WriteBinaryFile(merged, out);
-  std::cout << "generated " << merged.size() << " records -> " << out << '\n';
   return 0;
 }
 
@@ -659,10 +558,6 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
   flags.DefineInt("checkpoint-every", 0,
                   "checkpoint the accumulator state every N record blocks "
                   "(0 = off); atomically committed");
-  flags.DefineInt("block-records",
-                  static_cast<std::int64_t>(trace::kDefaultBlockRecords),
-                  "records per SoA batch fed to the analysis pipeline (v2 "
-                  "inputs stream in their on-disk block size)");
   flags.DefineString("checkpoint-file", "",
                      "checkpoint destination (default: <trace>.analysis.ckpt)");
   flags.DefineString("resume", "",
@@ -710,8 +605,7 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
   }
 
   // SoA batch path: one decoded block at a time through the demultiplexer.
-  trace::TraceFileReader source(
-      in, static_cast<std::size_t>(flags.GetInt("block-records")));
+  trace::TraceFileReader source(in);
   std::uint64_t blocks = 0;
   for (const auto* block = source.NextBlock(); block != nullptr;
        block = source.NextBlock()) {
@@ -778,10 +672,6 @@ int main(int argc, char** argv) {
     if (cmd == "filter" && argc >= 4) {
       return CmdFilter(argv[2], argv[3], argc - 3, argv + 3);
     }
-    if (cmd == "convert" && argc >= 4) {
-      return CmdConvert(argv[2], argv[3], argc - 3, argv + 3);
-    }
-    if (cmd == "gen") return CmdGen(argv[2], argc - 2, argv + 2);
     if (cmd == "simulate") return CmdSimulate(argv[2], argc - 2, argv + 2);
     if (cmd == "verify") return CmdVerify(argv[2]);
     if (cmd == "analyze") return CmdAnalyze(argv[2], argc - 2, argv + 2);
