@@ -174,4 +174,14 @@ std::vector<Result> PerSite(const BenchEnv& env, Fn&& compute) {
   return results;
 }
 
+// The view the multi-site Render* functions take: one pointer per result,
+// in order. `results` must outlive it.
+template <typename Result>
+std::vector<const Result*> View(const std::vector<Result>& results) {
+  std::vector<const Result*> view;
+  view.reserve(results.size());
+  for (const auto& r : results) view.push_back(&r);
+  return view;
+}
+
 }  // namespace atlas::bench

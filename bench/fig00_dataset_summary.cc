@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Dataset summary (paper SS III), scale=" << env.scale
             << " ===\n";
-  analysis::RenderDatasetSummaries(summaries, std::cout);
+  analysis::RenderDatasetSummaries(bench::View(summaries), std::cout);
 
   // Aggregate row.
   analysis::DatasetSummary total;
@@ -27,6 +27,6 @@ int main(int argc, char** argv) {
     total.end_ms = std::max(total.end_ms, s.end_ms);
   }
   std::cout << '\n';
-  analysis::RenderDatasetSummaries({total}, std::cout);
+  analysis::RenderDatasetSummaries({&total}, std::cout);
   return 0;
 }

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 1: content composition, scale=" << env.scale
             << " ===\n";
-  analysis::RenderContentComposition(results, std::cout);
+  analysis::RenderContentComposition(bench::View(results), std::cout);
   std::cout << "\npaper: V-1 98% video | V-2 84% image / 15% video | "
                "P-1, P-2, S-1 ~99% image\n";
   return 0;

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 2: traffic composition, scale=" << env.scale
             << " ===\n";
-  analysis::RenderTrafficComposition(results, std::cout);
+  analysis::RenderTrafficComposition(bench::View(results), std::cout);
   std::cout << "\npaper: V-1 3.1M video requests (99%); V-2 359K video vs "
                "657K image requests;\n       video bytes dominate (V-1 video "
                "alone: 258 GB)\n";

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
 
   std::cout << "=== Fig. 3: hourly traffic volume (% of weekly, local time), "
                "scale=" << env.scale << " ===\n";
-  analysis::RenderHourlyVolume(results, std::cout);
+  analysis::RenderHourlyVolume(bench::View(results), std::cout);
   std::cout << "\npaper: V-1 peaks late-night/early-morning, opposite the "
                "typical 7-11pm diurnal peak;\n       other adult sites vary "
                "less but still differ from classic diurnal patterns\n";

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 4: device type composition, scale=" << env.scale
             << " ===\n";
-  analysis::RenderDeviceComposition(results, std::cout);
+  analysis::RenderDeviceComposition(bench::View(results), std::cout);
   std::cout << "\npaper: desktop dominates everywhere; V-2 > 95% desktop; "
                "S-1 > 1/3 smartphone+misc\n";
   return 0;

@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 5: content size distributions, scale=" << env.scale
             << " ===\n";
-  analysis::RenderSizeDistributions(results, std::cout);
+  analysis::RenderSizeDistributions(bench::View(results), std::cout);
   std::cout << "\npaper: video objects mostly > 1 MB (P-2 largest); image "
                "objects < 1 MB, bimodal\n";
   if (const std::string path = env.flags.GetString("csv"); !path.empty()) {

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 6: content popularity, scale=" << env.scale
             << " ===\n";
-  analysis::RenderPopularity(results, std::cout);
+  analysis::RenderPopularity(bench::View(results), std::cout);
   std::cout << "\npaper: long-tail distributions for all adult websites — a "
                "small fraction of objects is very popular\n";
   return 0;

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
         return analysis::ComputeAging(t, name);
       });
   std::cout << "=== Fig. 7: content aging, scale=" << env.scale << " ===\n";
-  analysis::RenderAging(results, std::cout);
+  analysis::RenderAging(bench::View(results), std::cout);
   std::cout << "\npaper: declining fraction requested with age; ~20% of "
                "objects not requested after 3 days;\n       ~10% requested "
                "throughout the week\n";

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Figs. 11-12 source: sessions, scale=" << env.scale
             << " ===\n";
-  analysis::RenderSessions(results, std::cout);
+  analysis::RenderSessions(bench::View(results), std::cout);
   std::cout << "\npaper: video-site median IAT < 10 min; image-heavy sites "
                "> 1 h\n";
   return 0;

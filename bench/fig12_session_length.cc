@@ -17,7 +17,7 @@ int main(int argc, char** argv) {
   std::cout << "=== Fig. 12: session lengths (timeout "
             << env.flags.GetInt("timeout-min") << " min), scale=" << env.scale
             << " ===\n";
-  analysis::RenderSessions(results, std::cout);
+  analysis::RenderSessions(bench::View(results), std::cout);
   std::cout << "\npaper: median session lengths around one minute — far "
                "shorter than YouTube-style engagement\n";
   return 0;

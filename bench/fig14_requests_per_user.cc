@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 14: requests per user, scale=" << env.scale
             << " ===\n";
-  analysis::RenderEngagement(results, std::cout);
+  analysis::RenderEngagement(bench::View(results), std::cout);
   std::cout << "\npaper: >= 10% of video objects get > 10 requests per unique "
                "user; < 1% of image objects do\n";
   return 0;

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 15: cache hit ratios (" << env.flags.GetString("policy")
             << " edges), scale=" << env.scale << " ===\n";
-  analysis::RenderCaching(results, std::cout);
+  analysis::RenderCaching(bench::View(results), std::cout);
   std::cout << "\npaper: image objects cache better than video chunks; "
                "popularity/hit-ratio correlation > 0.9;\n       aggregate "
                "hit ratios 80-90%\n";

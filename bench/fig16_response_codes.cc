@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
       });
   std::cout << "=== Fig. 16: HTTP response codes, scale=" << env.scale
             << " ===\n";
-  analysis::RenderResponseCodes(results, std::cout);
+  analysis::RenderResponseCodes(bench::View(results), std::cout);
   std::cout << "\npaper: 200 and 206 dominate; 304 responses are a small "
                "fraction (incognito/private browsing)\n";
   return 0;

@@ -28,55 +28,57 @@ void Rule(std::ostream& out, std::size_t width) {
 
 }  // namespace
 
-void RenderDatasetSummaries(const std::vector<DatasetSummary>& summaries,
-                            std::ostream& out) {
+void RenderDatasetSummaries(
+    const std::vector<const DatasetSummary*>& summaries, std::ostream& out) {
   out << PadRight("site", kSiteCol) << PadLeft("records", kNumCol)
       << PadLeft("users", kNumCol) << PadLeft("objects", kNumCol)
       << PadLeft("bytes", kNumCol) << PadLeft("span", kNumCol) << '\n';
   Rule(out, kSiteCol + 5 * kNumCol);
-  for (const auto& s : summaries) {
-    out << PadRight(s.label, kSiteCol)
-        << PadLeft(FormatCount(static_cast<double>(s.records)), kNumCol)
-        << PadLeft(FormatCount(static_cast<double>(s.users)), kNumCol)
-        << PadLeft(FormatCount(static_cast<double>(s.objects)), kNumCol)
-        << PadLeft(FormatBytes(static_cast<double>(s.bytes)), kNumCol)
-        << PadLeft(util::FormatDuration(s.end_ms - s.start_ms), kNumCol)
+  for (const auto* s : summaries) {
+    out << PadRight(s->label, kSiteCol)
+        << PadLeft(FormatCount(static_cast<double>(s->records)), kNumCol)
+        << PadLeft(FormatCount(static_cast<double>(s->users)), kNumCol)
+        << PadLeft(FormatCount(static_cast<double>(s->objects)), kNumCol)
+        << PadLeft(FormatBytes(static_cast<double>(s->bytes)), kNumCol)
+        << PadLeft(util::FormatDuration(s->end_ms - s->start_ms), kNumCol)
         << '\n';
   }
 }
 
-void RenderContentComposition(const std::vector<CompositionResult>& sites,
-                              std::ostream& out) {
+void RenderContentComposition(
+    const std::vector<const CompositionResult*>& sites, std::ostream& out) {
   out << PadRight("site", kSiteCol) << PadLeft("objects", kNumCol)
       << PadLeft("video", kNumCol) << PadLeft("image", kNumCol)
       << PadLeft("other", kNumCol) << '\n';
   Rule(out, kSiteCol + 4 * kNumCol);
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol)
-        << PadLeft(FormatCount(static_cast<double>(s.TotalObjects())), kNumCol);
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol)
+        << PadLeft(FormatCount(static_cast<double>(s->TotalObjects())),
+                   kNumCol);
     for (int c = 0; c < trace::kNumContentClasses; ++c) {
       out << PadLeft(
-          FormatPercent(s.ObjectShare(static_cast<trace::ContentClass>(c)), 1),
+          FormatPercent(s->ObjectShare(static_cast<trace::ContentClass>(c)), 1),
           kNumCol);
     }
     out << '\n';
   }
 }
 
-void RenderTrafficComposition(const std::vector<CompositionResult>& sites,
-                              std::ostream& out) {
+void RenderTrafficComposition(
+    const std::vector<const CompositionResult*>& sites, std::ostream& out) {
   out << "(a) request count\n";
   out << PadRight("site", kSiteCol) << PadLeft("requests", kNumCol)
       << PadLeft("video", kNumCol) << PadLeft("image", kNumCol)
       << PadLeft("other", kNumCol) << '\n';
   Rule(out, kSiteCol + 4 * kNumCol);
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol)
-        << PadLeft(FormatCount(static_cast<double>(s.TotalRequests())),
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol)
+        << PadLeft(FormatCount(static_cast<double>(s->TotalRequests())),
                    kNumCol);
     for (int c = 0; c < trace::kNumContentClasses; ++c) {
       out << PadLeft(
-          FormatPercent(s.RequestShare(static_cast<trace::ContentClass>(c)), 1),
+          FormatPercent(s->RequestShare(static_cast<trace::ContentClass>(c)),
+                        1),
           kNumCol);
     }
     out << '\n';
@@ -86,58 +88,58 @@ void RenderTrafficComposition(const std::vector<CompositionResult>& sites,
       << PadLeft("video", kNumCol) << PadLeft("image", kNumCol)
       << PadLeft("other", kNumCol) << '\n';
   Rule(out, kSiteCol + 4 * kNumCol);
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol)
-        << PadLeft(FormatBytes(static_cast<double>(s.TotalBytes())), kNumCol);
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol)
+        << PadLeft(FormatBytes(static_cast<double>(s->TotalBytes())), kNumCol);
     for (int c = 0; c < trace::kNumContentClasses; ++c) {
       out << PadLeft(
-          FormatPercent(s.ByteShare(static_cast<trace::ContentClass>(c)), 1),
+          FormatPercent(s->ByteShare(static_cast<trace::ContentClass>(c)), 1),
           kNumCol);
     }
     out << '\n';
   }
 }
 
-void RenderHourlyVolume(const std::vector<HourlyVolume>& sites,
+void RenderHourlyVolume(const std::vector<const HourlyVolume*>& sites,
                         std::ostream& out) {
   out << PadRight("hour", 6);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 6 + sites.size() * 8);
   for (int h = 0; h < 24; ++h) {
     out << PadRight(std::to_string(h), 6);
-    for (const auto& s : sites) {
-      out << PadLeft(
-          util::FormatDouble(s.percent_by_hour[static_cast<std::size_t>(h)], 2),
-          8);
+    for (const auto* s : sites) {
+      out << PadLeft(util::FormatDouble(
+                         s->percent_by_hour[static_cast<std::size_t>(h)], 2),
+                     8);
     }
     out << '\n';
   }
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " peak hour "
-        << PadLeft(std::to_string(s.PeakHour()), 2) << ":00 local, trough "
-        << PadLeft(std::to_string(s.TroughHour()), 2)
-        << ":00, peak/mean=" << util::FormatDouble(s.PeakToMean(), 2) << '\n';
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " peak hour "
+        << PadLeft(std::to_string(s->PeakHour()), 2) << ":00 local, trough "
+        << PadLeft(std::to_string(s->TroughHour()), 2)
+        << ":00, peak/mean=" << util::FormatDouble(s->PeakToMean(), 2) << '\n';
   }
 }
 
-void RenderDeviceComposition(const std::vector<DeviceComposition>& sites,
-                             std::ostream& out) {
+void RenderDeviceComposition(
+    const std::vector<const DeviceComposition*>& sites, std::ostream& out) {
   out << PadRight("site", kSiteCol) << PadLeft("users", kNumCol);
   for (int d = 0; d < trace::kNumDeviceTypes; ++d) {
     out << PadLeft(trace::ToString(static_cast<trace::DeviceType>(d)), 10);
   }
   out << PadLeft("mobile", 10) << '\n';
   Rule(out, kSiteCol + kNumCol + 5 * 10);
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol)
-        << PadLeft(FormatCount(static_cast<double>(s.unique_users)), kNumCol);
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol)
+        << PadLeft(FormatCount(static_cast<double>(s->unique_users)), kNumCol);
     for (int d = 0; d < trace::kNumDeviceTypes; ++d) {
-      out << PadLeft(FormatPercent(s.user_share[static_cast<std::size_t>(d)], 1),
-                     10);
+      out << PadLeft(
+          FormatPercent(s->user_share[static_cast<std::size_t>(d)], 1), 10);
     }
-    out << PadLeft(FormatPercent(s.MobileShare(), 1), 10) << '\n';
+    out << PadLeft(FormatPercent(s->MobileShare(), 1), 10) << '\n';
   }
 }
 
@@ -193,31 +195,33 @@ void RenderCdfGrid(std::ostream& out, const std::string& title,
 
 }  // namespace
 
-void RenderSizeDistributions(const std::vector<SizeDistributions>& sites,
-                             std::ostream& out, std::size_t grid_points) {
+void RenderSizeDistributions(
+    const std::vector<const SizeDistributions*>& sites, std::ostream& out,
+    std::size_t grid_points) {
   std::vector<std::pair<std::string, const stats::Ecdf*>> video, image;
-  for (const auto& s : sites) {
-    video.emplace_back(s.site, &s.video);
-    image.emplace_back(s.site, &s.image);
+  for (const auto* s : sites) {
+    video.emplace_back(s->site, &s->video);
+    image.emplace_back(s->site, &s->image);
   }
   RenderCdfGrid(out, "(a) video object sizes (bytes): CDF", video, grid_points);
   out << '\n';
   RenderCdfGrid(out, "(b) image object sizes (bytes): CDF", image, grid_points);
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " video>1MB "
-        << PadLeft(FormatPercent(s.VideoAboveMb(), 1), 7) << "   image<1MB "
-        << PadLeft(FormatPercent(s.ImageBelowMb(), 1), 7) << "   image bimodal: "
-        << (ImageSizesAreBimodal(s.image) ? "yes" : "no") << '\n';
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " video>1MB "
+        << PadLeft(FormatPercent(s->VideoAboveMb(), 1), 7) << "   image<1MB "
+        << PadLeft(FormatPercent(s->ImageBelowMb(), 1), 7)
+        << "   image bimodal: "
+        << (ImageSizesAreBimodal(s->image) ? "yes" : "no") << '\n';
   }
 }
 
-void RenderPopularity(const std::vector<PopularityResult>& sites,
+void RenderPopularity(const std::vector<const PopularityResult*>& sites,
                       std::ostream& out, std::size_t grid_points) {
   std::vector<std::pair<std::string, const stats::Ecdf*>> video, image;
-  for (const auto& s : sites) {
-    video.emplace_back(s.site, &s.video_counts);
-    image.emplace_back(s.site, &s.image_counts);
+  for (const auto* s : sites) {
+    video.emplace_back(s->site, &s->video_counts);
+    image.emplace_back(s->site, &s->image_counts);
   }
   RenderCdfGrid(out, "(a) video object request counts: CDF", video,
                 grid_points);
@@ -225,52 +229,54 @@ void RenderPopularity(const std::vector<PopularityResult>& sites,
   RenderCdfGrid(out, "(b) image object request counts: CDF", image,
                 grid_points);
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " top10% share "
-        << PadLeft(FormatPercent(s.top10_share, 1), 7) << "  gini "
-        << util::FormatDouble(s.gini, 3) << "  power-law alpha "
-        << util::FormatDouble(s.power_law.alpha, 2) << " (x_min="
-        << util::FormatDouble(s.power_law.x_min, 0)
-        << ", ks=" << util::FormatDouble(s.power_law.ks, 3) << ")\n";
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " top10% share "
+        << PadLeft(FormatPercent(s->top10_share, 1), 7) << "  gini "
+        << util::FormatDouble(s->gini, 3) << "  power-law alpha "
+        << util::FormatDouble(s->power_law.alpha, 2) << " (x_min="
+        << util::FormatDouble(s->power_law.x_min, 0)
+        << ", ks=" << util::FormatDouble(s->power_law.ks, 3) << ")\n";
   }
 }
 
-void RenderAging(const std::vector<AgingResult>& sites, std::ostream& out) {
+void RenderAging(const std::vector<const AgingResult*>& sites,
+                 std::ostream& out) {
   out << "(observability-corrected: of objects with >= d observable days)\n";
   out << PadRight("age(d)", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (int d = 0; d < kMaxAgeDays; ++d) {
     out << PadRight(std::to_string(d + 1), 8);
-    for (const auto& s : sites) {
+    for (const auto* s : sites) {
       out << PadLeft(util::FormatDouble(
-                         s.fraction_requested[static_cast<std::size_t>(d)], 3),
+                         s->fraction_requested[static_cast<std::size_t>(d)], 3),
                      8);
     }
     out << '\n';
   }
   out << "\n(paper's raw variant: requested-at-day-d over all objects)\n";
   out << PadRight("age(d)", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (int d = 0; d < kMaxAgeDays; ++d) {
     out << PadRight(std::to_string(d + 1), 8);
-    for (const auto& s : sites) {
-      out << PadLeft(
-          util::FormatDouble(
-              s.fraction_requested_uncorrected[static_cast<std::size_t>(d)], 3),
-          8);
+    for (const auto* s : sites) {
+      out << PadLeft(util::FormatDouble(
+                         s->fraction_requested_uncorrected[
+                             static_cast<std::size_t>(d)],
+                         3),
+                     8);
     }
     out << '\n';
   }
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " silent after day 3: "
-        << PadLeft(FormatPercent(s.silent_after_3_days, 1), 7)
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " silent after day 3: "
+        << PadLeft(FormatPercent(s->silent_after_3_days, 1), 7)
         << "   requested all 7 days: "
-        << PadLeft(FormatPercent(s.requested_all_days, 1), 7) << '\n';
+        << PadLeft(FormatPercent(s->requested_all_days, 1), 7) << '\n';
   }
 }
 
@@ -304,7 +310,7 @@ void RenderClusterMedoids(const TrendClusterResult& result, std::ostream& out,
   }
 }
 
-void RenderSessions(const std::vector<SessionResult>& sites,
+void RenderSessions(const std::vector<const SessionResult*>& sites,
                     std::ostream& out) {
   // The paper's x-axis points for Figs. 11/12.
   struct Point {
@@ -322,47 +328,48 @@ void RenderSessions(const std::vector<SessionResult>& sites,
                                              {"1 hr", 3600}};
   out << "(Fig. 11) user request inter-arrival time CDF\n";
   out << PadRight("IAT", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (const auto& p : kIatPoints) {
     out << PadRight(p.label, 8);
-    for (const auto& s : sites) {
-      out << PadLeft(s.iat_seconds.empty()
-                         ? "-"
-                         : util::FormatDouble(s.iat_seconds.Evaluate(p.seconds), 3),
-                     8);
+    for (const auto* s : sites) {
+      out << PadLeft(
+          s->iat_seconds.empty()
+              ? "-"
+              : util::FormatDouble(s->iat_seconds.Evaluate(p.seconds), 3),
+          8);
     }
     out << '\n';
   }
   out << "\n(Fig. 12) user session length CDF (10 min timeout)\n";
   out << PadRight("len", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (const auto& p : kSessionPoints) {
     out << PadRight(p.label, 8);
-    for (const auto& s : sites) {
+    for (const auto* s : sites) {
       out << PadLeft(
-          s.session_length_seconds.empty()
+          s->session_length_seconds.empty()
               ? "-"
-              : util::FormatDouble(s.session_length_seconds.Evaluate(p.seconds),
-                                   3),
+              : util::FormatDouble(
+                    s->session_length_seconds.Evaluate(p.seconds), 3),
           8);
     }
     out << '\n';
   }
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " median IAT "
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " median IAT "
         << PadLeft(util::FormatDuration(
-                       static_cast<std::int64_t>(s.MedianIatSeconds() * 1000)),
+                       static_cast<std::int64_t>(s->MedianIatSeconds() * 1000)),
                    10)
         << "   median session "
         << PadLeft(util::FormatDuration(static_cast<std::int64_t>(
-                       s.MedianSessionSeconds() * 1000)),
+                       s->MedianSessionSeconds() * 1000)),
                    10)
-        << "   sessions " << FormatCount(static_cast<double>(s.session_count))
+        << "   sessions " << FormatCount(static_cast<double>(s->session_count))
         << '\n';
   }
 }
@@ -399,102 +406,104 @@ void RenderRepeatedAccess(const EngagementResult& result, std::ostream& out) {
       << ", viral: " << result.viral_objects << '\n';
 }
 
-void RenderEngagement(const std::vector<EngagementResult>& sites,
+void RenderEngagement(const std::vector<const EngagementResult*>& sites,
                       std::ostream& out) {
   static constexpr double kPoints[] = {1, 2, 5, 10, 20, 50, 100};
   out << "(a) video: CDF of requests per user\n";
   out << PadRight("req/user", 10);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 10 + sites.size() * 8);
   for (double p : kPoints) {
     out << PadRight(util::FormatDouble(p, 0), 10);
-    for (const auto& s : sites) {
-      out << PadLeft(s.video_requests_per_user.empty()
+    for (const auto* s : sites) {
+      out << PadLeft(s->video_requests_per_user.empty()
                          ? "-"
                          : util::FormatDouble(
-                               s.video_requests_per_user.Evaluate(p), 3),
+                               s->video_requests_per_user.Evaluate(p), 3),
                      8);
     }
     out << '\n';
   }
   out << "\n(b) image: CDF of requests per user\n";
   out << PadRight("req/user", 10);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 10 + sites.size() * 8);
   for (double p : kPoints) {
     out << PadRight(util::FormatDouble(p, 0), 10);
-    for (const auto& s : sites) {
-      out << PadLeft(s.image_requests_per_user.empty()
+    for (const auto* s : sites) {
+      out << PadLeft(s->image_requests_per_user.empty()
                          ? "-"
                          : util::FormatDouble(
-                               s.image_requests_per_user.Evaluate(p), 3),
+                               s->image_requests_per_user.Evaluate(p), 3),
                      8);
     }
     out << '\n';
   }
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " video objects >10 req/user: "
-        << PadLeft(FormatPercent(s.video_frac_over_10, 1), 7)
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " video objects >10 req/user: "
+        << PadLeft(FormatPercent(s->video_frac_over_10, 1), 7)
         << "   image objects >10 req/user: "
-        << PadLeft(FormatPercent(s.image_frac_over_10, 1), 7) << '\n';
+        << PadLeft(FormatPercent(s->image_frac_over_10, 1), 7) << '\n';
   }
 }
 
-void RenderCaching(const std::vector<CachingResult>& sites,
+void RenderCaching(const std::vector<const CachingResult*>& sites,
                    std::ostream& out) {
   static constexpr double kRatios[] = {0.0, 0.2, 0.4, 0.6, 0.8, 0.9, 0.99};
   out << "(a) image: CDF of per-object hit ratio\n";
   out << PadRight("ratio", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (double r : kRatios) {
     out << PadRight(util::FormatDouble(r, 2), 8);
-    for (const auto& s : sites) {
-      out << PadLeft(s.image_hit_ratio.empty()
-                         ? "-"
-                         : util::FormatDouble(s.image_hit_ratio.Evaluate(r), 3),
-                     8);
+    for (const auto* s : sites) {
+      out << PadLeft(
+          s->image_hit_ratio.empty()
+              ? "-"
+              : util::FormatDouble(s->image_hit_ratio.Evaluate(r), 3),
+          8);
     }
     out << '\n';
   }
   out << "\n(b) video: CDF of per-object hit ratio\n";
   out << PadRight("ratio", 8);
-  for (const auto& s : sites) out << PadLeft(s.site, 8);
+  for (const auto* s : sites) out << PadLeft(s->site, 8);
   out << '\n';
   Rule(out, 8 + sites.size() * 8);
   for (double r : kRatios) {
     out << PadRight(util::FormatDouble(r, 2), 8);
-    for (const auto& s : sites) {
-      out << PadLeft(s.video_hit_ratio.empty()
-                         ? "-"
-                         : util::FormatDouble(s.video_hit_ratio.Evaluate(r), 3),
-                     8);
+    for (const auto* s : sites) {
+      out << PadLeft(
+          s->video_hit_ratio.empty()
+              ? "-"
+              : util::FormatDouble(s->video_hit_ratio.Evaluate(r), 3),
+          8);
     }
     out << '\n';
   }
   out << '\n';
-  for (const auto& s : sites) {
-    out << PadRight(s.site, kSiteCol) << " overall hit ratio "
-        << PadLeft(FormatPercent(s.overall_hit_ratio, 1), 7) << " (video "
-        << FormatPercent(s.video_overall_hit_ratio, 1) << ", image "
-        << FormatPercent(s.image_overall_hit_ratio, 1)
+  for (const auto* s : sites) {
+    out << PadRight(s->site, kSiteCol) << " overall hit ratio "
+        << PadLeft(FormatPercent(s->overall_hit_ratio, 1), 7) << " (video "
+        << FormatPercent(s->video_overall_hit_ratio, 1) << ", image "
+        << FormatPercent(s->image_overall_hit_ratio, 1)
         << "), popularity corr " << util::FormatDouble(
-               s.popularity_hit_correlation, 3)
-        << ", 304 share " << FormatPercent(s.NotModifiedShare(), 2) << '\n';
+               s->popularity_hit_correlation, 3)
+        << ", 304 share " << FormatPercent(s->NotModifiedShare(), 2) << '\n';
   }
 }
 
-void RenderResponseCodes(const std::vector<CachingResult>& sites,
+void RenderResponseCodes(const std::vector<const CachingResult*>& sites,
                          std::ostream& out) {
   // Collect the union of codes, keeping the paper's order first.
   std::vector<std::uint16_t> codes = {200, 204, 206, 304, 403, 416};
   std::set<std::uint16_t> known(codes.begin(), codes.end());
-  for (const auto& s : sites) {
-    for (const auto& [code, count] : s.all_response_codes) {
+  for (const auto* s : sites) {
+    for (const auto& [code, count] : s->all_response_codes) {
       (void)count;
       if (known.insert(code).second) codes.push_back(code);
     }
@@ -504,13 +513,13 @@ void RenderResponseCodes(const std::vector<CachingResult>& sites,
           const std::map<std::uint16_t, std::uint64_t> CachingResult::*field) {
         out << title << '\n';
         out << PadRight("code", 8);
-        for (const auto& s : sites) out << PadLeft(s.site, 10);
+        for (const auto* s : sites) out << PadLeft(s->site, 10);
         out << '\n';
         Rule(out, 8 + sites.size() * 10);
         for (const auto code : codes) {
           out << PadRight(std::to_string(code), 8);
-          for (const auto& s : sites) {
-            const auto& m = s.*field;
+          for (const auto* s : sites) {
+            const auto& m = s->*field;
             const auto it = m.find(code);
             out << PadLeft(
                 it == m.end() ? "0"

@@ -1,8 +1,10 @@
 #include "analysis/suite.h"
 
 #include <algorithm>
+#include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "analysis/report.h"
 #include "util/logging.h"
@@ -26,39 +28,57 @@ SiteAccumulator::SiteAccumulator(const trace::Publisher& publisher,
   }
 }
 
-void SiteAccumulator::AddBatch(const trace::RecordBlock& b,
-                               const std::uint32_t* rows, std::size_t n) {
-  records_ += n;
-  summary_.AddBatch(b, rows, n);
-  composition_.AddBatch(b, rows, n);
-  hourly_.AddBatch(b, rows, n);
-  devices_.AddBatch(b, rows, n);
-  sizes_.AddBatch(b, rows, n);
-  popularity_.AddBatch(b, rows, n);
-  aging_.AddBatch(b, rows, n);
-  sessions_.AddBatch(b, rows, n);
-  engagement_.AddBatch(b, rows, n);
-  caching_.AddBatch(b, rows, n);
-  if (video_series_) video_series_->AddBatch(b, rows, n);
-  if (image_series_) image_series_->AddBatch(b, rows, n);
+void SiteAccumulator::AddPart(std::size_t part, const trace::RecordBlock& b,
+                              const std::uint32_t* rows, std::size_t n) {
+  switch (part) {
+    case 0: summary_.AddBatch(b, rows, n); break;
+    case 1: composition_.AddBatch(b, rows, n); break;
+    case 2: hourly_.AddBatch(b, rows, n); break;
+    case 3: devices_.AddBatch(b, rows, n); break;
+    case 4: sizes_.AddBatch(b, rows, n); break;
+    case 5: popularity_.AddBatch(b, rows, n); break;
+    case 6: aging_.AddBatch(b, rows, n); break;
+    case 7: sessions_.AddBatch(b, rows, n); break;
+    case 8: engagement_.AddBatch(b, rows, n); break;
+    case 9: caching_.AddBatch(b, rows, n); break;
+    case 10: if (video_series_) video_series_->AddBatch(b, rows, n); break;
+    case 11: if (image_series_) image_series_->AddBatch(b, rows, n); break;
+    default: throw std::out_of_range("SiteAccumulator: no part " +
+                                     std::to_string(part));
+  }
 }
+
+namespace {
+
+// Finalizes `acc` into its result, then releases the accumulator's tables:
+// Finalize consumes the accumulators, so their state need not outlive the
+// results built from it (the report is rendered while the analysis lives).
+template <typename Accumulator>
+auto Consume(Accumulator& acc, const std::string& site) {
+  auto result = acc.Finalize(site);
+  acc = Accumulator();
+  return result;
+}
+
+}  // namespace
 
 SiteAnalysis SiteAccumulator::Finalize() {
   ATLAS_LOG(kInfo) << "analyzing " << publisher_.name << " (" << records_
                    << " records)";
+  const std::string& name = publisher_.name;
   SiteAnalysis a;
-  a.site = publisher_.name;
+  a.site = name;
   a.kind = publisher_.kind;
-  a.summary = summary_.Finalize(publisher_.name);
-  a.composition = composition_.Finalize(publisher_.name);
-  a.hourly = hourly_.Finalize(publisher_.name);
-  a.devices = devices_.Finalize(publisher_.name);
-  a.sizes = sizes_.Finalize(publisher_.name);
-  a.popularity = popularity_.Finalize(publisher_.name);
-  a.aging = aging_.Finalize(publisher_.name);
-  a.sessions = sessions_.Finalize(publisher_.name);
-  a.engagement = engagement_.Finalize(publisher_.name);
-  a.caching = caching_.Finalize(publisher_.name);
+  a.summary = Consume(summary_, name);
+  a.composition = Consume(composition_, name);
+  a.hourly = Consume(hourly_, name);
+  a.devices = Consume(devices_, name);
+  a.sizes = Consume(sizes_, name);
+  a.popularity = Consume(popularity_, name);
+  a.aging = Consume(aging_, name);
+  a.sessions = Consume(sessions_, name);
+  a.engagement = Consume(engagement_, name);
+  a.caching = Consume(caching_, name);
   if (video_series_) video_panel_ = video_series_->Finalize();
   if (image_series_) image_panel_ = image_series_->Finalize();
   return a;
@@ -161,65 +181,92 @@ SiteAccumulator& StreamingAnalysis::AccumulatorFor(std::size_t index) {
   return *acc;
 }
 
+void StreamingAnalysis::RunTasks(std::size_t n,
+                                 const std::function<void(std::size_t)>& fn) {
+  if (n <= 1 || util::ResolveThreads(config_.threads) <= 1 ||
+      util::InParallelRegion()) {
+    for (std::size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  if (!pool_) pool_ = std::make_unique<util::ThreadPool>(config_.threads);
+  std::vector<std::exception_ptr> errors(n);
+  pool_->Run(n, [&](std::size_t i) {
+    try {
+      fn(i);
+    } catch (...) {
+      errors[i] = std::current_exception();
+    }
+  });
+  for (const auto& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+}
+
 void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,
                                  std::size_t first_row) {
   const std::size_t n = block.size();
   if (first_row >= n) return;
   records_consumed_ += n - first_row;
 
-  if (first_row == 0) {
+  batches_.clear();
+  bool uniform = first_row == 0;
+  if (uniform) {
     // Fast path: single-publisher block (per-site traces, and long runs of
     // a merged trace) — hand the whole block down with no row indirection.
     const std::uint32_t first_pub = block.publisher_id[0];
-    bool uniform = true;
-    for (std::size_t i = 1; i < n; ++i) {
-      if (block.publisher_id[i] != first_pub) {
-        uniform = false;
-        break;
-      }
+    for (std::size_t i = 1; i < n && uniform; ++i) {
+      uniform = block.publisher_id[i] == first_pub;
     }
     if (uniform) {
       if (const std::int64_t idx = IndexFor(first_pub); idx >= 0) {
-        AccumulatorFor(static_cast<std::size_t>(idx)).AddBatch(block, nullptr,
-                                                               n);
+        batches_.push_back(
+            {&AccumulatorFor(static_cast<std::size_t>(idx)), nullptr, n});
       }
-      return;
     }
   }
+  if (!uniform) {
+    // Stable demux: per-publisher row-index lists preserve stream order
+    // within each site, so each site folds its rows exactly as it would
+    // from a single-publisher block. Unregistered publishers are counted by
+    // the cursor above but not analyzed.
+    if (demux_rows_.size() != publishers_.size()) {
+      demux_rows_.assign(publishers_.size(), {});
+    }
+    touched_.clear();
+    for (std::size_t i = first_row; i < n; ++i) {
+      const std::int64_t found = IndexFor(block.publisher_id[i]);
+      if (found < 0) continue;
+      const auto idx = static_cast<std::size_t>(found);
+      if (demux_rows_[idx].empty()) touched_.push_back(idx);
+      demux_rows_[idx].push_back(static_cast<std::uint32_t>(i));
+    }
+    for (const std::size_t idx : touched_) {
+      batches_.push_back({&AccumulatorFor(idx), demux_rows_[idx].data(),
+                          demux_rows_[idx].size()});
+    }
+  }
+  for (const SiteBatch& batch : batches_) batch.acc->CountRows(batch.n);
 
-  // Stable demux: per-publisher row-index lists preserve stream order
-  // within each site, so each site folds its rows exactly as it would from
-  // a single-publisher block. Unregistered publishers are counted by the
-  // cursor above but not analyzed.
-  if (demux_rows_.size() != publishers_.size()) {
-    demux_rows_.assign(publishers_.size(), {});
-  }
-  touched_.clear();
-  for (std::size_t i = first_row; i < n; ++i) {
-    const std::int64_t found = IndexFor(block.publisher_id[i]);
-    if (found < 0) continue;
-    const auto idx = static_cast<std::size_t>(found);
-    if (demux_rows_[idx].empty()) touched_.push_back(idx);
-    demux_rows_[idx].push_back(static_cast<std::uint32_t>(i));
-  }
-  for (const std::size_t idx : touched_) {
-    AccumulatorFor(idx).AddBatch(block, demux_rows_[idx].data(),
-                                 demux_rows_[idx].size());
-    demux_rows_[idx].clear();
+  // One task per (site, part): each part of each site gets this block's
+  // rows from exactly one task, so its fold order is the stream order.
+  constexpr std::size_t kParts = SiteAccumulator::kParts;
+  RunTasks(batches_.size() * kParts, [&](std::size_t t) {
+    const SiteBatch& batch = batches_[t / kParts];
+    batch.acc->AddPart(t % kParts, block, batch.rows, batch.n);
+  });
+  if (!uniform) {
+    for (const std::size_t idx : touched_) demux_rows_[idx].clear();
   }
 }
 
 std::vector<SiteAnalysis> StreamingAnalysis::Finalize() {
   // Phase 1: every accumulator except trend clustering (Ecdf sorts, series
-  // building), one site per worker into a dedicated slot. With trends off
+  // building), one site per task into a dedicated slot. With trends off
   // this is all of finalization.
   std::vector<std::optional<SiteAnalysis>> slots(publishers_.size());
-  util::ParallelFor(
-      publishers_.size(),
-      [&](std::size_t i) {
-        if (accumulators_[i]) slots[i] = accumulators_[i]->Finalize();
-      },
-      config_.threads);
+  RunTasks(publishers_.size(), [&](std::size_t i) {
+    if (accumulators_[i]) slots[i] = accumulators_[i]->Finalize();
+  });
   // Phase 2: one trend panel at a time, in registry order, each spreading
   // its pairwise DTW over every worker. Run inside phase 1, a site's panels
   // would sit on that site's one worker.
@@ -284,46 +331,41 @@ const SiteAnalysis& AnalysisSuite::site(const std::string& name) const {
   throw std::out_of_range("AnalysisSuite: unknown site " + name);
 }
 
+namespace {
+
+// One site-result field of every site, as the view the Render* functions
+// take; points into `sites`, so nothing is copied.
+template <typename T>
+std::vector<const T*> Column(const std::vector<SiteAnalysis>& sites,
+                             T SiteAnalysis::*field) {
+  std::vector<const T*> column;
+  column.reserve(sites.size());
+  for (const auto& s : sites) column.push_back(&(s.*field));
+  return column;
+}
+
+}  // namespace
+
 void AnalysisSuite::Render(std::ostream& out) const {
-  std::vector<DatasetSummary> summaries;
-  std::vector<CompositionResult> compositions;
-  std::vector<HourlyVolume> hourly;
-  std::vector<DeviceComposition> devices;
-  std::vector<SizeDistributions> sizes;
-  std::vector<PopularityResult> popularity;
-  std::vector<AgingResult> aging;
-  std::vector<SessionResult> sessions;
-  std::vector<EngagementResult> engagement;
-  std::vector<CachingResult> caching;
-  for (const auto& s : sites_) {
-    summaries.push_back(s.summary);
-    compositions.push_back(s.composition);
-    hourly.push_back(s.hourly);
-    devices.push_back(s.devices);
-    sizes.push_back(s.sizes);
-    popularity.push_back(s.popularity);
-    aging.push_back(s.aging);
-    sessions.push_back(s.sessions);
-    engagement.push_back(s.engagement);
-    caching.push_back(s.caching);
-  }
+  const auto compositions = Column(sites_, &SiteAnalysis::composition);
+  const auto caching = Column(sites_, &SiteAnalysis::caching);
 
   out << "=== Dataset summary (paper SS III) ===\n";
-  RenderDatasetSummaries(summaries, out);
+  RenderDatasetSummaries(Column(sites_, &SiteAnalysis::summary), out);
   out << "\n=== Fig. 1: content composition ===\n";
   RenderContentComposition(compositions, out);
   out << "\n=== Fig. 2: traffic composition ===\n";
   RenderTrafficComposition(compositions, out);
   out << "\n=== Fig. 3: hourly traffic volume (local time, % of weekly) ===\n";
-  RenderHourlyVolume(hourly, out);
+  RenderHourlyVolume(Column(sites_, &SiteAnalysis::hourly), out);
   out << "\n=== Fig. 4: device type composition ===\n";
-  RenderDeviceComposition(devices, out);
+  RenderDeviceComposition(Column(sites_, &SiteAnalysis::devices), out);
   out << "\n=== Fig. 5: content size distributions ===\n";
-  RenderSizeDistributions(sizes, out);
+  RenderSizeDistributions(Column(sites_, &SiteAnalysis::sizes), out);
   out << "\n=== Fig. 6: content popularity ===\n";
-  RenderPopularity(popularity, out);
+  RenderPopularity(Column(sites_, &SiteAnalysis::popularity), out);
   out << "\n=== Fig. 7: content aging ===\n";
-  RenderAging(aging, out);
+  RenderAging(Column(sites_, &SiteAnalysis::aging), out);
   for (const auto& s : sites_) {
     if (s.video_trends && s.video_trends->clustered_objects >= 2) {
       out << "\n=== Figs. 8-9: " << s.site << " video popularity trends ===\n";
@@ -337,13 +379,13 @@ void AnalysisSuite::Render(std::ostream& out) const {
     }
   }
   out << "\n=== Figs. 11-12: sessions ===\n";
-  RenderSessions(sessions, out);
+  RenderSessions(Column(sites_, &SiteAnalysis::sessions), out);
   out << "\n=== Figs. 13-14: engagement & addiction ===\n";
-  for (const auto& e : engagement) {
-    RenderRepeatedAccess(e, out);
+  for (const auto& s : sites_) {
+    RenderRepeatedAccess(s.engagement, out);
     out << '\n';
   }
-  RenderEngagement(engagement, out);
+  RenderEngagement(Column(sites_, &SiteAnalysis::engagement), out);
   out << "\n=== Fig. 15: CDN cache hit ratios ===\n";
   RenderCaching(caching, out);
   out << "\n=== Fig. 16: HTTP response codes ===\n";

@@ -5,6 +5,7 @@
 // need; Render() prints the full report in paper order.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <ostream>
@@ -26,6 +27,7 @@
 #include "trace/publisher.h"
 #include "trace/stream.h"
 #include "util/flat_hash.h"
+#include "util/par.h"
 
 namespace atlas::analysis {
 
@@ -35,8 +37,10 @@ struct SuiteConfig {
   bool run_trend_clusters = true;
   TrendClusterConfig trend;
   // Worker threads for the analysis; <= 0 means util::DefaultThreads().
-  // Sites are finalized concurrently, each into its own result slot, and
-  // then each trend panel's DTW runs on all of them; every result is
+  // Each block's (site, accumulator) pairs run as tasks on that many
+  // workers, the sites are finalized concurrently, each into its own result
+  // slot, and then each trend panel's DTW runs on all of them. Every
+  // accumulator still folds its rows in stream order, so every result is
   // identical at any thread count, and so is the rendered report.
   int threads = 0;
 };
@@ -62,22 +66,31 @@ struct SiteAnalysis {
 // Every per-site analysis folded into one single-pass consumer: feed it a
 // site's records (in trace order) and Finalize into the SiteAnalysis the
 // report renders. This is the unit the streaming suite demultiplexes a
-// block stream into; aggregate state is O(users + objects + pairs), never
-// O(records), so traces far beyond RAM stream through.
+// block stream into. Most aggregate state is O(users + objects + pairs);
+// the exception is the sessions accumulator's inter-arrival sample, one
+// double per same-user gap, which is O(records).
 class SiteAccumulator {
  public:
+  // The sub-accumulators, numbered 0..kParts-1 in AddPart's order (the two
+  // trend-series parts are no-ops with trends off). No part reads
+  // another's state, so different parts may be fed concurrently.
+  static constexpr std::size_t kParts = 12;
+
   SiteAccumulator(const trace::Publisher& publisher,
                   const SuiteConfig& config);
+  // Counts n rows toward records(); the caller then hands the same rows to
+  // every part.
+  void CountRows(std::size_t n) { records_ += n; }
   // Rows rows[0..n) of b (all of [0, n) when rows is null), in stream
-  // order, handed to each sub-accumulator in turn. Feeding whole batches
-  // accumulator by accumulator is safe because their states are
-  // independent.
-  void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
-                std::size_t n);
+  // order, handed to part `part` alone. Each part must get every batch, in
+  // stream order; different parts may run on different threads.
+  void AddPart(std::size_t part, const trace::RecordBlock& b,
+               const std::uint32_t* rows, std::size_t n);
   // Finalizes every sub-accumulator, the trend series included, but leaves
   // the trend panels unclustered: ClusterTrends does that afterwards, so
   // that each panel's DTW can use every worker. Call at most once; the
-  // accumulators are consumed.
+  // accumulators are consumed, and all but the trend series release their
+  // state as soon as their result is built.
   SiteAnalysis Finalize();
   // Clusters the video, then the image panel that Finalize built into `a`,
   // each panel's pairwise DTW on `threads` workers. No-op with trends off.
@@ -127,9 +140,13 @@ class StreamingAnalysis {
   StreamingAnalysis(const trace::PublisherRegistry& registry,
                     const SuiteConfig& config = {});
 
-  // Consumes rows [first_row, size) of `block`, demultiplexing to per-site
-  // AddBatch calls that preserve stream order per site, so the results do
-  // not depend on block size. `first_row` lets a resumed analysis skip the
+  // Consumes rows [first_row, size) of `block`. The calling thread
+  // demultiplexes the rows into per-site lists that preserve stream order,
+  // then every (site, part) pair runs as one task on the analysis pool, so
+  // each accumulator folds its rows in stream order and the results depend
+  // on neither block size nor thread count. If tasks throw, the one with
+  // the lowest (site, part) index is rethrown — the failure a serial run
+  // would raise. `first_row` lets a resumed analysis skip the
   // already-consumed prefix of a partial block.
   void AddBlock(const trace::RecordBlock& block, std::size_t first_row = 0);
 
@@ -139,10 +156,10 @@ class StreamingAnalysis {
   std::uint64_t records_consumed() const { return records_consumed_; }
 
   // Finalizes in two phases, both on SuiteConfig::threads workers: the
-  // sites in parallel, one per worker, then each trend panel in turn
-  // (registry order, video before image) with its DTW across every worker.
-  // Results come back in registry order. Call at most once; the
-  // accumulators are consumed.
+  // sites in parallel on the analysis pool, one per task, then each trend
+  // panel in turn (registry order, video before image) with its DTW across
+  // every worker. Results come back in registry order. Call at most once;
+  // the accumulators are consumed.
   std::vector<SiteAnalysis> Finalize();
 
   // Blob layout: cursor + one presence-flagged SiteAccumulator blob per
@@ -152,6 +169,14 @@ class StreamingAnalysis {
 
  private:
   SiteAccumulator& AccumulatorFor(std::size_t index);
+
+  // Runs fn(0..n) as tasks on the analysis pool, which is created on first
+  // use and lives as long as the analysis. Runs them inline in index order
+  // instead when the resolved thread count is 1, when n is 1, or from
+  // inside a parallel region. Each task's exception lands in its own slot
+  // and the lowest-index one is rethrown, so a failure does not depend on
+  // scheduling.
+  void RunTasks(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Accumulator index for a publisher id, or -1 if unregistered. Registry
   // ids are small and dense in practice, so the hot paths resolve through a
@@ -176,6 +201,15 @@ class StreamingAnalysis {
   // (cleared after every block; kept here to reuse capacity).
   std::vector<std::vector<std::uint32_t>> demux_rows_;
   std::vector<std::size_t> touched_;
+  // One block's per-site row lists, in the order the sites first appear in
+  // it: the sites of AddBlock's (site, part) tasks.
+  struct SiteBatch {
+    SiteAccumulator* acc;
+    const std::uint32_t* rows;  // null: every row of the block
+    std::size_t n;
+  };
+  std::vector<SiteBatch> batches_;
+  std::unique_ptr<util::ThreadPool> pool_;
 };
 
 class AnalysisSuite {
@@ -184,8 +218,10 @@ class AnalysisSuite {
   // yield records in non-decreasing timestamp order, as TraceWriter files
   // and merged scenario traces do) block by block into one SiteAccumulator
   // per registered publisher, then finalizes sites in parallel. Peak
-  // memory is the accumulator state plus one block — independent of trace
-  // length. An in-memory trace goes in through trace::BufferBlockSource.
+  // memory is the accumulator state plus one block; apart from the
+  // sessions IAT sample, that state grows with the population, not the
+  // trace length. An in-memory trace goes in through
+  // trace::BufferBlockSource.
   AnalysisSuite(trace::BlockSource& source,
                 const trace::PublisherRegistry& registry,
                 const SuiteConfig& config = {});

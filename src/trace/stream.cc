@@ -356,9 +356,4 @@ TraceBuffer ReadAllRecords(BlockSource& source) {
   return trace;
 }
 
-TraceBuffer ReadAnyBinaryFile(const std::string& path) {
-  TraceFileReader reader(path);
-  return ReadAllRecords(reader);
-}
-
 }  // namespace atlas::trace

@@ -196,9 +196,8 @@ void WriteV2(const TraceBuffer& trace, std::ostream& out,
 void WriteV2File(const TraceBuffer& trace, const std::string& path,
                  std::size_t block_records = kDefaultBlockRecords);
 
-// Drains a source into a TraceBuffer (the in-memory bridge).
+// Drains a source into a TraceBuffer (the in-memory bridge); a trace file
+// loads through a TraceFileReader.
 TraceBuffer ReadAllRecords(BlockSource& source);
-// Reads a trace file into memory.
-TraceBuffer ReadAnyBinaryFile(const std::string& path);
 
 }  // namespace atlas::trace

@@ -27,31 +27,38 @@ T ParseNarrowField(const std::string& field, const char* name) {
 
 }  // namespace
 
-void WriteCsv(const TraceBuffer& trace, std::ostream& out) {
+std::uint64_t WriteCsv(BlockSource& source, std::ostream& out) {
   util::CsvWriter writer(out);
   writer.Row({"timestamp_ms", "url_hash", "user_id", "object_size",
               "response_bytes", "publisher_id", "user_agent_id",
               "response_code", "file_type", "content_class", "cache_status",
               "tz_offset_quarter_hours"});
-  for (const auto& r : trace.records()) {
-    writer.Field(r.timestamp_ms)
-        .Field(r.url_hash)
-        .Field(r.user_id)
-        .Field(r.object_size)
-        .Field(r.response_bytes)
-        .Field(static_cast<std::uint64_t>(r.publisher_id))
-        .Field(static_cast<std::uint64_t>(r.user_agent_id))
-        .Field(static_cast<std::uint64_t>(r.response_code))
-        .Field(ToString(r.file_type))
-        .Field(ToString(ClassOf(r.file_type)))
-        .Field(ToString(r.cache_status))
-        .Field(static_cast<std::int64_t>(r.tz_offset_quarter_hours));
-    writer.EndRow();
+  std::uint64_t written = 0;
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    for (std::size_t i = 0; i < block->size(); ++i) {
+      const LogRecord r = block->Row(i);
+      writer.Field(r.timestamp_ms)
+          .Field(r.url_hash)
+          .Field(r.user_id)
+          .Field(r.object_size)
+          .Field(r.response_bytes)
+          .Field(static_cast<std::uint64_t>(r.publisher_id))
+          .Field(static_cast<std::uint64_t>(r.user_agent_id))
+          .Field(static_cast<std::uint64_t>(r.response_code))
+          .Field(ToString(r.file_type))
+          .Field(ToString(ClassOf(r.file_type)))
+          .Field(ToString(r.cache_status))
+          .Field(static_cast<std::int64_t>(r.tz_offset_quarter_hours));
+      writer.EndRow();
+    }
+    written += block->size();
   }
   // CSV export used to return silently on a failed stream; surface it like
   // the binary writers do.
   out.flush();
   if (!out) throw std::runtime_error("trace_io: write failed (csv)");
+  return written;
 }
 
 TraceBuffer ReadCsv(std::istream& in) {

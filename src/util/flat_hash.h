@@ -30,6 +30,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/page_alloc.h"
+
 namespace atlas::util {
 
 // SplitMix64 finalizer: full-avalanche mixing for 64-bit keys.
@@ -60,6 +62,11 @@ struct FlatPairHash {
 
 namespace internal {
 
+// Table arrays come from PageAllocator, so a large table's pages go back to
+// the kernel when it grows or dies, whichever thread grew it.
+template <typename T>
+using TableArray = std::vector<T, PageAllocator<T>>;
+
 // Shared probing core. Slot metadata is one byte: 0 empty, 1 occupied.
 template <typename K, typename Hash>
 class FlatTableBase {
@@ -84,8 +91,8 @@ class FlatTableBase {
     return i;
   }
 
-  std::vector<K> keys_;
-  std::vector<std::uint8_t> used_;
+  TableArray<K> keys_;
+  TableArray<std::uint8_t> used_;
   std::size_t size_ = 0;
 };
 
@@ -174,9 +181,9 @@ class FlatHashMap : public internal::FlatTableBase<K, Hash> {
   }
 
   void Rehash(std::size_t cap) {
-    std::vector<K> old_keys = std::move(this->keys_);
-    std::vector<V> old_values = std::move(values_);
-    std::vector<std::uint8_t> old_used = std::move(this->used_);
+    internal::TableArray<K> old_keys = std::move(this->keys_);
+    internal::TableArray<V> old_values = std::move(values_);
+    internal::TableArray<std::uint8_t> old_used = std::move(this->used_);
     this->keys_.assign(cap, K{});
     values_.assign(cap, V{});
     this->used_.assign(cap, 0);
@@ -189,7 +196,7 @@ class FlatHashMap : public internal::FlatTableBase<K, Hash> {
     }
   }
 
-  std::vector<V> values_;
+  internal::TableArray<V> values_;
 };
 
 template <typename K, typename Hash = FlatHash<K>>
@@ -240,8 +247,8 @@ class FlatHashSet : public internal::FlatTableBase<K, Hash> {
   }
 
   void Rehash(std::size_t cap) {
-    std::vector<K> old_keys = std::move(this->keys_);
-    std::vector<std::uint8_t> old_used = std::move(this->used_);
+    internal::TableArray<K> old_keys = std::move(this->keys_);
+    internal::TableArray<std::uint8_t> old_used = std::move(this->used_);
     this->keys_.assign(cap, K{});
     this->used_.assign(cap, 0);
     for (std::size_t i = 0; i < old_keys.size(); ++i) {

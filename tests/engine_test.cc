@@ -139,7 +139,8 @@ TEST(EngineTest, StreamedV2FileMatchesBufferedRun) {
     writer.Finish();
     EXPECT_EQ(writer.written(), buffered.trace.size());
   }
-  const auto round_tripped = trace::ReadAnyBinaryFile(path);
+  trace::TraceFileReader reader(path);
+  const auto round_tripped = trace::ReadAllRecords(reader);
   std::remove(path.c_str());
 
   EXPECT_EQ(Digest(round_tripped), Digest(buffered.trace));

@@ -27,8 +27,9 @@ trace::TraceBuffer SmallTrace() {
 }
 
 TEST(ReportTest, DatasetSummaries) {
+  const auto summary = ComputeDatasetSummary(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderDatasetSummaries({ComputeDatasetSummary(SmallTrace(), "X-1")}, out);
+  RenderDatasetSummaries({&summary}, out);
   EXPECT_NE(out.str().find("X-1"), std::string::npos);
   EXPECT_NE(out.str().find("records"), std::string::npos);
   EXPECT_NE(out.str().find("3"), std::string::npos);
@@ -37,8 +38,8 @@ TEST(ReportTest, DatasetSummaries) {
 TEST(ReportTest, ContentAndTrafficComposition) {
   const auto comp = ComputeComposition(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderContentComposition({comp}, out);
-  RenderTrafficComposition({comp}, out);
+  RenderContentComposition({&comp}, out);
+  RenderTrafficComposition({&comp}, out);
   const std::string text = out.str();
   EXPECT_NE(text.find("video"), std::string::npos);
   EXPECT_NE(text.find("(b) request size"), std::string::npos);
@@ -48,7 +49,7 @@ TEST(ReportTest, ContentAndTrafficComposition) {
 TEST(ReportTest, HourlyVolumeHas24Rows) {
   const auto hv = ComputeHourlyVolume(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderHourlyVolume({hv}, out);
+  RenderHourlyVolume({&hv}, out);
   // Rows labeled 0..23.
   EXPECT_NE(out.str().find("\n23"), std::string::npos);
   EXPECT_NE(out.str().find("peak hour"), std::string::npos);
@@ -57,14 +58,14 @@ TEST(ReportTest, HourlyVolumeHas24Rows) {
 TEST(ReportTest, SizeDistributionsMentionBimodality) {
   const auto sizes = ComputeSizeDistributions(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderSizeDistributions({sizes}, out);
+  RenderSizeDistributions({&sizes}, out);
   EXPECT_NE(out.str().find("image bimodal"), std::string::npos);
 }
 
 TEST(ReportTest, AgingRendersBothVariants) {
   const auto aging = ComputeAging(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderAging({aging}, out);
+  RenderAging({&aging}, out);
   EXPECT_NE(out.str().find("observability-corrected"), std::string::npos);
   EXPECT_NE(out.str().find("raw variant"), std::string::npos);
 }
@@ -73,9 +74,9 @@ TEST(ReportTest, SessionsAndEngagement) {
   const auto sessions = ComputeSessions(SmallTrace(), "X-1");
   const auto engagement = ComputeEngagement(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderSessions({sessions}, out);
+  RenderSessions({&sessions}, out);
   RenderRepeatedAccess(engagement, out);
-  RenderEngagement({engagement}, out);
+  RenderEngagement({&engagement}, out);
   const std::string text = out.str();
   EXPECT_NE(text.find("Fig. 11"), std::string::npos);
   EXPECT_NE(text.find("median IAT"), std::string::npos);
@@ -85,8 +86,8 @@ TEST(ReportTest, SessionsAndEngagement) {
 TEST(ReportTest, CachingAndResponseCodes) {
   const auto caching = ComputeCaching(SmallTrace(), "X-1");
   std::ostringstream out;
-  RenderCaching({caching}, out);
-  RenderResponseCodes({caching}, out);
+  RenderCaching({&caching}, out);
+  RenderResponseCodes({&caching}, out);
   const std::string text = out.str();
   EXPECT_NE(text.find("overall hit ratio"), std::string::npos);
   EXPECT_NE(text.find("206"), std::string::npos);

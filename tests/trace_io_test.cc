@@ -44,6 +44,13 @@ TraceBuffer ReadTrace(std::istream& in) {
   return ReadAllRecords(reader);
 }
 
+// WriteCsv streams from a BlockSource; an in-memory trace goes through
+// BufferBlockSource.
+void WriteCsvOf(const TraceBuffer& trace, std::ostream& out) {
+  BufferBlockSource source(trace);
+  EXPECT_EQ(WriteCsv(source, out), trace.size());
+}
+
 TEST(BinaryIoTest, RoundTripPreservesEveryField) {
   const TraceBuffer original = MakeSampleTrace(500);
   std::stringstream stream;
@@ -89,20 +96,20 @@ TEST(BinaryIoTest, FileRoundTrip) {
   const TraceBuffer original = MakeSampleTrace(50);
   const std::string path = ::testing::TempDir() + "/atlas_trace_test.bin";
   WriteV2File(original, path);
-  const TraceBuffer loaded = ReadAnyBinaryFile(path);
+  TraceFileReader reader(path);
+  const TraceBuffer loaded = ReadAllRecords(reader);
   ASSERT_EQ(loaded.size(), original.size());
   EXPECT_EQ(loaded[17], original[17]);
 }
 
 TEST(BinaryIoTest, MissingFileThrows) {
-  EXPECT_THROW(ReadAnyBinaryFile("/nonexistent/path/x.bin"),
-               std::runtime_error);
+  EXPECT_THROW(TraceFileReader("/nonexistent/path/x.bin"), std::runtime_error);
 }
 
 TEST(CsvIoTest, RoundTrip) {
   const TraceBuffer original = MakeSampleTrace(100);
   std::stringstream stream;
-  WriteCsv(original, stream);
+  WriteCsvOf(original, stream);
   const TraceBuffer loaded = ReadCsv(stream);
   ASSERT_EQ(loaded.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -112,7 +119,7 @@ TEST(CsvIoTest, RoundTrip) {
 
 TEST(CsvIoTest, HeaderPresent) {
   std::stringstream stream;
-  WriteCsv(MakeSampleTrace(1), stream);
+  WriteCsvOf(MakeSampleTrace(1), stream);
   std::string header;
   std::getline(stream, header);
   EXPECT_NE(header.find("timestamp_ms"), std::string::npos);
@@ -182,7 +189,7 @@ TEST(RoundTripPropertyTest, BinaryCsvBinaryPreservesRandomizedRecords) {
 
   // -> CSV -> buffer
   std::stringstream csv;
-  WriteCsv(from_binary, csv);
+  WriteCsvOf(from_binary, csv);
   const TraceBuffer from_csv = ReadCsv(csv);
   ASSERT_EQ(from_csv.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
@@ -225,7 +232,7 @@ TEST(BinaryIoTest, NegativeTimestampRejected) {
 TEST(CsvIoTest, NegativeTimestampRejected) {
   TraceBuffer buf = MakeSampleTrace(1);
   std::stringstream stream;
-  WriteCsv(buf, stream);
+  WriteCsvOf(buf, stream);
   std::string text = stream.str();
   const auto row = text.find('\n') + 1;
   text.insert(row, "-");  // timestamp_ms is the first field
@@ -238,7 +245,7 @@ TEST(CsvIoTest, ClassMismatchRejected) {
   TraceBuffer buf = MakeSampleTrace(1);
   buf.mutable_records()[0].file_type = FileType::kMp4;
   std::stringstream stream;
-  WriteCsv(buf, stream);
+  WriteCsvOf(buf, stream);
   std::string text = stream.str();
   const auto pos = text.find(",video,");
   ASSERT_NE(pos, std::string::npos);
@@ -252,7 +259,7 @@ TEST(CsvIoTest, ClassMismatchRejected) {
 // so a plain split is exact.
 std::string CsvWithField(std::size_t field_index, const std::string& value) {
   std::stringstream stream;
-  WriteCsv(MakeSampleTrace(1), stream);
+  WriteCsvOf(MakeSampleTrace(1), stream);
   const std::string text = stream.str();
   const auto row_begin = text.find('\n') + 1;
   std::string row = text.substr(row_begin);
@@ -344,7 +351,7 @@ TEST(FailingStreamTest, WriteCsvSurfacesShortWrite) {
   const TraceBuffer trace = MakeSampleTrace(100);
   FullDiskBuf buf(256);
   std::ostream out(&buf);
-  EXPECT_THROW(WriteCsv(trace, out), std::runtime_error);
+  EXPECT_THROW(WriteCsvOf(trace, out), std::runtime_error);
 }
 
 TEST(FailingStreamTest, WriteBinaryToHealthySinkStillSucceeds) {

@@ -37,10 +37,9 @@
 //                                                  file instead of the
 //                                                  default paper-study sites
 //
-// Binary traces are the v2 block format (trace/stream.h). `info`, `head`,
-// `simulate`, and `analyze` run in bounded memory — one block at a time — so
-// they work on traces larger than RAM. CSV files are directly loadable in
-// pandas/DuckDB.
+// Binary traces are the v2 block format (trace/stream.h). Every command but
+// `tobin` runs in bounded memory — one block at a time — so they work on
+// traces larger than RAM. CSV files are directly loadable in pandas/DuckDB.
 //
 // Crash recovery: `simulate --checkpoint-every N` snapshots the engine,
 // generators, and the trace writer's partial tail block every N epoch
@@ -56,6 +55,7 @@
 #include <iostream>
 #include <map>
 #include <optional>
+#include <stdexcept>
 #include <unordered_set>
 
 #include "analysis/suite.h"
@@ -227,14 +227,14 @@ int CmdHead(const std::string& path, int argc, char** argv) {
 }
 
 int CmdToCsv(const std::string& in, const std::string& out) {
-  const auto trace = trace::ReadAnyBinaryFile(in);
+  trace::TraceFileReader source(in);
   std::ofstream stream(out);
   if (!stream) {
     std::cerr << "cannot open " << out << '\n';
     return 1;
   }
-  trace::WriteCsv(trace, stream);
-  std::cout << "wrote " << trace.size() << " records to " << out << '\n';
+  const std::uint64_t written = trace::WriteCsv(source, stream);
+  std::cout << "wrote " << written << " records to " << out << '\n';
   return 0;
 }
 
@@ -258,7 +258,7 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
   flags.DefineInt("from-ms", -1, "keep records at/after this timestamp");
   flags.DefineInt("to-ms", -1, "keep records before this timestamp");
   flags.Parse(argc, argv);
-  auto trace = trace::ReadAnyBinaryFile(in);
+  trace::TraceFileReader source(in);
   const std::int64_t pub = flags.GetInt("publisher");
   const std::string cls_name = flags.GetString("class");
   const std::int64_t from = flags.GetInt("from-ms");
@@ -267,7 +267,7 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
   const trace::ContentClass cls =
       use_class ? trace::ContentClassFromString(cls_name)
                 : trace::ContentClass::kOther;
-  const auto filtered = trace.Filter([&](const trace::LogRecord& r) {
+  const auto keep = [&](const trace::LogRecord& r) {
     if (pub >= 0 && r.publisher_id != static_cast<std::uint32_t>(pub)) {
       return false;
     }
@@ -275,9 +275,28 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
     if (from >= 0 && r.timestamp_ms < from) return false;
     if (to >= 0 && r.timestamp_ms >= to) return false;
     return true;
-  });
-  trace::WriteV2File(filtered, out);
-  std::cout << "kept " << filtered.size() << " / " << trace.size()
+  };
+  std::ofstream stream(out, std::ios::binary);
+  if (!stream) {
+    std::cerr << "cannot open " << out << '\n';
+    return 1;
+  }
+  // Streams block by block: the kept rows go straight to the writer, so
+  // memory stays bounded whatever the trace length.
+  trace::TraceWriter writer(stream);
+  std::uint64_t total = 0;
+  for (const auto* block = source.NextBlock(); block != nullptr;
+       block = source.NextBlock()) {
+    for (std::size_t i = 0; i < block->size(); ++i) {
+      const trace::LogRecord r = block->Row(i);
+      if (keep(r)) writer.Add(r);
+    }
+    total += block->size();
+  }
+  writer.Finish();
+  stream.close();
+  if (stream.fail()) throw std::runtime_error("close failed: " + out);
+  std::cout << "kept " << writer.written() << " / " << total
             << " records -> " << out << '\n';
   return 0;
 }
@@ -550,8 +569,9 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
                      "the default paper-study sites");
   flags.DefineString("report", "", "write the report here instead of stdout");
   flags.DefineInt("threads", 0,
-                  "worker threads for per-site finalization (0 = hardware "
-                  "concurrency); the report is identical at any value");
+                  "worker threads for accumulation, finalization and trend "
+                  "clustering (0 = hardware concurrency); the report is "
+                  "identical at any value");
   flags.DefineBool("no-trends", false,
                    "skip trend clustering (Figs. 8-10); it is O(n^2) in "
                    "qualifying objects");
