@@ -189,17 +189,7 @@ void StreamingAnalysis::RunTasks(std::size_t n,
     return;
   }
   if (!pool_) pool_ = std::make_unique<util::ThreadPool>(config_.threads);
-  std::vector<std::exception_ptr> errors(n);
-  pool_->Run(n, [&](std::size_t i) {
-    try {
-      fn(i);
-    } catch (...) {
-      errors[i] = std::current_exception();
-    }
-  });
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  pool_->Run(n, fn);
 }
 
 void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,

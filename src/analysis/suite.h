@@ -173,9 +173,9 @@ class StreamingAnalysis {
   // Runs fn(0..n) as tasks on the analysis pool, which is created on first
   // use and lives as long as the analysis. Runs them inline in index order
   // instead when the resolved thread count is 1, when n is 1, or from
-  // inside a parallel region. Each task's exception lands in its own slot
-  // and the lowest-index one is rethrown, so a failure does not depend on
-  // scheduling.
+  // inside a parallel region. Either way the lowest failing task's
+  // exception is rethrown (util::ThreadPool::Run), so a failure does not
+  // depend on scheduling.
   void RunTasks(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Accumulator index for a publisher id, or -1 if unregistered. Registry

@@ -16,9 +16,9 @@ BrowserCache::BrowserCache(std::uint64_t capacity_bytes,
 BrowserLookup BrowserCache::Lookup(std::uint64_t key, std::int64_t now_ms) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return BrowserLookup::kAbsent;
-  lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-  return now_ms < it->second.fresh_until_ms ? BrowserLookup::kFresh
-                                            : BrowserLookup::kStale;
+  lru_.splice(lru_.begin(), lru_, it->second);
+  return now_ms < it->second->fresh_until_ms ? BrowserLookup::kFresh
+                                             : BrowserLookup::kStale;
 }
 
 void BrowserCache::Store(std::uint64_t key, std::uint64_t size_bytes,
@@ -27,23 +27,24 @@ void BrowserCache::Store(std::uint64_t key, std::uint64_t size_bytes,
   auto it = entries_.find(key);
   if (it != entries_.end()) {
     // Refresh in place.
-    used_bytes_ -= it->second.size;
-    it->second.size = size_bytes;
-    it->second.fresh_until_ms = now_ms + freshness_ms_;
+    Entry& e = *it->second;
+    used_bytes_ -= e.size;
+    e.size = size_bytes;
+    e.fresh_until_ms = now_ms + freshness_ms_;
     used_bytes_ += size_bytes;
-    lru_.splice(lru_.begin(), lru_, it->second.lru_it);
+    lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
   while (used_bytes_ + size_bytes > capacity_bytes_) EvictOne();
-  lru_.push_front(key);
-  entries_[key] = Entry{size_bytes, now_ms + freshness_ms_, lru_.begin()};
+  lru_.push_front(Entry{key, size_bytes, now_ms + freshness_ms_});
+  entries_[key] = lru_.begin();
   used_bytes_ += size_bytes;
 }
 
 void BrowserCache::Renew(std::uint64_t key, std::int64_t now_ms) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  it->second.fresh_until_ms = now_ms + freshness_ms_;
+  it->second->fresh_until_ms = now_ms + freshness_ms_;
 }
 
 void BrowserCache::Clear() {
@@ -61,9 +62,8 @@ void BrowserCache::SaveState(ckpt::Writer& w) const {
   w.WriteU64(capacity_bytes_);
   w.WriteI64(freshness_ms_);
   w.WriteU64(static_cast<std::uint64_t>(lru_.size()));
-  for (std::uint64_t key : lru_) {  // front = most recent
-    const Entry& e = entries_.at(key);
-    w.WriteU64(key);
+  for (const Entry& e : lru_) {  // front = most recent
+    w.WriteU64(e.key);
     w.WriteU64(e.size);
     w.WriteI64(e.fresh_until_ms);
   }
@@ -82,24 +82,22 @@ void BrowserCache::RestoreState(ckpt::Reader& r) {
   Clear();
   const std::uint64_t n = r.ReadU64();
   for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t key = r.ReadU64();
     Entry e;
+    e.key = r.ReadU64();
     e.size = r.ReadU64();
     e.fresh_until_ms = r.ReadI64();
-    lru_.push_back(key);
-    e.lru_it = std::prev(lru_.end());
-    entries_[key] = e;
+    lru_.push_back(e);
+    entries_[e.key] = std::prev(lru_.end());
     used_bytes_ += e.size;
   }
 }
 
 void BrowserCache::EvictOne() {
   if (lru_.empty()) throw std::logic_error("BrowserCache: evict from empty");
-  const std::uint64_t victim = lru_.back();
+  const Entry& victim = lru_.back();
+  used_bytes_ -= victim.size;
+  entries_.erase(victim.key);
   lru_.pop_back();
-  auto it = entries_.find(victim);
-  used_bytes_ -= it->second.size;
-  entries_.erase(it);
 }
 
 }  // namespace atlas::cdn

@@ -49,18 +49,21 @@ class BrowserCache {
   void RestoreState(ckpt::Reader& r);
 
  private:
+  // An entry lives on its LRU list node, so a save walks the list in order
+  // with no hash lookup; the map only finds a key's node.
   struct Entry {
+    std::uint64_t key;
     std::uint64_t size;
     std::int64_t fresh_until_ms;
-    std::list<std::uint64_t>::iterator lru_it;
   };
+  using Lru = std::list<Entry>;
   void EvictOne();
 
   std::uint64_t capacity_bytes_;
   std::int64_t freshness_ms_;
   std::uint64_t used_bytes_ = 0;
-  std::list<std::uint64_t> lru_;
-  std::unordered_map<std::uint64_t, Entry> entries_;
+  Lru lru_;  // front = most recent
+  std::unordered_map<std::uint64_t, Lru::iterator> entries_;
 };
 
 }  // namespace atlas::cdn

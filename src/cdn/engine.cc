@@ -18,7 +18,6 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/par.h"
-#include "util/sorted.h"
 #include "util/time.h"
 
 namespace atlas::cdn {
@@ -30,6 +29,10 @@ constexpr std::size_t kMergeBatchRecords = 8192;
 constexpr std::uint32_t kEngineMetaVersion = 1;
 // v2: adds the cache-flush cursor and the pre-flush stats accumulator.
 constexpr std::uint32_t kEngineShardVersion = 2;
+// Encoded size of one pending record: its length-prefixed wire bytes, then
+// event_seq and sub_seq.
+constexpr std::size_t kPendingRecordBytes =
+    8 + trace::wire::kRecordWireSize + 8 + 4;
 
 // A record plus its provenance. The sequential simulator appended records
 // in (event order, chunk order) and then ran a *stable* sort on timestamp,
@@ -76,6 +79,11 @@ struct Shard {
   std::size_t dc = 0;
   std::unique_ptr<Cache> cache;
   std::unordered_map<std::uint32_t, BrowserCache> browsers;
+  // Every entry of `browsers` as (user index, cache), appended as each is
+  // created; a save sorts it in place. Map nodes never move, so neither do
+  // the pointers, and a save walks the browsers in key order with no pass
+  // over the map's scattered nodes.
+  std::vector<std::pair<std::uint32_t, const BrowserCache*>> browser_order;
   // Indices (ascending) into the site's event vector of the events whose
   // user routes to this DC.
   std::vector<std::uint64_t> event_indices;
@@ -188,7 +196,7 @@ class Engine {
   // event counts, and every config knob that shapes the record stream.
   std::uint64_t Fingerprint() const;
   void SaveCheckpoint(std::int64_t epoch_end, std::uint64_t barriers_done);
-  void SaveShard(ckpt::Writer& w, const Shard& sh) const;
+  void SaveShard(ckpt::Writer& w, Shard& sh);
   // Returns the epoch_end of the barrier the checkpoint was taken at and
   // the barriers completed; shard state is overwritten in place.
   void RestoreFromCheckpoint(ckpt::Reader& r, std::int64_t* epoch_end,
@@ -321,7 +329,7 @@ std::uint64_t Engine::Fingerprint() const {
   return h;
 }
 
-void Engine::SaveShard(ckpt::Writer& w, const Shard& sh) const {
+void Engine::SaveShard(ckpt::Writer& w, Shard& sh) {
   w.WriteU64(static_cast<std::uint64_t>(sh.next_event));
   w.WriteU64(static_cast<std::uint64_t>(sh.push_cursor));
   w.WriteU64(static_cast<std::uint64_t>(sh.flush_cursor));
@@ -343,10 +351,12 @@ void Engine::SaveShard(ckpt::Writer& w, const Shard& sh) const {
   sh.cache->SaveState(w);
   // Browser caches, keyed by user index; sorted so the section bytes are a
   // pure function of state, not of hash-table layout.
-  w.WriteU64(static_cast<std::uint64_t>(sh.browsers.size()));
-  for (std::uint32_t user_index : util::SortedKeys(sh.browsers)) {
+  std::sort(sh.browser_order.begin(), sh.browser_order.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  w.WriteU64(static_cast<std::uint64_t>(sh.browser_order.size()));
+  for (const auto& [user_index, browser] : sh.browser_order) {
     w.WriteU32(user_index);
-    sh.browsers.at(user_index).SaveState(w);
+    browser->SaveState(w);
   }
   // Records emitted but not yet past a barrier (timestamps >= the
   // checkpointed boundary). `finalized` is always merged by save time.
@@ -363,6 +373,16 @@ void Engine::SaveShard(ckpt::Writer& w, const Shard& sh) const {
 
 void Engine::SaveCheckpoint(std::int64_t epoch_end,
                             std::uint64_t barriers_done) {
+  // Each shard section is framed, CRC and all, into its own buffer on the
+  // pool, then appended in index order: a section's bytes depend only on
+  // its shard's state, so the file is the one a serial save writes.
+  std::vector<ckpt::Writer> sections(shards_.size());
+  ForEachShard([&](std::size_t i) {
+    sections[i].BeginSection("engine.shard." + std::to_string(i),
+                             kEngineShardVersion);
+    SaveShard(sections[i], shards_[i]);
+    sections[i].EndSection();
+  });
   ckpt::WriteCheckpointFile(opts_.path, [&](ckpt::Writer& w) {
     w.BeginSection("engine.meta", kEngineMetaVersion);
     w.WriteU64(Fingerprint());
@@ -370,12 +390,7 @@ void Engine::SaveCheckpoint(std::int64_t epoch_end,
     w.WriteU64(barriers_done);
     w.WriteU64(static_cast<std::uint64_t>(shards_.size()));
     w.EndSection();
-    for (std::size_t i = 0; i < shards_.size(); ++i) {
-      w.BeginSection("engine.shard." + std::to_string(i),
-                     kEngineShardVersion);
-      SaveShard(w, shards_[i]);
-      w.EndSection();
-    }
+    for (const ckpt::Writer& section : sections) w.Append(section);
     // Caller-owned state (e.g. the output TraceWriter) joins the same
     // atomic commit so trace and engine can never disagree on progress.
     if (opts_.save_extra) opts_.save_extra(w);
@@ -409,6 +424,7 @@ void Engine::RestoreShard(ckpt::Reader& r, Shard& sh) {
   sh.pushed_bytes = r.ReadU64();
   sh.cache->RestoreState(r);
   sh.browsers.clear();
+  sh.browser_order.clear();
   const std::uint64_t nbrowsers = r.ReadU64();
   for (std::uint64_t i = 0; i < nbrowsers; ++i) {
     const std::uint32_t user_index = r.ReadU32();
@@ -416,7 +432,7 @@ void Engine::RestoreShard(ckpt::Reader& r, Shard& sh) {
   }
   sh.pending.clear();
   sh.finalized.clear();
-  const std::uint64_t npending = r.ReadU64();
+  const std::uint64_t npending = r.ReadCount(kPendingRecordBytes);
   sh.pending.reserve(static_cast<std::size_t>(npending));
   for (std::uint64_t i = 0; i < npending; ++i) {
     const std::vector<unsigned char> buf = r.ReadBytes();
@@ -601,6 +617,7 @@ BrowserCache& Engine::BrowserFor(Shard& sh, std::uint32_t user_index) {
                       BrowserCache(config_.browser_capacity_bytes,
                                    config_.browser_freshness_ms))
              .first;
+    sh.browser_order.emplace_back(user_index, &it->second);
   }
   return it->second;
 }

@@ -1,5 +1,6 @@
 #include "ckpt/checkpoint.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 
 #include "util/hash.h"
+#include "util/page_alloc.h"
 
 namespace atlas::ckpt {
 namespace {
@@ -19,6 +21,10 @@ constexpr char kMagic[4] = {'A', 'C', 'K', 'P'};
 // corrupted length field, not a real checkpoint.
 constexpr std::uint32_t kMaxSectionName = 1u << 10;
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 34;  // 16 GiB
+// A section header's trailing u64 payload_bytes and u32 crc32.
+constexpr std::size_t kStampBytes = 12;
+// First buffer a Writer allocates; it doubles from there.
+constexpr std::size_t kMinBufferBytes = 4096;
 
 [[noreturn]] void Fail(const std::string& message) {
   throw std::runtime_error("ckpt: " + message);
@@ -61,10 +67,38 @@ bool ReadLe(std::istream& in, T* value) {
 // ---------------------------------------------------------------------------
 // Writer
 
-Writer::Writer(std::ostream& out) : out_(out) {
-  out_.write(kMagic, sizeof(kMagic));
-  WriteLe<std::uint32_t>(out_, kFormatVersion);
-  if (!out_) Fail("write failed (header)");
+Writer::Writer(std::ostream& out) : out_(&out) {
+  out.write(kMagic, sizeof(kMagic));
+  WriteLe<std::uint32_t>(out, kFormatVersion);
+  if (!out) Fail("write failed (header)");
+}
+
+Writer::~Writer() {
+  if (data_ != nullptr) {
+    util::PageAllocator<unsigned char>().deallocate(data_, capacity_);
+  }
+}
+
+void Writer::FailOutsideSection() { Fail("write outside section"); }
+
+void Writer::Reserve(std::size_t extra) {
+  if (extra > std::numeric_limits<std::size_t>::max() / 2 - size_) {
+    Fail("section too large");
+  }
+  std::size_t capacity = std::max<std::size_t>(capacity_, kMinBufferBytes);
+  while (capacity - size_ < extra) capacity *= 2;
+  util::PageAllocator<unsigned char> alloc;
+  unsigned char* data = alloc.allocate(capacity);
+  if (size_ > 0) std::memcpy(data, data_, size_);
+  if (data_ != nullptr) alloc.deallocate(data_, capacity_);
+  data_ = data;
+  capacity_ = capacity;
+}
+
+void Writer::PutRaw(const void* data, std::size_t size) {
+  if (capacity_ - size_ < size) Reserve(size);
+  std::memcpy(data_ + size_, data, size);
+  size_ += size;
 }
 
 void Writer::BeginSection(const std::string& name, std::uint32_t version) {
@@ -73,87 +107,71 @@ void Writer::BeginSection(const std::string& name, std::uint32_t version) {
   if (name.empty()) Fail("section name must be non-empty");
   if (name.size() >= kMaxSectionName) Fail("section name too long");
   section_name_ = name;
-  section_version_ = version;
-  payload_.clear();
+  // name_len | name | version | payload_bytes | crc, the last two stamped
+  // by EndSection once the payload is known.
+  unsigned char word[4];
+  StoreLe(word, static_cast<std::uint32_t>(name.size()));
+  PutRaw(word, sizeof(word));
+  PutRaw(name.data(), name.size());
+  StoreLe(word, version);
+  PutRaw(word, sizeof(word));
+  const unsigned char stamp[kStampBytes] = {};
+  PutRaw(stamp, sizeof(stamp));
+  payload_at_ = size_;
   in_section_ = true;
 }
 
 void Writer::EndSection() {
   if (!in_section_) Fail("EndSection without open section");
-  WriteLe<std::uint32_t>(out_, static_cast<std::uint32_t>(section_name_.size()));
-  out_.write(section_name_.data(),
-             static_cast<std::streamsize>(section_name_.size()));
-  WriteLe<std::uint32_t>(out_, section_version_);
-  WriteLe<std::uint64_t>(out_, static_cast<std::uint64_t>(payload_.size()));
-  WriteLe<std::uint32_t>(out_, util::Crc32(payload_.data(), payload_.size()));
-  out_.write(reinterpret_cast<const char*>(payload_.data()),
-             static_cast<std::streamsize>(payload_.size()));
-  if (!out_) Fail("write failed (section '" + section_name_ + "')");
-  payload_.clear();
+  const std::size_t payload_bytes = size_ - payload_at_;
+  unsigned char* stamp = data_ + payload_at_ - kStampBytes;
+  StoreLe(stamp, static_cast<std::uint64_t>(payload_bytes));
+  StoreLe(stamp + 8, util::Crc32(data_ + payload_at_, payload_bytes));
   in_section_ = false;
   ++sections_;
+  if (out_ == nullptr) return;  // kept until a file Writer appends it
+  out_->write(reinterpret_cast<const char*>(data_),
+              static_cast<std::streamsize>(size_));
+  size_ = 0;
+  if (!*out_) Fail("write failed (section '" + section_name_ + "')");
+}
+
+void Writer::Append(const Writer& sections) {
+  if (out_ == nullptr) Fail("Append to a writer with no stream");
+  if (finished_) Fail("Append after Finish");
+  if (in_section_) Fail("Append inside open section '" + section_name_ + "'");
+  if (sections.in_section_) {
+    Fail("Append of open section '" + sections.section_name_ + "'");
+  }
+  if (sections.out_ != nullptr) Fail("Append of a stream writer");
+  out_->write(reinterpret_cast<const char*>(sections.data_),
+              static_cast<std::streamsize>(sections.size_));
+  if (!*out_) Fail("write failed (appended sections)");
+  sections_ += sections.sections_;
 }
 
 void Writer::Finish() {
   if (finished_) return;
   if (in_section_) Fail("Finish inside open section '" + section_name_ + "'");
-  WriteLe<std::uint32_t>(out_, 0);  // end marker: zero-length name
-  WriteLe<std::uint64_t>(out_, sections_);
-  out_.flush();
-  if (!out_) Fail("write failed (trailer)");
+  if (out_ == nullptr) Fail("Finish on a writer with no stream");
+  WriteLe<std::uint32_t>(*out_, 0);  // end marker: zero-length name
+  WriteLe<std::uint64_t>(*out_, sections_);
+  out_->flush();
+  if (!*out_) Fail("write failed (trailer)");
   finished_ = true;
 }
-
-void Writer::Put(const void* data, std::size_t size) {
-  if (!in_section_) Fail("write outside section");
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  payload_.insert(payload_.end(), bytes, bytes + size);
-}
-
-void Writer::WriteU8(std::uint8_t v) { Put(&v, 1); }
-
-void Writer::WriteU16(std::uint16_t v) {
-  unsigned char buf[2];
-  StoreLe(buf, v);
-  Put(buf, sizeof(buf));
-}
-
-void Writer::WriteU32(std::uint32_t v) {
-  unsigned char buf[4];
-  StoreLe(buf, v);
-  Put(buf, sizeof(buf));
-}
-
-void Writer::WriteU64(std::uint64_t v) {
-  unsigned char buf[8];
-  StoreLe(buf, v);
-  Put(buf, sizeof(buf));
-}
-
-void Writer::WriteI64(std::int64_t v) {
-  WriteU64(static_cast<std::uint64_t>(v));
-}
-
-void Writer::WriteDouble(double v) {
-  static_assert(sizeof(double) == sizeof(std::uint64_t));
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  WriteU64(bits);
-}
-
-void Writer::WriteBool(bool v) { WriteU8(v ? 1 : 0); }
 
 void Writer::WriteString(const std::string& v) {
   if (v.size() > std::numeric_limits<std::uint32_t>::max()) {
     Fail("string too long");
   }
   WriteU32(static_cast<std::uint32_t>(v.size()));
-  Put(v.data(), v.size());
+  if (!v.empty()) std::memcpy(Grow(v.size()), v.data(), v.size());
 }
 
 void Writer::WriteBytes(const void* data, std::size_t size) {
   WriteU64(static_cast<std::uint64_t>(size));
-  Put(data, size);
+  if (size > 0) std::memcpy(Grow(size), data, size);
 }
 
 void Writer::WriteVecU64(const std::vector<std::uint64_t>& v) {
@@ -306,11 +324,19 @@ std::vector<unsigned char> Reader::ReadBytes() {
   return std::vector<unsigned char>(p, p + size);
 }
 
-std::vector<std::uint64_t> Reader::ReadVecU64() {
+std::uint64_t Reader::ReadCount(std::size_t item_bytes) {
   const std::uint64_t count = ReadU64();
-  if (cur_ != nullptr && count * 8 > cur_->payload.size() - pos_) {
-    Fail("corrupt vector length in section '" + cur_name_ + "'");
+  const std::size_t left = cur_->payload.size() - pos_;
+  // Divide rather than multiply: count * item_bytes can wrap.
+  if (count > left / std::max<std::size_t>(item_bytes, 1)) {
+    Fail("corrupt element count " + std::to_string(count) + " in section '" +
+         cur_name_ + "'");
   }
+  return count;
+}
+
+std::vector<std::uint64_t> Reader::ReadVecU64() {
+  const std::uint64_t count = ReadCount(sizeof(std::uint64_t));
   std::vector<std::uint64_t> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) v.push_back(ReadU64());
@@ -318,10 +344,7 @@ std::vector<std::uint64_t> Reader::ReadVecU64() {
 }
 
 std::vector<double> Reader::ReadVecDouble() {
-  const std::uint64_t count = ReadU64();
-  if (cur_ != nullptr && count * 8 > cur_->payload.size() - pos_) {
-    Fail("corrupt vector length in section '" + cur_name_ + "'");
-  }
+  const std::uint64_t count = ReadCount(sizeof(double));
   std::vector<double> v;
   v.reserve(static_cast<std::size_t>(count));
   for (std::uint64_t i = 0; i < count; ++i) v.push_back(ReadDouble());

@@ -83,16 +83,23 @@ void ThreadPool::RunShards(const std::function<void(std::size_t)>& fn,
                            std::size_t shards) {
   ParallelRegionGuard guard;
   for (;;) {
-    if (abort_job_.load(std::memory_order_relaxed)) return;
+    // Shards are claimed in index order, so every shard below a failed one
+    // was claimed before it failed and still runs to the end; only shards
+    // above the lowest failure so far are skipped.
     const std::size_t shard =
         next_shard_.fetch_add(1, std::memory_order_relaxed);
-    if (shard >= shards) return;
+    if (shard >= shards ||
+        shard > failed_shard_.load(std::memory_order_relaxed)) {
+      return;
+    }
     try {
       fn(shard);
     } catch (...) {
-      abort_job_.store(true, std::memory_order_relaxed);
       MutexLock lock(mutex_);
-      if (!first_error_) first_error_ = std::current_exception();
+      if (shard < failed_shard_.load(std::memory_order_relaxed)) {
+        failed_shard_.store(shard, std::memory_order_relaxed);
+        error_ = std::current_exception();
+      }
     }
   }
 }
@@ -110,8 +117,8 @@ void ThreadPool::Run(std::size_t shards,
     job_fn_ = &fn;
     job_shards_ = shards;
     next_shard_.store(0, std::memory_order_relaxed);
-    abort_job_.store(false, std::memory_order_relaxed);
-    first_error_ = nullptr;
+    failed_shard_.store(kNoFailure, std::memory_order_relaxed);
+    error_ = nullptr;
     pending_workers_ = workers_.size();
     ++generation_;
   }
@@ -123,8 +130,8 @@ void ThreadPool::Run(std::size_t shards,
     while (pending_workers_ != 0) done_cv_.Wait(mutex_);
     job_fn_ = nullptr;
     job_shards_ = 0;
-    error = first_error_;
-    first_error_ = nullptr;
+    error = error_;
+    error_ = nullptr;
   }
   if (error) std::rethrow_exception(error);
 }

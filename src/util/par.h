@@ -58,8 +58,10 @@ class ThreadPool {
 
   // Runs fn(shard) for every shard in [0, shards), distributing shards
   // dynamically across the pool and the calling thread. Blocks until every
-  // shard ran (or was abandoned after a failure). If any shard throws, the
-  // remaining shards are skipped and the first exception is rethrown here.
+  // shard ran (or was skipped after a failure). A shard that throws stops
+  // the dispatch of higher shards, while every lower shard still runs; the
+  // exception of the lowest failing shard is rethrown here, which is the
+  // one a serial loop over the shards would raise.
   //
   // Rejects nested use: calling Run from inside any parallel region (this
   // pool's or another's) throws std::logic_error — run the inner work
@@ -85,17 +87,22 @@ class ThreadPool {
   std::size_t job_shards_ ATLAS_GUARDED_BY(mutex_) = 0;
   std::uint64_t generation_ ATLAS_GUARDED_BY(mutex_) = 0;
   std::size_t pending_workers_ ATLAS_GUARDED_BY(mutex_) = 0;
-  std::exception_ptr first_error_ ATLAS_GUARDED_BY(mutex_);
+  // The lowest failing shard's exception; failed_shard_ holds its index
+  // (kNoFailure while none has failed) and is read lock-free to stop
+  // dispatch, but only written under mutex_ together with error_.
+  static constexpr std::size_t kNoFailure = static_cast<std::size_t>(-1);
+  std::exception_ptr error_ ATLAS_GUARDED_BY(mutex_);
   bool shutdown_ ATLAS_GUARDED_BY(mutex_) = false;
   std::atomic<std::size_t> next_shard_{0};
-  std::atomic<bool> abort_job_{false};
+  std::atomic<std::size_t> failed_shard_{kNoFailure};
 };
 
 // Runs fn(i) for i in [0, n). With threads (resolved) > 1 and n > 1, shards
 // are executed by a transient ThreadPool; results must therefore only
 // depend on i, never on execution order. Nested calls (from inside another
 // parallel region) execute inline on the calling thread, so parallel code
-// can freely call parallel helpers. Rethrows the first exception.
+// can freely call parallel helpers. Rethrows the exception of the lowest
+// failing i, as the serial loop does.
 void ParallelFor(std::size_t n, const std::function<void(std::size_t)>& fn,
                  int threads = 0);
 

@@ -5,7 +5,9 @@
 //      layout-shifted fails loudly at open/read time — never with a
 //      wrong-but-plausible restore;
 //   3. WriteCheckpointFile commits atomically: a failed save leaves the
-//      previous checkpoint untouched.
+//      previous checkpoint untouched;
+//   4. sections framed by stream-less Writers, on any threads, and appended
+//      in order produce the bytes one Writer writing them inline does.
 #include "ckpt/checkpoint.h"
 
 #include <gtest/gtest.h>
@@ -16,6 +18,8 @@
 #include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "util/par.h"
 
 namespace atlas::ckpt {
 namespace {
@@ -193,6 +197,56 @@ TEST(CkptFailClearTest, CorruptVectorLengthFailsBeforeAllocating) {
   EXPECT_THROW(r.ReadVecU64(), std::runtime_error);
 }
 
+TEST(CkptFailClearTest, CraftedCountsThatWrapFailAsCkptErrors) {
+  // count * 8 wraps to a small number for these, so a multiplying bound
+  // check passes them on to an allocation that throws std::length_error.
+  for (const std::uint64_t count : {(1ULL << 61) + 1, (1ULL << 63) + 1}) {
+    for (const bool doubles : {false, true}) {
+      std::ostringstream out;
+      Writer w(out);
+      w.BeginSection("v", 1);
+      w.WriteU64(count);
+      w.WriteU64(0);  // one element's worth of bytes behind the count
+      w.EndSection();
+      w.Finish();
+      std::istringstream in(out.str());
+      Reader r(in);
+      r.BeginSection("v");
+      try {
+        if (doubles) {
+          r.ReadVecDouble();
+        } else {
+          r.ReadVecU64();
+        }
+        FAIL() << "count " << count << " accepted";
+      } catch (const std::runtime_error& e) {
+        EXPECT_EQ(std::string(e.what()).rfind("ckpt: ", 0), 0u) << e.what();
+      }
+    }
+  }
+}
+
+TEST(CkptFailClearTest, ReadCountBoundsByItemSize) {
+  std::ostringstream out;
+  Writer w(out);
+  w.BeginSection("c", 1);
+  w.WriteU64(2);
+  w.WriteU64(0);
+  w.WriteU64(0);
+  w.EndSection();
+  w.Finish();
+  {
+    std::istringstream in(out.str());
+    Reader r(in);
+    r.BeginSection("c");
+    EXPECT_EQ(r.ReadCount(8), 2u);  // 16 bytes left: two 8-byte items fit
+  }
+  std::istringstream in(out.str());
+  Reader r(in);
+  r.BeginSection("c");
+  EXPECT_THROW(r.ReadCount(9), std::runtime_error);  // two 9-byte items do not
+}
+
 TEST(CkptFailClearTest, WriterMisuseThrows) {
   std::ostringstream out;
   Writer w(out);
@@ -204,6 +258,74 @@ TEST(CkptFailClearTest, WriterMisuseThrows) {
   EXPECT_THROW(w.EndSection(), std::runtime_error);  // not open
   w.Finish();
   EXPECT_THROW(w.BeginSection("u", 1), std::runtime_error);  // after Finish
+}
+
+// One section of the parallel-encode tests: its size and bytes depend only
+// on `i`, and every fourth one is large enough for a mapped buffer.
+void FillSection(Writer& w, std::size_t i) {
+  w.BeginSection("part." + std::to_string(i), static_cast<std::uint32_t>(i));
+  const std::size_t n = i % 4 == 3 ? 40000 + i : 10 * i;
+  w.WriteU64(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    w.WriteU32(static_cast<std::uint32_t>(k * 2654435761u + i));
+    w.WriteDouble(static_cast<double>(k) / static_cast<double>(i + 1));
+  }
+  w.WriteString("end of part " + std::to_string(i));
+  w.EndSection();
+}
+
+TEST(CkptAppendTest, SectionsEncodedOnWorkersMatchInlineBytes) {
+  constexpr std::size_t kSections = 24;
+  std::ostringstream inline_out;
+  {
+    Writer w(inline_out);
+    w.BeginSection("head", 1);
+    w.WriteU64(kSections);
+    w.EndSection();
+    for (std::size_t i = 0; i < kSections; ++i) FillSection(w, i);
+    w.Finish();
+  }
+  for (const int threads : {1, 2, 8}) {
+    std::vector<Writer> parts(kSections);
+    util::ParallelFor(
+        kSections, [&](std::size_t i) { FillSection(parts[i], i); }, threads);
+    std::ostringstream out;
+    Writer w(out);
+    w.BeginSection("head", 1);
+    w.WriteU64(kSections);
+    w.EndSection();
+    for (const Writer& part : parts) w.Append(part);
+    w.Finish();
+    EXPECT_EQ(out.str(), inline_out.str()) << "threads=" << threads;
+  }
+  std::istringstream in(inline_out.str());
+  Reader r(in);
+  EXPECT_EQ(r.section_count(), kSections + 1);
+}
+
+TEST(CkptAppendTest, AppendMisuseThrows) {
+  Writer part;
+  part.BeginSection("p", 1);
+  part.WriteU8(1);
+  std::ostringstream out;
+  Writer w(out);
+  EXPECT_THROW(w.Append(part), std::runtime_error);  // its section is open
+  part.EndSection();
+  w.BeginSection("s", 1);
+  EXPECT_THROW(w.Append(part), std::runtime_error);  // this section is open
+  w.EndSection();
+  std::ostringstream other;
+  Writer stream(other);
+  EXPECT_THROW(w.Append(stream), std::runtime_error);  // not stream-less
+  Writer gather;
+  EXPECT_THROW(gather.Append(part), std::runtime_error);  // no stream
+  w.Append(part);
+  w.Finish();
+  EXPECT_THROW(w.Append(part), std::runtime_error);  // after Finish
+  EXPECT_THROW(part.Finish(), std::runtime_error);   // no stream to finish
+  std::istringstream in(out.str());
+  Reader r(in);
+  EXPECT_EQ(r.section_count(), 2u);
 }
 
 TEST(CkptFileTest, AtomicCommitPreservesPreviousCheckpointOnFailure) {

@@ -16,9 +16,13 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "cdn/cache.h"
 #include "cdn/scenario.h"
 #include "cdn/simulator.h"
+#include "ckpt/checkpoint.h"
 #include "scenario_fixtures.h"
 #include "synth/site_profile.h"
 #include "trace/sink.h"
@@ -238,6 +242,66 @@ TEST(EngineTest, RejectsNonPositiveEpoch) {
   const cdn::SiteJob job{&gen, &events, 0};
   trace::CountingSink sink;
   EXPECT_THROW(cdn::RunSharded({&job, 1}, config, sink), std::invalid_argument);
+}
+
+TEST(EngineTest, CraftedPendingCountFailsAsCheckpointError) {
+  util::SetLogLevel(util::LogLevel::kWarn);
+  const cdn::SimulatorConfig config = GoldenConfig();
+  synth::WorkloadGenerator gen(synth::SiteProfile::P1(0.005), 1);
+  const auto events = gen.Generate(2000);
+  const cdn::SiteJob job{&gen, &events, 0};
+  const std::string path = ::testing::TempDir() + "/atlas_engine_pending.ckpt";
+  {
+    cdn::CheckpointOptions save;
+    save.every_epochs = 1;
+    save.path = path;
+    save.after_save = [](std::uint64_t) { return false; };
+    trace::CountingSink sink;
+    cdn::RunSharded({&job, 1}, config, sink, 1, save);
+  }
+  // Keep the saved engine.meta; replace every shard with an empty one in
+  // Engine::SaveShard's v2 layout, except that shard 0's pending count
+  // claims 2^61 + 1 records with none behind it.
+  ckpt::Reader saved = ckpt::ReadCheckpointFile(path);
+  saved.BeginSection("engine.meta", 1);
+  const std::uint64_t fingerprint = saved.ReadU64();
+  const std::int64_t epoch_end = saved.ReadI64();
+  const std::uint64_t barriers = saved.ReadU64();
+  const std::uint64_t shards = saved.ReadU64();
+  saved.EndSection();
+  ckpt::WriteCheckpointFile(path, [&](ckpt::Writer& w) {
+    w.BeginSection("engine.meta", 1);
+    w.WriteU64(fingerprint);
+    w.WriteI64(epoch_end);
+    w.WriteU64(barriers);
+    w.WriteU64(shards);
+    w.EndSection();
+    for (std::uint64_t i = 0; i < shards; ++i) {
+      w.BeginSection("engine.shard." + std::to_string(i), 2);
+      // Three cursors and fifteen counters.
+      for (int field = 0; field < 18; ++field) w.WriteU64(0);
+      cdn::CreateCache(config.topology.edge_policy,
+                       config.topology.edge_capacity_bytes,
+                       config.topology.edge_ttl_ms)
+          ->SaveState(w);
+      w.WriteU64(0);                                    // browser caches
+      w.WriteU64(i == 0 ? (1ULL << 61) + 1 : 0);  // pending records
+      w.EndSection();
+    }
+  });
+  ckpt::Reader crafted = ckpt::ReadCheckpointFile(path);
+  cdn::CheckpointOptions resume;
+  resume.resume = &crafted;
+  trace::CountingSink sink;
+  try {
+    cdn::RunSharded({&job, 1}, config, sink, 1, resume);
+    FAIL() << "crafted pending count accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("ckpt: corrupt element count"),
+              std::string::npos)
+        << e.what();
+  }
+  std::remove(path.c_str());
 }
 
 // --- Bounded memory ----------------------------------------------------------

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -39,6 +40,13 @@ constexpr std::uint64_t kKillBarriers[] = {1, 60, 150};
 // in the commit message).
 constexpr std::uint64_t kGoldenV2Digest = 0xef475dbcd9a33c2dULL;
 constexpr std::uint64_t kGoldenRecords = 53664;
+
+// Pinned FNV-1a digests of the checkpoint file KilledRun leaves at each of
+// kKillBarriers. A snapshot is a pure function of the engine state at its
+// barrier, so the file must be the same at every thread count, however its
+// sections are encoded; if one moves, the checkpoint format changed.
+constexpr std::uint64_t kGoldenSnapshotDigests[] = {
+    0xbb3c107293057c5cULL, 0xa945859822b46197ULL, 0xb74602bd18fbdd90ULL};
 
 cdn::SimulatorConfig GoldenConfig() {
   cdn::SimulatorConfig config;
@@ -112,7 +120,8 @@ TEST(KillResumeTest, ResumedRunsAreByteIdenticalAtAnyThreadAndKillPoint) {
   ASSERT_EQ(util::Fnv1a64(golden), kGoldenV2Digest);
 
   for (const int threads : kThreadCounts) {
-    for (const std::uint64_t kill : kKillBarriers) {
+    for (std::size_t k = 0; k < std::size(kKillBarriers); ++k) {
+      const std::uint64_t kill = kKillBarriers[k];
       const std::string tag =
           "_t" + std::to_string(threads) + "_k" + std::to_string(kill);
       const std::string path =
@@ -121,6 +130,10 @@ TEST(KillResumeTest, ResumedRunsAreByteIdenticalAtAnyThreadAndKillPoint) {
           ::testing::TempDir() + "/atlas_kr" + tag + ".ckpt";
 
       KilledRun(path, ckpt_path, threads, kill);
+      EXPECT_EQ(util::Fnv1a64(ReadFileBytes(ckpt_path)),
+                kGoldenSnapshotDigests[k])
+          << "snapshot bytes moved (threads=" << threads << ", kill=" << kill
+          << ")";
 
       // The torn file must be detected as corrupt before recovery...
       const auto scan = trace::ScanV2File(path);

@@ -18,6 +18,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -378,6 +379,26 @@ TEST(ProjectRulesTest, UnguardedParallelWriteFires) {
   // guarded_ (ATLAS_GUARDED_BY in the sibling header), hits_ (atomic) and
   // relaxed_ (scoped allow) produced nothing — and the allow was consumed,
   // so no unused-suppression either.
+}
+
+TEST(ProjectRulesTest, PoolRunLambdasAreParallelRegions) {
+  // A lambda handed to a pool's Run, and one handed to a function that
+  // forwards its callback to Run — in its own file or another — runs on
+  // the pool. The serial loop's write stays quiet.
+  const auto report = LintFixtureTree("pool_run");
+  ASSERT_EQ(report.findings.size(), 3u) << Dump(report.findings);
+  const std::vector<std::tuple<std::string, std::size_t, std::string>> want =
+      {{"src/stats/pool.cc", 7, "'direct_'"},
+       {"src/stats/pool.cc", 8, "'forwarded_'"},
+       {"src/stats/user.cc", 5, "'hits_'"}};
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Finding& f = report.findings[i];
+    EXPECT_EQ(f.file, std::get<0>(want[i]));
+    EXPECT_EQ(f.line, std::get<1>(want[i]));
+    EXPECT_EQ(f.rule, "unguarded-parallel-write");
+    EXPECT_NE(f.message.find(std::get<2>(want[i])), std::string::npos)
+        << f.message;
+  }
 }
 
 TEST(ProjectRulesTest, FpAccumulationOrderFires) {

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/hash.h"
@@ -89,8 +91,9 @@ TEST(ParallelForTest, ExceptionAbortsRemainingShards) {
     FAIL() << "expected throw";
   } catch (const std::runtime_error&) {
   }
-  // The abort flag stops workers long before the full range drains. Keep the
-  // bound loose: the other workers may each complete a few shards first.
+  // A failure at shard 0 stops the dispatch of every higher shard, long
+  // before the full range drains. Keep the bound loose: the other workers
+  // may each complete a few shards first.
   EXPECT_LT(executed.load(), 100000);
 }
 
@@ -141,6 +144,37 @@ TEST(ThreadPoolTest, ReusableAcrossJobsAndAfterFailure) {
       std::invalid_argument);
   pool.Run(10, [&](std::size_t) { ++total; });
   EXPECT_EQ(total.load(), 20);
+}
+
+TEST(ThreadPoolTest, LowestFailingShardIsRaised) {
+  // Shard 3 fails late and shard 7 fails at once, so shard 7 is usually the
+  // first failure in wall time; the serial loop raises shard 3's.
+  constexpr std::size_t kShards = 16;
+  for (const int threads : {2, 8}) {
+    ThreadPool pool(threads);
+    for (int attempt = 0; attempt < 100; ++attempt) {
+      std::vector<std::atomic<int>> ran(kShards);
+      try {
+        pool.Run(kShards, [&](std::size_t i) {
+          ++ran[i];
+          if (i == 3) {
+            std::this_thread::sleep_for(std::chrono::microseconds(50));
+            throw std::runtime_error("shard 3 failed");
+          }
+          if (i == 7) throw std::runtime_error("shard 7 failed");
+        });
+        FAIL() << "expected throw";
+      } catch (const std::runtime_error& e) {
+        EXPECT_STREQ(e.what(), "shard 3 failed")
+            << "threads=" << threads << ", attempt " << attempt;
+      }
+      for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(ran[i].load(), 1)
+            << "shard " << i << ", threads=" << threads << ", attempt "
+            << attempt;
+      }
+    }
+  }
 }
 
 TEST(ThreadPoolTest, NestedRunRejected) {

@@ -111,6 +111,82 @@ void CollectCallRanges(const std::string& flat, const std::regex& re,
   }
 }
 
+bool IsIdentChar(char c) {
+  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+}
+
+// Identifier ending just before `end` in `flat`, skipping whitespace.
+std::string IdentifierBefore(const std::string& flat, std::size_t end) {
+  while (end > 0 && flat[end - 1] == ' ') --end;
+  std::size_t begin = end;
+  while (begin > 0 && IsIdentChar(flat[begin - 1])) --begin;
+  return flat.substr(begin, end - begin);
+}
+
+// The parameter list, '(' to ')' inclusive, of the function whose body
+// encloses `pos`, and its name; an empty name if `pos` is in no function
+// body. Blocks of control statements, lambdas, classes and namespaces are
+// stepped over outward.
+std::pair<std::string, std::string> EnclosingFunction(const std::string& flat,
+                                                      std::size_t pos) {
+  static const std::set<std::string> kNotFunctions = {
+      "if", "for", "while", "switch", "catch", "return", "sizeof"};
+  static const std::set<std::string> kQualifiers = {
+      "const", "noexcept", "override", "final", "mutable"};
+  int depth = 0;
+  for (std::size_t p = pos; p-- > 0;) {
+    if (flat[p] == '}') ++depth;
+    if (flat[p] != '{') continue;
+    if (depth > 0) {
+      --depth;
+      continue;
+    }
+    // An unmatched '{' opens the block around pos: a function body when it
+    // follows "name(params) qualifiers".
+    std::size_t q = p;
+    for (;;) {
+      while (q > 0 && flat[q - 1] == ' ') --q;
+      const std::string word = IdentifierBefore(flat, q);
+      if (word.empty() || kQualifiers.count(word) == 0) break;
+      q -= word.size();
+    }
+    if (q == 0 || flat[q - 1] != ')') continue;
+    std::size_t open = q - 1;
+    int parens = 0;
+    for (std::size_t r = q; r-- > 0;) {
+      if (flat[r] == ')') ++parens;
+      if (flat[r] == '(' && --parens == 0) {
+        open = r;
+        break;
+      }
+    }
+    const std::string name = IdentifierBefore(flat, open);
+    if (name.empty() || kNotFunctions.count(name) > 0) continue;
+    return {name, flat.substr(open, q - open)};
+  }
+  return {};
+}
+
+// Functions that pass one of their std::function parameters into one of
+// `calls` (the argument ranges of parallel calls in `flat`).
+void CollectForwarders(const std::string& flat,
+                       const std::vector<FlatRange>& calls,
+                       std::set<std::string>& out) {
+  static const std::regex kFunctionParam(
+      R"(\bfunction\s*<[^;{}]*?>\s*&*\s*([A-Za-z_]\w*)\s*[,)=])");
+  for (const FlatRange& call : calls) {
+    const auto [name, params] = EnclosingFunction(flat, call.begin);
+    if (name.empty()) continue;
+    const std::string args = flat.substr(call.begin, call.end - call.begin);
+    for (auto it = std::sregex_iterator(params.begin(), params.end(),
+                                        kFunctionParam);
+         it != std::sregex_iterator(); ++it) {
+      const std::regex use("\\b" + (*it)[1].str() + "\\b");
+      if (std::regex_search(args, use)) out.insert(name);
+    }
+  }
+}
+
 void CollectLocks(FileIndex& idx) {
   static const std::regex kAcquire(
       R"(\bMutexLock\s+[A-Za-z_]\w*\s*\(\s*([^();]*)\))");
@@ -201,10 +277,12 @@ FileIndex BuildFileIndex(const std::string& path, const std::string& content,
   idx.includes = ExtractIncludes(content, idx.scrubbed);
   CollectNames(idx.flat, idx);
   if (!idx.decl_flat.empty()) CollectNames(idx.decl_flat, idx);
-  static const std::regex kParallel(R"(\bParallel(?:For|Reduce)\s*\()");
+  static const std::regex kParallel(
+      R"((?:\bParallel(?:For|Reduce)|(?:->|\.)\s*Run)\s*\()");
   static const std::regex kForEach(R"(\bForEach\s*\()");
   CollectCallRanges(idx.flat, kParallel, idx.parallel_regions);
   CollectCallRanges(idx.flat, kForEach, idx.foreach_regions);
+  CollectForwarders(idx.flat, idx.parallel_regions, idx.forwarders);
   CollectLocks(idx);
   return idx;
 }
@@ -254,6 +332,20 @@ ProjectIndex BuildFromContents(
         index.files[i] = BuildFileIndex(path, sources[i].second, decl_context);
       },
       threads);
+  // Calls to a forwarder are parallel calls too, wherever they are made.
+  std::string forwarders;
+  for (const FileIndex& f : index.files) {
+    for (const std::string& name : f.forwarders) {
+      if (name == "ParallelFor" || name == "ParallelReduce") continue;
+      forwarders += (forwarders.empty() ? "" : "|") + name;
+    }
+  }
+  if (!forwarders.empty()) {
+    const std::regex calls("\\b(?:" + forwarders + ")\\s*\\(");
+    for (FileIndex& f : index.files) {
+      CollectCallRanges(f.flat, calls, f.parallel_regions);
+    }
+  }
   for (std::size_t i = 0; i < index.files.size(); ++i) {
     const std::string& path = index.files[i].path;
     index.by_path.emplace(path, i);

@@ -78,10 +78,16 @@ struct FileIndex {
   std::vector<LockSite> lock_sites;
   std::vector<LockNesting> lock_nestings;
 
-  // Argument ranges of ParallelFor/ParallelReduce calls (parallel regions)
-  // and of .ForEach(...) calls (unordered-iteration regions), in flat.
+  // Argument ranges of parallel calls and of .ForEach(...) calls
+  // (unordered-iteration regions), in flat. A parallel call is one to
+  // ParallelFor, ParallelReduce or a pool's Run, or to a forwarder: a
+  // function, defined anywhere in the project, that hands a std::function
+  // parameter straight to one of those three (cdn::Engine::ForEachShard,
+  // StreamingAnalysis::RunTasks), so its callers' lambdas run on the pool.
   std::vector<FlatRange> parallel_regions;
   std::vector<FlatRange> foreach_regions;
+  // The forwarders this file defines.
+  std::set<std::string> forwarders;
 
   bool InParallelRegion(std::size_t flat_pos) const;
   bool InForEachRegion(std::size_t flat_pos) const;
