@@ -107,39 +107,4 @@ AgingResult ComputeAging(const trace::TraceBuffer& trace,
   return acc.Finalize(site_name);
 }
 
-namespace {
-constexpr std::uint32_t kAgingStateVersion = 1;
-}  // namespace
-
-void AgingAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kAgingStateVersion);
-  w.WriteU64(lives_.size());
-  for (const std::uint64_t hash : lives_.SortedKeys()) {
-    const ObjectLife& life = lives_.At(hash);
-    w.WriteU64(hash);
-    w.WriteI64(life.first_seen);
-    w.WriteU32(life.active_days);
-  }
-  w.WriteI64(last_ts_);
-  w.WriteI64(end_ms_);
-  w.WriteBool(any_);
-}
-
-void AgingAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("aging accumulator", kAgingStateVersion);
-  lives_.clear();
-  const std::uint64_t n = r.ReadU64();
-  lives_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    ObjectLife life;
-    life.first_seen = r.ReadI64();
-    life.active_days = r.ReadU32();
-    lives_[hash] = life;
-  }
-  last_ts_ = r.ReadI64();
-  end_ms_ = r.ReadI64();
-  any_ = r.ReadBool();
-}
-
 }  // namespace atlas::analysis

@@ -15,7 +15,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "trace/block.h"
 #include "trace/trace_buffer.h"
 #include "util/flat_hash.h"
@@ -57,9 +56,6 @@ class AgingAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   AgingResult Finalize(const std::string& site_name);
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   struct ObjectLife {

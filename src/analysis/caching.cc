@@ -119,75 +119,4 @@ CachingResult ComputeCaching(const trace::TraceBuffer& trace,
   return acc.Finalize(site_name);
 }
 
-namespace {
-
-constexpr std::uint32_t kCachingStateVersion = 1;
-
-void SaveCodeMap(ckpt::Writer& w,
-                 const std::map<std::uint16_t, std::uint64_t>& m) {
-  w.WriteU64(m.size());
-  for (const auto& [code, count] : m) {
-    w.WriteU16(code);
-    w.WriteU64(count);
-  }
-}
-
-std::map<std::uint16_t, std::uint64_t> ReadCodeMap(ckpt::Reader& r) {
-  std::map<std::uint16_t, std::uint64_t> m;
-  const std::uint64_t n = r.ReadU64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint16_t code = r.ReadU16();
-    m[code] = r.ReadU64();
-  }
-  return m;
-}
-
-}  // namespace
-
-void CachingAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kCachingStateVersion);
-  SaveCodeMap(w, result_.video_response_codes);
-  SaveCodeMap(w, result_.image_response_codes);
-  SaveCodeMap(w, result_.all_response_codes);
-  w.WriteU64(per_object_.size());
-  for (const std::uint64_t hash : per_object_.SortedKeys()) {
-    const ObjAcc& acc = per_object_.At(hash);
-    w.WriteU64(hash);
-    w.WriteU8(static_cast<std::uint8_t>(acc.cls));
-    w.WriteU64(acc.cacheable);
-    w.WriteU64(acc.hits);
-  }
-  w.WriteU64(total_cacheable_);
-  w.WriteU64(total_hits_);
-  w.WriteU64(video_cacheable_);
-  w.WriteU64(video_hits_);
-  w.WriteU64(image_cacheable_);
-  w.WriteU64(image_hits_);
-}
-
-void CachingAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("caching accumulator", kCachingStateVersion);
-  result_ = CachingResult{};
-  result_.video_response_codes = ReadCodeMap(r);
-  result_.image_response_codes = ReadCodeMap(r);
-  result_.all_response_codes = ReadCodeMap(r);
-  per_object_.clear();
-  const std::uint64_t n = r.ReadU64();
-  per_object_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    ObjAcc acc;
-    acc.cls = static_cast<trace::ContentClass>(r.ReadU8());
-    acc.cacheable = r.ReadU64();
-    acc.hits = r.ReadU64();
-    per_object_[hash] = acc;
-  }
-  total_cacheable_ = r.ReadU64();
-  total_hits_ = r.ReadU64();
-  video_cacheable_ = r.ReadU64();
-  video_hits_ = r.ReadU64();
-  image_cacheable_ = r.ReadU64();
-  image_hits_ = r.ReadU64();
-}
-
 }  // namespace atlas::analysis

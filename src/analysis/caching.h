@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "stats/ecdf.h"
 #include "trace/block.h"
 #include "trace/record.h"
@@ -52,9 +51,6 @@ class CachingAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   CachingResult Finalize(const std::string& site_name);
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   struct ObjAcc {

@@ -128,63 +128,4 @@ DatasetSummary ComputeDatasetSummary(const trace::TraceBuffer& trace,
   return acc.Finalize(label);
 }
 
-namespace {
-
-constexpr std::uint32_t kCompositionStateVersion = 1;
-constexpr std::uint32_t kDatasetSummaryStateVersion = 1;
-
-}  // namespace
-
-void CompositionAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kCompositionStateVersion);
-  for (std::size_t c = 0; c < trace::kNumContentClasses; ++c) {
-    w.WriteU64(result_.objects[c]);
-    w.WriteU64(result_.requests[c]);
-    w.WriteU64(result_.bytes[c]);
-  }
-  w.WriteU64(seen_.size());
-  for (const std::uint64_t hash : seen_.SortedKeys()) {
-    w.WriteU64(hash);
-    w.WriteU8(static_cast<std::uint8_t>(seen_.At(hash)));
-  }
-}
-
-void CompositionAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("composition accumulator", kCompositionStateVersion);
-  for (std::size_t c = 0; c < trace::kNumContentClasses; ++c) {
-    result_.objects[c] = r.ReadU64();
-    result_.requests[c] = r.ReadU64();
-    result_.bytes[c] = r.ReadU64();
-  }
-  seen_.clear();
-  const std::uint64_t n = r.ReadU64();
-  seen_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    seen_[hash] = static_cast<trace::ContentClass>(r.ReadU8());
-  }
-}
-
-void DatasetSummaryAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kDatasetSummaryStateVersion);
-  w.WriteU64(records_);
-  w.WriteU64(bytes_);
-  w.WriteI64(start_ms_);
-  w.WriteI64(end_ms_);
-  w.WriteVecU64(users_.SortedElements());
-  w.WriteVecU64(objects_.SortedElements());
-}
-
-void DatasetSummaryAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("dataset summary accumulator", kDatasetSummaryStateVersion);
-  records_ = r.ReadU64();
-  bytes_ = r.ReadU64();
-  start_ms_ = r.ReadI64();
-  end_ms_ = r.ReadI64();
-  users_.clear();
-  for (const std::uint64_t u : r.ReadVecU64()) users_.Insert(u);
-  objects_.clear();
-  for (const std::uint64_t o : r.ReadVecU64()) objects_.Insert(o);
-}
-
 }  // namespace atlas::analysis

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <string>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "trace/block.h"
 #include "trace/trace_buffer.h"
 #include "util/flat_hash.h"
@@ -44,9 +43,6 @@ class CompositionAccumulator {
                 std::size_t n);
   CompositionResult Finalize(const std::string& site_name);
 
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
-
  private:
   CompositionResult result_;
   util::FlatHashMap<std::uint64_t, trace::ContentClass> seen_;
@@ -74,9 +70,6 @@ class DatasetSummaryAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   DatasetSummary Finalize(const std::string& label);
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   std::uint64_t records_ = 0;

@@ -83,32 +83,4 @@ DeviceComposition ComputeDeviceComposition(const trace::TraceBuffer& trace,
   return acc.Finalize(site_name);
 }
 
-namespace {
-constexpr std::uint32_t kDevicesStateVersion = 1;
-}  // namespace
-
-void DeviceCompositionAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kDevicesStateVersion);
-  w.WriteU64(user_ua_.size());
-  for (const std::uint64_t user : user_ua_.SortedKeys()) {
-    w.WriteU64(user);
-    w.WriteU16(user_ua_.At(user));
-  }
-  for (const std::uint64_t c : request_counts_) w.WriteU64(c);
-  w.WriteU64(requests_);
-}
-
-void DeviceCompositionAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("device composition accumulator", kDevicesStateVersion);
-  user_ua_.clear();
-  const std::uint64_t n = r.ReadU64();
-  user_ua_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t user = r.ReadU64();
-    user_ua_[user] = r.ReadU16();
-  }
-  for (std::uint64_t& c : request_counts_) c = r.ReadU64();
-  requests_ = r.ReadU64();
-}
-
 }  // namespace atlas::analysis

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "trace/block.h"
 #include "trace/trace_buffer.h"
 #include "trace/useragent.h"
@@ -45,11 +44,6 @@ class DeviceCompositionAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   DeviceComposition Finalize(const std::string& site_name);
-
-  // The parsed-UA cache is not serialized: it is a pure function of the
-  // ua ids and repopulates lazily after restore.
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   const trace::UaInfo& InfoFor(std::uint16_t ua_id);

@@ -1,7 +1,6 @@
 #include "analysis/engagement.h"
 
 #include <algorithm>
-#include <stdexcept>
 
 #include "analysis/feed.h"
 #include "trace/content_class.h"
@@ -97,52 +96,6 @@ EngagementResult ComputeEngagement(const trace::TraceBuffer& trace,
   EngagementAccumulator acc(addicted_ratio, trace.size());
   FeedTrace(trace, acc);
   return acc.Finalize(site_name);
-}
-
-namespace {
-constexpr std::uint32_t kEngagementStateVersion = 1;
-}  // namespace
-
-void EngagementAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kEngagementStateVersion);
-  w.WriteDouble(addicted_ratio_);
-  w.WriteU64(pair_counts_.size());
-  for (const auto& key : pair_counts_.SortedKeys()) {
-    w.WriteU64(key.first);
-    w.WriteU64(key.second);
-    w.WriteU64(pair_counts_.At(key));
-  }
-  w.WriteU64(classes_.size());
-  for (const std::uint64_t hash : classes_.SortedKeys()) {
-    w.WriteU64(hash);
-    w.WriteU8(static_cast<std::uint8_t>(classes_.At(hash)));
-  }
-}
-
-void EngagementAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("engagement accumulator", kEngagementStateVersion);
-  const double saved_ratio = r.ReadDouble();
-  if (saved_ratio != addicted_ratio_) {
-    throw std::runtime_error(
-        "ckpt: engagement addicted-ratio mismatch (checkpoint has " +
-        std::to_string(saved_ratio) + ", this run uses " +
-        std::to_string(addicted_ratio_) + ")");
-  }
-  pair_counts_.clear();
-  const std::uint64_t npairs = r.ReadU64();
-  pair_counts_.reserve(static_cast<std::size_t>(npairs));
-  for (std::uint64_t i = 0; i < npairs; ++i) {
-    const std::uint64_t object = r.ReadU64();
-    const std::uint64_t user = r.ReadU64();
-    pair_counts_[{object, user}] = r.ReadU64();
-  }
-  classes_.clear();
-  const std::uint64_t nclasses = r.ReadU64();
-  classes_.reserve(static_cast<std::size_t>(nclasses));
-  for (std::uint64_t i = 0; i < nclasses; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    classes_[hash] = static_cast<trace::ContentClass>(r.ReadU8());
-  }
 }
 
 }  // namespace atlas::analysis

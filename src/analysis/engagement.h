@@ -14,7 +14,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "stats/ecdf.h"
 #include "trace/block.h"
 #include "trace/record.h"
@@ -63,9 +62,6 @@ class EngagementAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   EngagementResult Finalize(const std::string& site_name);
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   double addicted_ratio_;

@@ -66,32 +66,4 @@ PopularityResult ComputePopularity(const trace::TraceBuffer& trace,
   return acc.Finalize(site_name);
 }
 
-namespace {
-constexpr std::uint32_t kPopularityStateVersion = 1;
-}  // namespace
-
-void PopularityAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kPopularityStateVersion);
-  w.WriteU64(counts_.size());
-  for (const std::uint64_t hash : counts_.SortedKeys()) {
-    w.WriteU64(hash);
-    w.WriteU64(counts_.At(hash));
-    w.WriteU8(static_cast<std::uint8_t>(classes_.At(hash)));
-  }
-}
-
-void PopularityAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("popularity accumulator", kPopularityStateVersion);
-  counts_.clear();
-  classes_.clear();
-  const std::uint64_t n = r.ReadU64();
-  counts_.reserve(static_cast<std::size_t>(n));
-  classes_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    counts_[hash] = r.ReadU64();
-    classes_[hash] = static_cast<trace::ContentClass>(r.ReadU8());
-  }
-}
-
 }  // namespace atlas::analysis

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/feed.h"
-#include "analysis/state_codec.h"
 
 namespace atlas::analysis {
 
@@ -80,58 +79,6 @@ SessionResult SessionAccumulator::Finalize(const std::string& site_name) {
   result_.session_length_seconds.Finalize();
   result_.requests_per_session.Finalize();
   return std::move(result_);
-}
-
-namespace {
-constexpr std::uint32_t kSessionsStateVersion = 1;
-}  // namespace
-
-void SessionAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kSessionsStateVersion);
-  w.WriteI64(timeout_ms_);
-  w.WriteU64(open_.size());
-  for (const std::uint64_t user : open_.SortedKeys()) {
-    const Session& s = open_.At(user);
-    w.WriteU64(s.user_id);
-    w.WriteI64(s.start_ms);
-    w.WriteI64(s.end_ms);
-    w.WriteU32(s.requests);
-  }
-  w.WriteI64(last_ts_);
-  w.WriteBool(any_);
-  SaveEcdf(w, result_.iat_seconds);
-  SaveEcdf(w, result_.session_length_seconds);
-  SaveEcdf(w, result_.requests_per_session);
-  w.WriteU64(result_.session_count);
-}
-
-void SessionAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("session accumulator", kSessionsStateVersion);
-  const std::int64_t saved_timeout = r.ReadI64();
-  if (saved_timeout != timeout_ms_) {
-    throw std::runtime_error(
-        "ckpt: session timeout mismatch (checkpoint has " +
-        std::to_string(saved_timeout) + " ms, this run uses " +
-        std::to_string(timeout_ms_) + " ms)");
-  }
-  open_.clear();
-  const std::uint64_t n = r.ReadU64();
-  open_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    Session s;
-    s.user_id = r.ReadU64();
-    s.start_ms = r.ReadI64();
-    s.end_ms = r.ReadI64();
-    s.requests = r.ReadU32();
-    open_[s.user_id] = s;
-  }
-  last_ts_ = r.ReadI64();
-  any_ = r.ReadBool();
-  result_ = SessionResult{};
-  result_.iat_seconds = LoadEcdf(r);
-  result_.session_length_seconds = LoadEcdf(r);
-  result_.requests_per_session = LoadEcdf(r);
-  result_.session_count = r.ReadU64();
 }
 
 SessionResult ComputeSessions(const trace::TraceBuffer& trace,

@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "stats/ecdf.h"
 #include "trace/block.h"
 #include "trace/trace_buffer.h"
@@ -59,11 +58,6 @@ class SessionAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   SessionResult Finalize(const std::string& site_name);
-
-  // Restore requires the same sessionization timeout the state was saved
-  // with (changing it mid-stream would produce neither run's sessions).
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   void CloseSession(const Session& s);

@@ -63,36 +63,6 @@ SizeDistributions ComputeSizeDistributions(const trace::TraceBuffer& trace,
   return acc.Finalize(site_name);
 }
 
-namespace {
-constexpr std::uint32_t kFirstSeenStateVersion = 1;
-}  // namespace
-
-void SizeDistributionsAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kFirstSeenStateVersion);
-  w.WriteU64(firsts_.size());
-  for (const std::uint64_t hash : firsts_.SortedKeys()) {
-    const FirstSeen& f = firsts_.At(hash);
-    w.WriteU64(hash);
-    w.WriteU64(f.object_size);
-    w.WriteU8(static_cast<std::uint8_t>(f.file_type));
-  }
-}
-
-void SizeDistributionsAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("size distributions accumulator",
-                  kFirstSeenStateVersion);
-  firsts_.clear();
-  const std::uint64_t n = r.ReadU64();
-  firsts_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    FirstSeen f;
-    f.object_size = r.ReadU64();
-    f.file_type = static_cast<trace::FileType>(r.ReadU8());
-    firsts_[hash] = f;
-  }
-}
-
 bool ImageSizesAreBimodal(const stats::Ecdf& image_sizes) {
   if (image_sizes.count() < 20) return false;
   stats::LogHistogram hist(100.0, 1e8, 4);

@@ -1,7 +1,6 @@
 #include "analysis/suite.h"
 
 #include <algorithm>
-#include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -92,65 +91,6 @@ void SiteAccumulator::ClusterTrends(SiteAnalysis& a, int threads) {
                                       image_trend_config_, threads);
 }
 
-namespace {
-constexpr std::uint32_t kSiteAccumulatorStateVersion = 1;
-constexpr std::uint32_t kStreamingAnalysisStateVersion = 1;
-}  // namespace
-
-void SiteAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kSiteAccumulatorStateVersion);
-  w.WriteString(publisher_.name);
-  w.WriteBool(run_trend_clusters_);
-  w.WriteU64(records_);
-  summary_.SaveState(w);
-  composition_.SaveState(w);
-  hourly_.SaveState(w);
-  devices_.SaveState(w);
-  sizes_.SaveState(w);
-  popularity_.SaveState(w);
-  aging_.SaveState(w);
-  sessions_.SaveState(w);
-  engagement_.SaveState(w);
-  caching_.SaveState(w);
-  if (run_trend_clusters_) {
-    video_series_->SaveState(w);
-    image_series_->SaveState(w);
-  }
-}
-
-void SiteAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("site accumulator", kSiteAccumulatorStateVersion);
-  const std::string saved_name = r.ReadString();
-  if (saved_name != publisher_.name) {
-    throw std::runtime_error("ckpt: site accumulator publisher mismatch "
-                             "(checkpoint has '" +
-                             saved_name + "', this run built '" +
-                             publisher_.name + "')");
-  }
-  const bool saved_trends = r.ReadBool();
-  if (saved_trends != run_trend_clusters_) {
-    throw std::runtime_error(
-        "ckpt: trend-cluster configuration mismatch (checkpoint was taken "
-        "with run_trend_clusters " +
-        std::string(saved_trends ? "on" : "off") + ")");
-  }
-  records_ = r.ReadU64();
-  summary_.RestoreState(r);
-  composition_.RestoreState(r);
-  hourly_.RestoreState(r);
-  devices_.RestoreState(r);
-  sizes_.RestoreState(r);
-  popularity_.RestoreState(r);
-  aging_.RestoreState(r);
-  sessions_.RestoreState(r);
-  engagement_.RestoreState(r);
-  caching_.RestoreState(r);
-  if (run_trend_clusters_) {
-    video_series_->RestoreState(r);
-    image_series_->RestoreState(r);
-  }
-}
-
 StreamingAnalysis::StreamingAnalysis(const trace::PublisherRegistry& registry,
                                      const SuiteConfig& config)
     : config_(config), publishers_(registry.all()) {
@@ -192,38 +132,34 @@ void StreamingAnalysis::RunTasks(std::size_t n,
   pool_->Run(n, fn);
 }
 
-void StreamingAnalysis::AddBlock(const trace::RecordBlock& block,
-                                 std::size_t first_row) {
+void StreamingAnalysis::AddBlock(const trace::RecordBlock& block) {
   const std::size_t n = block.size();
-  if (first_row >= n) return;
-  records_consumed_ += n - first_row;
+  if (n == 0) return;
+  records_consumed_ += n;
 
   batches_.clear();
-  bool uniform = first_row == 0;
-  if (uniform) {
-    // Fast path: single-publisher block (per-site traces, and long runs of
-    // a merged trace) — hand the whole block down with no row indirection.
-    const std::uint32_t first_pub = block.publisher_id[0];
-    for (std::size_t i = 1; i < n && uniform; ++i) {
-      uniform = block.publisher_id[i] == first_pub;
-    }
-    if (uniform) {
-      if (const std::int64_t idx = IndexFor(first_pub); idx >= 0) {
-        batches_.push_back(
-            {&AccumulatorFor(static_cast<std::size_t>(idx)), nullptr, n});
-      }
-    }
+  // Fast path: single-publisher block (per-site traces, and long runs of a
+  // merged trace) — hand the whole block down with no row indirection.
+  const std::uint32_t first_pub = block.publisher_id[0];
+  bool uniform = true;
+  for (std::size_t i = 1; i < n && uniform; ++i) {
+    uniform = block.publisher_id[i] == first_pub;
   }
-  if (!uniform) {
+  if (uniform) {
+    if (const std::int64_t idx = IndexFor(first_pub); idx >= 0) {
+      batches_.push_back(
+          {&AccumulatorFor(static_cast<std::size_t>(idx)), nullptr, n});
+    }
+  } else {
     // Stable demux: per-publisher row-index lists preserve stream order
     // within each site, so each site folds its rows exactly as it would
-    // from a single-publisher block. Unregistered publishers are counted by
-    // the cursor above but not analyzed.
+    // from a single-publisher block. Unregistered publishers are counted
+    // above but not analyzed.
     if (demux_rows_.size() != publishers_.size()) {
       demux_rows_.assign(publishers_.size(), {});
     }
     touched_.clear();
-    for (std::size_t i = first_row; i < n; ++i) {
+    for (std::size_t i = 0; i < n; ++i) {
       const std::int64_t found = IndexFor(block.publisher_id[i]);
       if (found < 0) continue;
       const auto idx = static_cast<std::size_t>(found);
@@ -267,37 +203,6 @@ std::vector<SiteAnalysis> StreamingAnalysis::Finalize() {
     sites.push_back(std::move(*slots[i]));
   }
   return sites;
-}
-
-void StreamingAnalysis::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kStreamingAnalysisStateVersion);
-  w.WriteU64(records_consumed_);
-  w.WriteU64(static_cast<std::uint64_t>(publishers_.size()));
-  for (std::size_t i = 0; i < publishers_.size(); ++i) {
-    w.WriteBool(accumulators_[i] != nullptr);
-    if (accumulators_[i]) accumulators_[i]->SaveState(w);
-  }
-}
-
-void StreamingAnalysis::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("streaming analysis", kStreamingAnalysisStateVersion);
-  records_consumed_ = r.ReadU64();
-  const std::uint64_t n = r.ReadU64();
-  if (n != publishers_.size()) {
-    throw std::runtime_error(
-        "ckpt: publisher count mismatch (checkpoint has " +
-        std::to_string(n) + " publishers, registry has " +
-        std::to_string(publishers_.size()) + ")");
-  }
-  for (std::size_t i = 0; i < publishers_.size(); ++i) {
-    if (!r.ReadBool()) {
-      accumulators_[i].reset();
-      continue;
-    }
-    accumulators_[i] =
-        std::make_unique<SiteAccumulator>(publishers_[i], config_);
-    accumulators_[i]->RestoreState(r);
-  }
 }
 
 AnalysisSuite::AnalysisSuite(trace::BlockSource& source,

@@ -98,11 +98,6 @@ class SiteAccumulator {
 
   std::uint64_t records() const { return records_; }
 
-  // Checkpoints every sub-accumulator's mid-stream state. Restore requires
-  // an accumulator built with the same publisher and suite config.
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
-
  private:
   trace::Publisher publisher_;
   bool run_trend_clusters_;
@@ -127,32 +122,27 @@ class SiteAccumulator {
   std::vector<std::pair<std::uint64_t, std::vector<double>>> image_panel_;
 };
 
-// The checkpointable core of the streaming suite: demultiplexes a block
-// stream into one SiteAccumulator per registered publisher and tracks how
-// many records it has consumed. AnalysisSuite is a thin drive-to-completion
-// wrapper; tools that checkpoint an analysis pass feed blocks here and
-// save/restore between them. The record cursor is the contract with the
-// producer: a resumed analysis must skip exactly records_consumed() records
-// before feeding the rest.
+// The core of the streaming suite: demultiplexes a block stream into one
+// SiteAccumulator per registered publisher and counts the records it has
+// consumed. AnalysisSuite drives one to completion from a BlockSource;
+// callers that read blocks themselves (`atlas-trace analyze`, atlas-bench)
+// feed them here one at a time and finalize at the end.
 class StreamingAnalysis {
  public:
   // The registry reference must outlive the analysis.
   StreamingAnalysis(const trace::PublisherRegistry& registry,
                     const SuiteConfig& config = {});
 
-  // Consumes rows [first_row, size) of `block`. The calling thread
-  // demultiplexes the rows into per-site lists that preserve stream order,
-  // then every (site, part) pair runs as one task on the analysis pool, so
-  // each accumulator folds its rows in stream order and the results depend
-  // on neither block size nor thread count. If tasks throw, the one with
-  // the lowest (site, part) index is rethrown — the failure a serial run
-  // would raise. `first_row` lets a resumed analysis skip the
-  // already-consumed prefix of a partial block.
-  void AddBlock(const trace::RecordBlock& block, std::size_t first_row = 0);
+  // Consumes every row of `block`. The calling thread demultiplexes the
+  // rows into per-site lists that preserve stream order, then every (site,
+  // part) pair runs as one task on the analysis pool, so each accumulator
+  // folds its rows in stream order and the results depend on neither block
+  // size nor thread count. If tasks throw, the one with the lowest (site,
+  // part) index is rethrown — the failure a serial run would raise.
+  void AddBlock(const trace::RecordBlock& block);
 
-  // Records consumed so far (including ones from unregistered publishers,
-  // which are counted but not analyzed — the cursor tracks stream position,
-  // not analysis membership).
+  // Records consumed so far, including ones from unregistered publishers,
+  // which are counted but not analyzed.
   std::uint64_t records_consumed() const { return records_consumed_; }
 
   // Finalizes in two phases, both on SuiteConfig::threads workers: the
@@ -161,11 +151,6 @@ class StreamingAnalysis {
   // every worker. Results come back in registry order. Call at most once;
   // the accumulators are consumed.
   std::vector<SiteAnalysis> Finalize();
-
-  // Blob layout: cursor + one presence-flagged SiteAccumulator blob per
-  // registered publisher, in registry order.
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   SiteAccumulator& AccumulatorFor(std::size_t index);
@@ -226,9 +211,8 @@ class AnalysisSuite {
                 const trace::PublisherRegistry& registry,
                 const SuiteConfig& config = {});
 
-  // Wraps already-finalized per-site results — the hand-off from an
-  // externally driven StreamingAnalysis (e.g. the checkpointed
-  // `atlas-trace analyze` pass) to the report renderer.
+  // Wraps already-finalized per-site results — the hand-off from a
+  // StreamingAnalysis driven block by block to the report renderer.
   explicit AnalysisSuite(std::vector<SiteAnalysis> sites)
       : sites_(std::move(sites)) {}
 

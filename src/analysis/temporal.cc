@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "analysis/feed.h"
-#include "analysis/state_codec.h"
 #include "util/time.h"
 
 namespace atlas::analysis {
@@ -71,28 +70,6 @@ HourlyVolume ComputeHourlyVolume(const trace::TraceBuffer& site_trace,
   HourlyVolumeAccumulator acc;
   FeedTrace(site_trace, acc);
   return acc.Finalize(site_name);
-}
-
-namespace {
-constexpr std::uint32_t kHourlyVolumeStateVersion = 1;
-}  // namespace
-
-void HourlyVolumeAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kHourlyVolumeStateVersion);
-  for (const double c : counts_) w.WriteDouble(c);
-  for (const double b : bytes_) w.WriteDouble(b);
-  w.WriteDouble(total_count_);
-  w.WriteDouble(total_bytes_);
-  SaveTimeSeries(w, result_.week_series);
-}
-
-void HourlyVolumeAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("hourly volume accumulator", kHourlyVolumeStateVersion);
-  for (double& c : counts_) c = r.ReadDouble();
-  for (double& b : bytes_) b = r.ReadDouble();
-  total_count_ = r.ReadDouble();
-  total_bytes_ = r.ReadDouble();
-  result_.week_series = LoadTimeSeries(r);
 }
 
 }  // namespace atlas::analysis

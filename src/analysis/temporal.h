@@ -10,7 +10,6 @@
 #include <array>
 #include <string>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "stats/timeseries.h"
 #include "trace/block.h"
 #include "trace/trace_buffer.h"
@@ -44,9 +43,6 @@ class HourlyVolumeAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   HourlyVolume Finalize(const std::string& site_name);
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   HourlyVolume result_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
-#include <stdexcept>
 #include <utility>
 
 #include "analysis/feed.h"
@@ -76,45 +75,6 @@ TrendSeriesAccumulator::Finalize() {
     out.emplace_back(hash, ts.values());
   }
   return out;
-}
-
-namespace {
-constexpr std::uint32_t kTrendSeriesStateVersion = 1;
-}  // namespace
-
-void TrendSeriesAccumulator::SaveState(ckpt::Writer& w) const {
-  w.WriteVersion(kTrendSeriesStateVersion);
-  w.WriteBool(config_.use_class);
-  w.WriteU8(static_cast<std::uint8_t>(config_.content_class));
-  w.WriteU64(accs_.size());
-  for (const std::uint64_t hash : accs_.SortedKeys()) {
-    const Acc& acc = accs_.At(hash);
-    w.WriteU64(hash);
-    w.WriteU64(acc.count);
-    w.WriteVecDouble(acc.hours);
-  }
-}
-
-void TrendSeriesAccumulator::RestoreState(ckpt::Reader& r) {
-  r.ExpectVersion("trend series accumulator", kTrendSeriesStateVersion);
-  const bool saved_use_class = r.ReadBool();
-  const auto saved_class = static_cast<trace::ContentClass>(r.ReadU8());
-  if (saved_use_class != config_.use_class ||
-      (config_.use_class && saved_class != config_.content_class)) {
-    throw std::runtime_error(
-        "ckpt: trend series class filter mismatch (checkpoint was taken "
-        "with a different content-class configuration)");
-  }
-  accs_.clear();
-  const std::uint64_t n = r.ReadU64();
-  accs_.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const std::uint64_t hash = r.ReadU64();
-    Acc acc;
-    acc.count = r.ReadU64();
-    acc.hours = r.ReadVecDouble();
-    accs_[hash] = std::move(acc);
-  }
 }
 
 std::vector<std::pair<std::uint64_t, std::vector<double>>>

@@ -12,7 +12,6 @@
 #include <utility>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
 #include "cluster/dtw.h"
 #include "cluster/linkage.h"
 #include "cluster/medoid.h"
@@ -95,9 +94,6 @@ class TrendSeriesAccumulator {
   void AddBatch(const trace::RecordBlock& b, const std::uint32_t* rows,
                 std::size_t n);
   std::vector<std::pair<std::uint64_t, std::vector<double>>> Finalize();
-
-  void SaveState(ckpt::Writer& w) const;
-  void RestoreState(ckpt::Reader& r);
 
  private:
   struct Acc {

@@ -174,16 +174,6 @@ void Writer::WriteBytes(const void* data, std::size_t size) {
   if (size > 0) std::memcpy(Grow(size), data, size);
 }
 
-void Writer::WriteVecU64(const std::vector<std::uint64_t>& v) {
-  WriteU64(static_cast<std::uint64_t>(v.size()));
-  for (std::uint64_t x : v) WriteU64(x);
-}
-
-void Writer::WriteVecDouble(const std::vector<double>& v) {
-  WriteU64(static_cast<std::uint64_t>(v.size()));
-  for (double x : v) WriteDouble(x);
-}
-
 // ---------------------------------------------------------------------------
 // Reader
 
@@ -291,7 +281,6 @@ const unsigned char* Reader::Take(std::size_t size) {
 }
 
 std::uint8_t Reader::ReadU8() { return *Take(1); }
-std::uint16_t Reader::ReadU16() { return LoadLe<std::uint16_t>(Take(2)); }
 std::uint32_t Reader::ReadU32() { return LoadLe<std::uint32_t>(Take(4)); }
 std::uint64_t Reader::ReadU64() { return LoadLe<std::uint64_t>(Take(8)); }
 
@@ -333,22 +322,6 @@ std::uint64_t Reader::ReadCount(std::size_t item_bytes) {
          cur_name_ + "'");
   }
   return count;
-}
-
-std::vector<std::uint64_t> Reader::ReadVecU64() {
-  const std::uint64_t count = ReadCount(sizeof(std::uint64_t));
-  std::vector<std::uint64_t> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(ReadU64());
-  return v;
-}
-
-std::vector<double> Reader::ReadVecDouble() {
-  const std::uint64_t count = ReadCount(sizeof(double));
-  std::vector<double> v;
-  v.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) v.push_back(ReadDouble());
-  return v;
 }
 
 void Reader::ExpectVersion(const std::string& what, std::uint32_t expected) {

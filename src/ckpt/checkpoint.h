@@ -72,7 +72,6 @@ class Writer {
 
   // Typed primitives; all require an open section.
   void WriteU8(std::uint8_t v) { PutLe(v); }
-  void WriteU16(std::uint16_t v) { PutLe(v); }
   void WriteU32(std::uint32_t v) { PutLe(v); }
   void WriteU64(std::uint64_t v) { PutLe(v); }
   void WriteI64(std::int64_t v) { PutLe(static_cast<std::uint64_t>(v)); }
@@ -80,8 +79,6 @@ class Writer {
   void WriteBool(bool v) { WriteU8(v ? 1 : 0); }
   void WriteString(const std::string& v);
   void WriteBytes(const void* data, std::size_t size);
-  void WriteVecU64(const std::vector<std::uint64_t>& v);
-  void WriteVecDouble(const std::vector<double>& v);
 
   // First field of every Checkpointable blob (see header comment).
   void WriteVersion(std::uint32_t v) { WriteU32(v); }
@@ -146,7 +143,6 @@ class Reader {
   void EndSection();
 
   std::uint8_t ReadU8();
-  std::uint16_t ReadU16();
   std::uint32_t ReadU32();
   std::uint64_t ReadU64();
   std::int64_t ReadI64();
@@ -154,8 +150,6 @@ class Reader {
   bool ReadBool();
   std::string ReadString();
   std::vector<unsigned char> ReadBytes();
-  std::vector<std::uint64_t> ReadVecU64();
-  std::vector<double> ReadVecDouble();
   // Reads a u64 element count and checks that that many items of at least
   // `item_bytes` each fit in the rest of the section, so a corrupt count
   // fails here and never sizes an allocation.

@@ -210,11 +210,6 @@ class FlatHashSet : public internal::FlatTableBase<K, Hash> {
     if (cap > this->keys_.size()) Rehash(cap);
   }
 
-  void clear() {
-    std::fill(this->used_.begin(), this->used_.end(), std::uint8_t{0});
-    this->size_ = 0;
-  }
-
   // True when newly inserted.
   bool Insert(const K& k) {
     if (this->NeedsGrowth()) Rehash(NextCapacity());
@@ -229,16 +224,6 @@ class FlatHashSet : public internal::FlatTableBase<K, Hash> {
   bool Contains(const K& k) const {
     if (this->keys_.empty()) return false;
     return this->used_[this->Probe(k)] != 0;
-  }
-
-  std::vector<K> SortedElements() const {
-    std::vector<K> keys;
-    keys.reserve(this->size_);
-    for (std::size_t i = 0; i < this->keys_.size(); ++i) {
-      if (this->used_[i]) keys.push_back(this->keys_[i]);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
   }
 
  private:

@@ -2,7 +2,10 @@
 # atlas-trace's trace commands end to end:
 #   simulate -> info -> head -> tocsv -> tobin reproduces the simulated file
 #   byte for byte; filter --publisher keeps exactly that publisher; a file
-#   with a version 1 header is refused with a message naming the version.
+#   with a version 1 header is refused with a message naming the version;
+#   analyze prints the same report at 1 and 4 threads, runs with
+#   --no-trends, and refuses --checkpoint-every as an unknown flag; --help
+#   prints the usage, exits 0, and is never taken as a path.
 #
 #   tests/cli_roundtrip.sh <atlas-trace> <scratch dir>
 set -euo pipefail
@@ -35,4 +38,24 @@ if "$bin" info v1.bin 2> v1.err; then
   exit 1
 fi
 grep -q 'unsupported version 1' v1.err
+
+"$bin" analyze sim.v2 --threads 1 --report r1.txt > /dev/null
+"$bin" analyze sim.v2 --threads 4 --report r4.txt > /dev/null
+cmp r1.txt r4.txt
+"$bin" analyze sim.v2 --no-trends > /dev/null
+
+# analyze keeps no snapshot: a killed analysis is simply run again.
+if "$bin" analyze sim.v2 --checkpoint-every 1 > /dev/null 2> ckpt.err; then
+  echo "analyze accepted --checkpoint-every" >&2
+  exit 1
+fi
+grep -q -- '--checkpoint-every' ckpt.err
+[[ ! -e sim.v2.analysis.ckpt ]]
+
+"$bin" simulate --help > help_simulate.txt
+grep -q '^usage: ' help_simulate.txt
+"$bin" analyze sim.v2 --help --report help_report.txt > help_analyze.txt
+grep -q '^usage: .* analyze ' help_analyze.txt
+grep -q -- '--no-trends' help_analyze.txt
+[[ ! -e ./--help && ! -e help_report.txt ]]
 echo "cli round trip: OK"

@@ -28,14 +28,16 @@
 //                                                  report how much of the
 //                                                  file is intact
 //   atlas_trace analyze <trace.bin> [--spec scenario.toml] [--report F]
-//                       [--threads N] [--no-trends]
-//                       [--checkpoint-every N] [--checkpoint-file F]
-//                       [--resume F]               stream the full analysis
+//                       [--threads N] [--no-trends] stream the full analysis
 //                                                  suite over a trace file;
 //                                                  --spec takes the publisher
 //                                                  registry from a scenario
 //                                                  file instead of the
 //                                                  default paper-study sites
+//
+// `--help` in place of the command or of one of its paths prints this list;
+// after the paths, it prints the command's flags. Neither opens or writes a
+// file.
 //
 // Binary traces are the v2 block format (trace/stream.h). Every command but
 // `tobin` runs in bounded memory — one block at a time — so they work on
@@ -46,8 +48,8 @@
 // barriers (atomic tmp+rename, see ckpt/checkpoint.h). After a crash,
 // `simulate --resume <snapshot>` truncates the torn output back to the
 // snapshot's flushed prefix and continues — the finished trace is
-// byte-identical to an uninterrupted run. `analyze --checkpoint-every N`
-// does the same for the analysis pass (cursor = records consumed).
+// byte-identical to an uninterrupted run. `analyze` keeps no snapshot: a
+// killed analysis is run again, and gives the same report.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -76,25 +78,38 @@ namespace {
 
 using namespace atlas;
 
-int Usage(const char* prog) {
-  std::cerr << "usage: " << prog
-            << " <info|head|tocsv|tobin|filter|simulate|verify|analyze> "
-               "<args...>\n"
-               "  info    <trace.bin>\n"
-               "  head    <trace.bin> [--n 20]\n"
-               "  tocsv   <trace.bin> <out.csv>\n"
-               "  tobin   <trace.csv> <out.bin>\n"
-               "  filter  <in.bin> <out.bin> [--publisher N] [--class C] "
-               "[--from-ms T] [--to-ms T]\n"
-               "  simulate <out.v2> [--spec scenario.toml] [--scale 0.05] "
-               "[--seed 42] [--threads N] [--peer-fill] [--epoch-min 60] "
-               "[--energy-report] "
-               "[--checkpoint-every N] [--checkpoint-file F] [--resume F]\n"
-               "  verify  <trace.v2>\n"
-               "  analyze <trace.bin> [--spec scenario.toml] [--report F] "
-               "[--threads N] [--no-trends] [--checkpoint-every N] "
-               "[--checkpoint-file F] [--resume F]\n";
-  return 2;
+// Prints the command list: to stdout with exit code 0 when asked for with
+// --help, else to stderr with exit code 2.
+int Usage(const char* prog, bool help = false) {
+  std::ostream& out = help ? std::cout : std::cerr;
+  out << "usage: " << prog
+      << " <info|head|tocsv|tobin|filter|simulate|verify|analyze> "
+         "<args...>\n"
+         "  info    <trace.bin>\n"
+         "  head    <trace.bin> [--n 20]\n"
+         "  tocsv   <trace.bin> <out.csv>\n"
+         "  tobin   <trace.csv> <out.bin>\n"
+         "  filter  <in.bin> <out.bin> [--publisher N] [--class C] "
+         "[--from-ms T] [--to-ms T]\n"
+         "  simulate <out.v2> [--spec scenario.toml] [--scale 0.05] "
+         "[--seed 42] [--threads N] [--peer-fill] [--epoch-min 60] "
+         "[--energy-report] "
+         "[--checkpoint-every N] [--checkpoint-file F] [--resume F]\n"
+         "  verify  <trace.v2>\n"
+         "  analyze <trace.bin> [--spec scenario.toml] [--report F] "
+         "[--threads N] [--no-trends]\n"
+         "add --help after a command's paths to list its flags\n";
+  return help ? 0 : 2;
+}
+
+bool IsHelp(const std::string& arg) { return arg == "--help" || arg == "-h"; }
+
+// When `flags` saw --help, prints the command's flags and returns true: the
+// command then exits 0 before it opens or writes anything.
+bool HelpRequested(const util::Flags& flags, const std::string& command) {
+  if (!flags.help_requested()) return false;
+  std::cout << flags.Usage("atlas-trace " + command);
+  return true;
 }
 
 // Everything `info` prints, gathered in one pass over a record stream. The
@@ -142,6 +157,7 @@ struct InfoStats {
 int CmdInfo(const std::string& path, int argc, char** argv) {
   util::Flags flags;
   flags.Parse(argc, argv);
+  if (HelpRequested(flags, "info <trace.bin>")) return 0;
 
   InfoStats stats;
   trace::TraceFileReader source(path);
@@ -193,6 +209,7 @@ int CmdHead(const std::string& path, int argc, char** argv) {
   util::Flags flags;
   flags.DefineInt("n", 20, "records to print");
   flags.Parse(argc, argv);
+  if (HelpRequested(flags, "head <trace.bin>")) return 0;
   // Reads only as many blocks as the first --n rows span.
   trace::TraceFileReader source(path);
   std::cout << util::PadRight("time", 14) << util::PadRight("pub", 5)
@@ -258,6 +275,7 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
   flags.DefineInt("from-ms", -1, "keep records at/after this timestamp");
   flags.DefineInt("to-ms", -1, "keep records before this timestamp");
   flags.Parse(argc, argv);
+  if (HelpRequested(flags, "filter <in.bin> <out.bin>")) return 0;
   trace::TraceFileReader source(in);
   const std::int64_t pub = flags.GetInt("publisher");
   const std::string cls_name = flags.GetString("class");
@@ -336,6 +354,7 @@ int CmdSimulate(const std::string& out, int argc, char** argv) {
                    "table or defaults) and print the report after the run; "
                    "observation-only, the trace stays byte-identical");
   flags.Parse(argc, argv);
+  if (HelpRequested(flags, "simulate <out.v2>")) return 0;
   util::SetLogLevel(util::LogLevel::kWarn);
   const std::int64_t epoch_min = flags.GetInt("epoch-min");
   if (epoch_min <= 0) {
@@ -557,10 +576,6 @@ int CmdVerify(const std::string& path) {
   return 0;
 }
 
-// Section wrapping the StreamingAnalysis blob in an analyze checkpoint.
-constexpr char kAnalysisSection[] = "analysis.suite";
-constexpr std::uint32_t kAnalysisSectionVersion = 1;
-
 int CmdAnalyze(const std::string& in, int argc, char** argv) {
   util::Flags flags;
   flags.DefineString("spec", "",
@@ -575,23 +590,9 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
   flags.DefineBool("no-trends", false,
                    "skip trend clustering (Figs. 8-10); it is O(n^2) in "
                    "qualifying objects");
-  flags.DefineInt("checkpoint-every", 0,
-                  "checkpoint the accumulator state every N record blocks "
-                  "(0 = off); atomically committed");
-  flags.DefineString("checkpoint-file", "",
-                     "checkpoint destination (default: <trace>.analysis.ckpt)");
-  flags.DefineString("resume", "",
-                     "resume from this checkpoint: the trace is re-opened "
-                     "and exactly records-consumed records are skipped");
   flags.Parse(argc, argv);
+  if (HelpRequested(flags, "analyze <trace.bin>")) return 0;
   util::SetLogLevel(util::LogLevel::kWarn);
-  const std::int64_t every = flags.GetInt("checkpoint-every");
-  if (every < 0) {
-    std::cerr << "--checkpoint-every must be >= 0\n";
-    return 2;
-  }
-  std::string ckpt_path = flags.GetString("checkpoint-file");
-  if (ckpt_path.empty()) ckpt_path = in + ".analysis.ckpt";
 
   analysis::SuiteConfig config;
   config.run_trend_clusters = !flags.GetBool("no-trends");
@@ -600,7 +601,7 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
   // ATLAS traces carry the publisher ids their producer registered: the
   // paper-study sites in PaperSites order by default, or a scenario file's
   // sites in [[site]] order for simulate --spec output. Unknown ids are
-  // counted by the cursor but not analyzed.
+  // counted but not analyzed.
   trace::PublisherRegistry registry;
   const std::string spec_path = flags.GetString("spec");
   if (spec_path.empty()) {
@@ -611,49 +612,13 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
       registry.Register(profile.name, profile.kind);
     }
   }
-  analysis::StreamingAnalysis stream(registry, config);
-
-  std::uint64_t skip = 0;
-  const std::string resume_path = flags.GetString("resume");
-  if (!resume_path.empty()) {
-    auto snapshot = ckpt::ReadCheckpointFile(resume_path);
-    snapshot.BeginSection(kAnalysisSection, kAnalysisSectionVersion);
-    stream.RestoreState(snapshot);
-    snapshot.EndSection();
-    skip = stream.records_consumed();
-    std::cout << "resuming analysis at record " << skip << '\n';
-  }
 
   // SoA batch path: one decoded block at a time through the demultiplexer.
+  analysis::StreamingAnalysis stream(registry, config);
   trace::TraceFileReader source(in);
-  std::uint64_t blocks = 0;
   for (const auto* block = source.NextBlock(); block != nullptr;
        block = source.NextBlock()) {
-    std::size_t first_row = 0;
-    if (skip > 0) {
-      // The cursor contract: records the checkpoint already consumed are
-      // skipped, never re-added (re-adding would double-count). A resume
-      // point inside a block consumes only the block's unseen suffix.
-      const auto drop = std::min<std::uint64_t>(
-          skip, static_cast<std::uint64_t>(block->size()));
-      first_row = static_cast<std::size_t>(drop);
-      skip -= drop;
-      if (first_row >= block->size()) continue;
-    }
-    stream.AddBlock(*block, first_row);
-    ++blocks;
-    if (every > 0 && blocks % static_cast<std::uint64_t>(every) == 0) {
-      ckpt::WriteCheckpointFile(ckpt_path, [&](ckpt::Writer& w) {
-        w.BeginSection(kAnalysisSection, kAnalysisSectionVersion);
-        stream.SaveState(w);
-        w.EndSection();
-      });
-    }
-  }
-  if (skip > 0) {
-    std::cerr << "error: " << in << " holds fewer records than the "
-              << "checkpoint consumed (wrong trace for this checkpoint?)\n";
-    return 1;
+    stream.AddBlock(*block);
   }
   const std::uint64_t consumed = stream.records_consumed();
 
@@ -682,8 +647,15 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // --help in place of the command or of a path it takes prints the usage,
+  // so no command opens or writes a file named "--help".
+  const std::string cmd = argc > 1 ? argv[1] : "";
+  const int paths =
+      (cmd == "tocsv" || cmd == "tobin" || cmd == "filter") ? 2 : 1;
+  for (int i = 1; i < argc && i <= 1 + paths; ++i) {
+    if (IsHelp(argv[i])) return Usage(argv[0], /*help=*/true);
+  }
   if (argc < 3) return Usage(argv[0]);
-  const std::string cmd = argv[1];
   try {
     if (cmd == "info") return CmdInfo(argv[2], argc - 2, argv + 2);
     if (cmd == "head") return CmdHead(argv[2], argc - 2, argv + 2);
