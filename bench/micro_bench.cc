@@ -1,27 +1,16 @@
 // Micro-benchmarks (google-benchmark) for the performance-critical library
 // pieces: DTW, cache policies, Zipf sampling, catalog sampling, UA parsing,
-// and end-to-end generation throughput — serial and parallel.
-//
-// Besides the google-benchmark suite, the binary times the two parallelized
-// hot paths (workload generation, pairwise DTW) at 1, 2, and N threads and
-// writes records/sec + speedup to BENCH_parallel.json (override the path
-// with ATLAS_BENCH_PARALLEL_JSON; set it empty to skip).
+// and end-to-end generation throughput — serial and parallel. The two
+// parallel hot paths (workload generation, pairwise DTW) run at 1, 2 and
+// all hardware threads.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
-#include <fstream>
-#include <iostream>
-#include <thread>
-
-#include "bench_common.h"
 #include "cdn/cache.h"
 #include "cluster/dtw.h"
 #include "stats/sampler.h"
 #include "synth/workload.h"
 #include "trace/useragent.h"
 #include "util/logging.h"
-#include "util/par.h"
 #include "util/rng.h"
 
 namespace {
@@ -155,114 +144,6 @@ BENCHMARK(BM_PairwiseDtw)
     ->Args({64, 2})
     ->Args({64, 0});
 
-// --- BENCH_parallel.json: parallel-path throughput + speedup record -------
-
-double SecondsOf(const std::function<void()>& fn) {
-  const auto start = std::chrono::steady_clock::now();
-  fn();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
-struct ParallelSample {
-  int threads = 1;
-  double records_per_s = 0.0;
-  double speedup = 1.0;
-};
-
-// Times fn(threads) (returning a unit count) at each thread count; speedup
-// is relative to the 1-thread run of the same workload.
-std::vector<ParallelSample> MeasureAtThreadCounts(
-    const std::vector<int>& thread_counts,
-    const std::function<std::uint64_t(int)>& fn) {
-  std::vector<ParallelSample> samples;
-  double serial_rate = 0.0;
-  for (const int threads : thread_counts) {
-    std::uint64_t units = 0;
-    // Warm once (first-touch allocations), then take the best of 3.
-    fn(threads);
-    double best = 1e100;
-    for (int rep = 0; rep < 3; ++rep) {
-      best = std::min(best, SecondsOf([&] { units = fn(threads); }));
-    }
-    ParallelSample s;
-    s.threads = threads;
-    s.records_per_s = static_cast<double>(units) / best;
-    if (threads == 1) serial_rate = s.records_per_s;
-    s.speedup = serial_rate > 0.0 ? s.records_per_s / serial_rate : 1.0;
-    samples.push_back(s);
-  }
-  return samples;
-}
-
-void AppendSamples(std::ostream& out, const char* name,
-                   const std::vector<ParallelSample>& samples) {
-  out << "    \"" << name << "\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    out << "      {\"threads\": " << s.threads
-        << ", \"records_per_s\": " << static_cast<std::uint64_t>(s.records_per_s)
-        << ", \"speedup\": " << s.speedup << "}"
-        << (i + 1 < samples.size() ? "," : "") << "\n";
-  }
-  out << "    ]";
-}
-
-void WriteParallelReport(const std::string& path) {
-  util::SetLogLevel(util::LogLevel::kWarn);
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  std::vector<int> thread_counts = {1, 2};
-  if (hw > 2) thread_counts.push_back(hw);
-
-  // Workload generation: one generator, repeated weeks (events/sec).
-  synth::WorkloadGenerator gen(synth::SiteProfile::P1(0.02), 11);
-  const auto gen_samples =
-      MeasureAtThreadCounts(thread_counts, [&](int threads) -> std::uint64_t {
-        constexpr std::uint64_t kEvents = 60000;
-        benchmark::DoNotOptimize(gen.Generate(kEvents, threads));
-        return kEvents;
-      });
-
-  // Pairwise DTW over week-length series (cell computations/sec).
-  std::vector<std::vector<double>> series;
-  for (std::size_t i = 0; i < 96; ++i) series.push_back(RandomSeries(168, i + 1));
-  const auto dtw_samples =
-      MeasureAtThreadCounts(thread_counts, [&](int threads) -> std::uint64_t {
-        benchmark::DoNotOptimize(cluster::PairwiseDtw(series, 12, threads));
-        return series.size() * (series.size() - 1) / 2;
-      });
-
-  std::ofstream out(path);
-  if (!out) {
-    std::cerr << "cannot write " << path << "\n";
-    return;
-  }
-  // No flags here (google-benchmark owns argv): the workloads are the fixed
-  // synthetic micro inputs above, generated at P-1 scale 0.02.
-  bench::BenchRunMeta meta;
-  meta.scenario = "micro_synthetic";
-  meta.scale = 0.02;
-  out << "{\n  \"bench\": \"parallel\",\n  " << bench::BenchMetaJson(meta)
-      << ",\n  \"hardware_threads\": " << hw << ",\n  \"results\": {\n";
-  AppendSamples(out, "workload_generate", gen_samples);
-  out << ",\n";
-  AppendSamples(out, "pairwise_dtw", dtw_samples);
-  out << "\n  }\n}\n";
-  std::cout << "wrote " << path << "\n";
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  std::string json_path = "BENCH_parallel.json";
-  if (const char* override_path = std::getenv("ATLAS_BENCH_PARALLEL_JSON")) {
-    json_path = override_path;
-  }
-  if (!json_path.empty()) WriteParallelReport(json_path);
-  return 0;
-}
+BENCHMARK_MAIN();

@@ -12,10 +12,11 @@
 #   build-tsan       -DATLAS_SANITIZE=thread,    ctest -L sanitize
 #   build-asan       -DATLAS_SANITIZE=address,   full ctest suite
 #   build-ubsan      -DATLAS_SANITIZE=undefined, full ctest suite
-#   build-linkmap    scripts/unlinked.sh: -O0 -ffunction-sections builds of
-#                    the tree and benchmark/ linked with --gc-sections; fails
-#                    on a src/ function no shipped executable links unless
-#                    scripts/unlinked_survivors.txt lists it
+#   build-linkmap    scripts/unlinked.sh: -O0 -fkeep-inline-functions
+#                    -ffunction-sections builds of the tree and benchmark/
+#                    linked with --gc-sections; fails on a src/ function,
+#                    in a .cc or a header, that no shipped executable links
+#                    unless scripts/unlinked_survivors.txt lists it
 #
 # atlas-lint runs inside the default suite (`ctest -L lint`): the lint_tree
 # test re-lints the live tree against the checked-in .lint-baseline and

@@ -96,8 +96,6 @@ class SiteAccumulator {
   // each panel's pairwise DTW on `threads` workers. No-op with trends off.
   void ClusterTrends(SiteAnalysis& a, int threads);
 
-  std::uint64_t records() const { return records_; }
-
  private:
   trace::Publisher publisher_;
   bool run_trend_clusters_;

@@ -15,7 +15,7 @@
 #include <list>
 #include <unordered_map>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "trace/record.h"
 
 namespace atlas::cdn {

@@ -12,7 +12,7 @@
 #include <string>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "trace/record.h"
 
 namespace atlas::cdn {
@@ -49,10 +49,10 @@ struct CacheStats {
   void Merge(const CacheStats& other);
 };
 
-class Cache : public ckpt::Checkpointable {
+class Cache {
  public:
   explicit Cache(std::uint64_t capacity_bytes);
-  ~Cache() override = default;
+  virtual ~Cache() = default;
 
   Cache(const Cache&) = delete;
   Cache& operator=(const Cache&) = delete;
@@ -70,12 +70,10 @@ class Cache : public ckpt::Checkpointable {
 
   virtual bool Contains(std::uint64_t key) const = 0;
 
-  // Appends every resident key to `out` (freshness is ignored, matching
-  // Contains()). Enumeration order is unspecified — callers must sort or
-  // otherwise order-normalize the result before it can influence any
-  // output. The sharded simulation engine uses this to build the sorted
-  // peer-holdings snapshots exchanged at epoch boundaries.
-  virtual void CollectKeys(std::vector<std::uint64_t>& out) const = 0;
+  // Every resident key in ascending order (freshness is ignored, matching
+  // Contains()). The sharded simulation engine uses this as the sorted
+  // peer-holdings snapshot exchanged at epoch boundaries.
+  virtual std::vector<std::uint64_t> SortedKeys() const = 0;
 
   std::uint64_t capacity_bytes() const { return capacity_bytes_; }
   std::uint64_t used_bytes() const { return used_bytes_; }
@@ -87,8 +85,8 @@ class Cache : public ckpt::Checkpointable {
   // so a restored cache makes byte-identical hit/evict decisions from the
   // snapshot point on. Restore must target a cache constructed with the
   // same policy and capacity; anything else fails with a clear error.
-  void SaveState(ckpt::Writer& w) const final;
-  void RestoreState(ckpt::Reader& r) final;
+  void SaveState(ckpt::Writer& w) const;
+  void RestoreState(ckpt::Reader& r);
 
  protected:
   // Policy-specific halves of SaveState/RestoreState. RestorePolicyState

@@ -12,7 +12,7 @@
 #include "cdn/browser_cache.h"
 #include "cdn/chunking.h"
 #include "cdn/push.h"
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "trace/content_class.h"
 #include "trace/wire_format.h"
 #include "util/hash.h"
@@ -907,11 +907,7 @@ void Engine::MergeFinalized() {
 void Engine::RebuildSnapshots() {
   ForEachShard([&](std::size_t i) {
     Shard& sh = shards_[i];
-    sh.snapshot.clear();
-    sh.cache->CollectKeys(sh.snapshot);
-    // Sorted: makes sibling lookups O(log n) and order-normalizes the
-    // cache's unordered enumeration.
-    std::sort(sh.snapshot.begin(), sh.snapshot.end());
+    sh.snapshot = sh.cache->SortedKeys();
   });
 }
 

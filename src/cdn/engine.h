@@ -37,7 +37,7 @@
 #include <vector>
 
 #include "cdn/simulator.h"
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "synth/workload.h"
 #include "trace/sink.h"
 

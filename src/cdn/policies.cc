@@ -128,11 +128,8 @@ void GdsfCache::PushHeap(std::uint64_t key, const Entry& e) {
 void GdsfCache::CompactHeap() {
   std::vector<HeapItem> live;
   live.reserve(entries_.size());
-  // atlas-lint: allow(unordered-iter)  HeapItem's total order makes the pop
-  // sequence a pure function of the heap's contents, so the rebuild order is
-  // irrelevant.
-  for (const auto& [key, e] : entries_) {
-    live.push_back(HeapItem{e.priority, key});
+  for (std::uint64_t key : util::SortedKeys(entries_)) {
+    live.push_back(HeapItem{entries_.at(key).priority, key});
   }
   heap_ = decltype(heap_)(std::greater<>(), std::move(live));
 }

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "cdn/cache.h"
+#include "util/sorted.h"
 
 namespace atlas::cdn {
 
@@ -34,9 +35,8 @@ class LruCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "LRU"; }
 
@@ -65,9 +65,8 @@ class FifoCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "FIFO"; }
 
@@ -92,9 +91,8 @@ class LfuCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "LFU"; }
 
@@ -126,9 +124,8 @@ class GdsfCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "GDSF"; }
   // Lazy-invalidation heap size, stale entries included. Compaction keeps
@@ -181,9 +178,8 @@ class S4LruCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "S4LRU"; }
 
@@ -217,12 +213,10 @@ class TtlLruCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "TTL-LRU"; }
-  std::int64_t ttl_ms() const { return ttl_ms_; }
 
  protected:
   bool Lookup(std::uint64_t key, std::int64_t now_ms) override;

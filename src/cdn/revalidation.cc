@@ -4,8 +4,6 @@
 
 namespace atlas::cdn {
 
-RevalidationOracle::RevalidationOracle() : policy_(Policy()) {}
-
 void RevalidationOracle::Classify(std::uint64_t url_hash,
                                   synth::PatternType pattern) {
   patterns_[url_hash] = pattern;

@@ -21,6 +21,7 @@
 
 #include "cdn/cache.h"
 #include "synth/site_profile.h"  // PatternType
+#include "util/sorted.h"
 
 namespace atlas::cdn {
 
@@ -38,9 +39,6 @@ class RevalidationOracle {
     std::int64_t default_ttl_ms = 6 * 3600 * 1000LL;
   };
 
-  RevalidationOracle();  // default Policy
-  explicit RevalidationOracle(Policy policy) : policy_(policy) {}
-
   // Registers a classified object.
   void Classify(std::uint64_t url_hash, synth::PatternType pattern);
   std::size_t classified_count() const { return patterns_.size(); }
@@ -48,8 +46,6 @@ class RevalidationOracle {
   // Freshness lifetime for an object (default for unclassified ones).
   std::int64_t TtlFor(std::uint64_t url_hash) const;
   std::int64_t TtlForPattern(synth::PatternType pattern) const;
-
-  const Policy& policy() const { return policy_; }
 
  private:
   Policy policy_;
@@ -67,9 +63,8 @@ class OracleTtlCache : public Cache {
   bool Contains(std::uint64_t key) const override {
     return entries_.count(key) > 0;
   }
-  void CollectKeys(std::vector<std::uint64_t>& out) const override {
-    // atlas-lint: allow(unordered-iter) snapshot is sorted by the caller
-    for (const auto& kv : entries_) out.push_back(kv.first);
+  std::vector<std::uint64_t> SortedKeys() const override {
+    return util::SortedKeys(entries_);
   }
   std::string name() const override { return "Oracle-TTL"; }
 

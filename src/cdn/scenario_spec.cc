@@ -8,7 +8,7 @@
 #include <utility>
 
 #include "cdn/cache.h"
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "util/config.h"
 #include "util/hash.h"
 

@@ -80,7 +80,7 @@ class Writer {
   void WriteString(const std::string& v);
   void WriteBytes(const void* data, std::size_t size);
 
-  // First field of every Checkpointable blob (see header comment).
+  // First field of every SaveState blob (see header comment).
   void WriteVersion(std::uint32_t v) { WriteU32(v); }
 
  private:
@@ -173,16 +173,6 @@ class Reader {
   const Section* cur_ = nullptr;
   std::string cur_name_;
   std::size_t pos_ = 0;
-};
-
-// Anything that can snapshot its mutable state into a checkpoint and later
-// restore it exactly. Implementations must write only through the Writer's
-// typed, versioned API and must begin their blob with WriteVersion().
-class Checkpointable {
- public:
-  virtual ~Checkpointable() = default;
-  virtual void SaveState(Writer& w) const = 0;
-  virtual void RestoreState(Reader& r) = 0;
 };
 
 // Writes a checkpoint atomically: `fill` populates sections on a Writer

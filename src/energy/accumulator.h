@@ -45,10 +45,6 @@ class EnergyAccumulator {
   // Derives joules/dollars from the counters under `model`'s parameters.
   EnergyReport Report(const EnergyModel& model) const;
 
-  std::int64_t span_ms() const { return span_ms_; }
-  std::uint64_t epochs() const { return epochs_; }
-  const std::vector<DcCounters>& dcs() const { return dcs_; }
-
   bool operator==(const EnergyAccumulator&) const = default;
 
  private:

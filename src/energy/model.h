@@ -85,8 +85,6 @@ class EnergyModel {
   EnergyModel() = default;
   explicit EnergyModel(const cdn::EnergySpec& spec) : spec_(spec) {}
 
-  const cdn::EnergySpec& spec() const { return spec_; }
-
   // Egress duty cycle of one DC over `span_ms` of wall time, in [0, 1].
   double DutyCycle(std::uint64_t served_bytes, std::int64_t span_ms) const;
 

@@ -3,7 +3,7 @@
 #include <stdexcept>
 #include <utility>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 
 namespace atlas::energy {
 namespace {

@@ -21,17 +21,10 @@ LogHistogram::LogHistogram(double lo, double hi, std::size_t bins_per_decade) {
 
 void LogHistogram::Add(double x, std::uint64_t weight) {
   total_ += weight;
-  if (!(x > 0.0) || std::log10(x) < log_lo_) {
-    underflow_ += weight;
-    return;
-  }
+  if (!(x > 0.0) || std::log10(x) < log_lo_) return;
   const double pos = (std::log10(x) - log_lo_) / step_;
   const auto idx = static_cast<std::size_t>(pos);
-  if (idx >= counts_.size()) {
-    overflow_ += weight;
-    return;
-  }
-  counts_[idx] += weight;
+  if (idx < counts_.size()) counts_[idx] += weight;
 }
 
 double LogHistogram::bin_mid(std::size_t i) const {

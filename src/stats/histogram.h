@@ -11,7 +11,8 @@
 namespace atlas::stats {
 
 // Logarithmic bins: bins_per_decade bins per power of ten, starting at `lo`
-// (> 0). Values below lo go to underflow.
+// (> 0). Values below lo or past the last bin land in no bin, but still
+// count toward the total mass that Modes() measures against.
 class LogHistogram {
  public:
   LogHistogram(double lo, double hi, std::size_t bins_per_decade);
@@ -21,9 +22,6 @@ class LogHistogram {
   std::uint64_t bin(std::size_t i) const { return counts_.at(i); }
   // Geometric midpoint of bin i.
   double bin_mid(std::size_t i) const;
-  std::uint64_t underflow() const { return underflow_; }
-  std::uint64_t overflow() const { return overflow_; }
-  std::uint64_t total() const { return total_; }
 
   // Detects modes: bins that are local maxima with at least `min_fraction`
   // of the total mass. Returns midpoints, ascending. Used to verify the
@@ -34,8 +32,6 @@ class LogHistogram {
   double log_lo_;
   double step_;  // log10 width of one bin
   std::vector<std::uint64_t> counts_;
-  std::uint64_t underflow_ = 0;
-  std::uint64_t overflow_ = 0;
   std::uint64_t total_ = 0;
 };
 

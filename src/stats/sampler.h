@@ -22,9 +22,6 @@ class ZipfSampler {
   // Returns a rank in [1, n].
   std::uint64_t Sample(util::Rng& rng) const;
 
-  std::uint64_t n() const { return n_; }
-  double s() const { return s_; }
-
   // Exact probability mass of rank k (computes the normalization on first
   // use; O(n) once).
   double Pmf(std::uint64_t k) const;
@@ -48,7 +45,6 @@ class AliasTable {
   explicit AliasTable(const std::vector<double>& weights);
 
   std::size_t Sample(util::Rng& rng) const;
-  std::size_t size() const { return prob_.size(); }
 
  private:
   std::vector<double> prob_;

@@ -24,7 +24,6 @@ class TimeSeries {
   void Accumulate(std::int64_t timestamp_ms, double weight = 1.0);
 
   std::size_t size() const { return values_.size(); }
-  bool empty() const { return values_.empty(); }
   std::int64_t bucket_ms() const { return bucket_ms_; }
   double operator[](std::size_t i) const { return values_[i]; }
   double& operator[](std::size_t i) { return values_[i]; }

@@ -74,7 +74,6 @@ class UserPopulation {
 
   // True when the table exceeded its budget and went lazy (scale tests).
   bool lazy() const { return store_.lazy(); }
-  const ShardStore<UserInfo>& store() const { return store_; }
 
  private:
   UserInfo GenerateUser(util::Rng& rng) const;

@@ -23,7 +23,7 @@
 #include <memory>
 #include <vector>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "synth/catalog.h"
 #include "synth/site_profile.h"
 #include "synth/user_model.h"
@@ -56,7 +56,6 @@ class WorkloadGenerator {
  public:
   WorkloadGenerator(const SiteProfile& profile, std::uint64_t seed);
 
-  const SiteProfile& profile() const { return profile_; }
   const Catalog& catalog() const { return catalog_; }
   const UserPopulation& users() const { return users_; }
 

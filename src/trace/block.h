@@ -48,11 +48,11 @@ struct RecordBlock {
   std::vector<std::int8_t> tz_offset_quarter_hours;
 
   std::size_t size() const { return timestamp_ms.size(); }
-  bool empty() const { return timestamp_ms.empty(); }
   void clear();
   void reserve(std::size_t n);
 
-  // Local-time timestamp of row i (same formula as LogRecord).
+  // Local-time timestamp of row i: the UTC timestamp shifted by the
+  // user's offset.
   std::int64_t LocalTimestampMs(std::size_t i) const {
     return timestamp_ms[i] +
            static_cast<std::int64_t>(tz_offset_quarter_hours[i]) * 15 * 60 *

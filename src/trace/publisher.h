@@ -40,7 +40,6 @@ class PublisherRegistry {
   const Publisher& Get(std::uint32_t id) const;
   std::optional<std::uint32_t> FindByName(const std::string& name) const;
 
-  std::size_t size() const { return publishers_.size(); }
   const std::vector<Publisher>& all() const { return publishers_; }
 
   // The paper's five-site study population: V-1, V-2, P-1, P-2, S-1 (in that

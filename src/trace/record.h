@@ -70,11 +70,6 @@ struct LogRecord {
   // timestamps to local timezones for the temporal analysis (Fig. 3).
   std::int8_t tz_offset_quarter_hours = 0;
 
-  std::int64_t LocalTimestampMs() const {
-    return timestamp_ms +
-           static_cast<std::int64_t>(tz_offset_quarter_hours) * 15 * 60 * 1000;
-  }
-
   bool operator==(const LogRecord&) const = default;
 };
 

@@ -14,7 +14,6 @@ void WriterSink::Write(std::span<const LogRecord> records) {
 
 void CountingSink::Write(std::span<const LogRecord> records) {
   records_ += records.size();
-  for (const auto& rec : records) response_bytes_ += rec.response_bytes;
 }
 
 }  // namespace atlas::trace

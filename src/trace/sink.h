@@ -49,18 +49,16 @@ class WriterSink final : public RecordSink {
   TraceWriter* writer_;
 };
 
-// Discards records, keeping only totals. Useful for benchmarks and for
+// Discards records, keeping only their count. Useful for benchmarks and for
 // runs where only the simulator's delivery statistics matter.
 class CountingSink final : public RecordSink {
  public:
   void Write(std::span<const LogRecord> records) override;
 
   std::uint64_t records() const { return records_; }
-  std::uint64_t response_bytes() const { return response_bytes_; }
 
  private:
   std::uint64_t records_ = 0;
-  std::uint64_t response_bytes_ = 0;
 };
 
 }  // namespace atlas::trace

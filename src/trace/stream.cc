@@ -7,7 +7,7 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "ckpt/checkpoint.h"  // atlas-lint: allow(layer-dag) ckpt is the passive serialization substrate; consuming its codec interface does not invert control flow
+#include "ckpt/checkpoint.h"
 #include "trace/wire_format.h"
 #include "util/hash.h"
 

@@ -61,7 +61,6 @@ class UaBank {
 
   std::uint16_t size() const { return static_cast<std::uint16_t>(strings_.size()); }
   const std::string& String(std::uint16_t id) const { return strings_.at(id); }
-  const UaInfo& Info(std::uint16_t id) const { return infos_.at(id); }
 
   // All ids whose classified device matches `device`.
   std::vector<std::uint16_t> IdsForDevice(DeviceType device) const;

@@ -97,9 +97,6 @@ class TableView {
   // Throws ConfigError on the first key no getter consumed.
   void RejectUnknownKeys() const;
 
-  const std::string& path() const { return path_; }
-  const std::string& source() const { return source_; }
-  const Value& value() const { return table_; }
 
  private:
   const Value& Require(const std::string& key, Value::Kind kind);

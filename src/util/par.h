@@ -53,9 +53,6 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  // Total executor count (workers + the participating caller).
-  int size() const { return static_cast<int>(workers_.size()) + 1; }
-
   // Runs fn(shard) for every shard in [0, shards), distributing shards
   // dynamically across the pool and the calling thread. Blocks until every
   // shard ran (or was skipped after a failure). A shard that throws stops
@@ -131,7 +128,6 @@ class ShardedRng {
  public:
   ShardedRng(std::uint64_t seed, std::size_t shards);
 
-  std::size_t shards() const { return seeds_.size(); }
   std::uint64_t seed(std::size_t shard) const { return seeds_.at(shard); }
 
  private:

@@ -3,10 +3,11 @@
 // All randomness in ATLAS flows through util::Rng so that every trace, every
 // workload, and every simulation run is reproducible from a single 64-bit
 // seed. The generator is xoshiro256** (Blackman & Vigna), seeded through
-// SplitMix64 as its authors recommend. It satisfies the C++ named requirement
-// UniformRandomBitGenerator, so it composes with <random> distributions, but
-// the common draws (uniform, exponential, normal, etc.) are provided as
-// members to keep call sites terse and allocation-free.
+// SplitMix64 as its authors recommend. The common draws (uniform,
+// exponential, normal, etc.) are members that keep call sites terse and
+// allocation-free. Rng is deliberately not a UniformRandomBitGenerator: the
+// <random> distributions' algorithms differ between standard libraries, so
+// a draw through one would not reproduce across them.
 #pragma once
 
 #include <array>
@@ -31,14 +32,8 @@ class SplitMix64 {
 // xoshiro256**: the project-wide PRNG. 256 bits of state, period 2^256 - 1.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
-
-  result_type operator()() { return Next(); }
   std::uint64_t Next();
 
   // Uniform real in [0, 1).
@@ -85,7 +80,7 @@ class Rng {
   // Full generator state as plain data, for checkpoint/restore. A restored
   // generator continues the exact stream (including the cached Box-Muller
   // variate) from where the snapshot was taken. util sits below ckpt in the
-  // layering, so this is a POD handoff rather than a Checkpointable.
+  // layering, so this is a POD handoff rather than a SaveState method.
   struct Snapshot {
     std::array<std::uint64_t, 4> state{};
     double cached_gaussian = 0.0;

@@ -4,7 +4,8 @@
 #   byte for byte; filter --publisher keeps exactly that publisher; a file
 #   with a version 1 header is refused with a message naming the version;
 #   analyze prints the same report at 1 and 4 threads, runs with
-#   --no-trends, and refuses --checkpoint-every as an unknown flag; --help
+#   --no-trends, and refuses --checkpoint-every as an unknown flag; every
+#   command refuses an argument it does not take and writes nothing; --help
 #   prints the usage, exits 0, and is never taken as a path.
 #
 #   tests/cli_roundtrip.sh <atlas-trace> <scratch dir>
@@ -58,4 +59,23 @@ grep -q '^usage: ' help_simulate.txt
 grep -q '^usage: .* analyze ' help_analyze.txt
 grep -q -- '--no-trends' help_analyze.txt
 [[ ! -e ./--help && ! -e help_report.txt ]]
+# An argument a command does not take fails the command, which names it
+# and writes nothing.
+refuses() {  # refuses <argument named in the error> <atlas-trace args...>
+  local arg=$1
+  shift
+  if "$bin" "$@" > /dev/null 2> refused.err; then
+    echo "atlas-trace $* exited 0" >&2
+    exit 1
+  fi
+  grep -q -- "$arg" refused.err
+}
+refuses missing.v2 analyze sim.v2 missing.v2 --no-trends --report r.txt
+refuses extra verify sim.v2 extra junk
+refuses --bogus tocsv sim.v2 t.csv --bogus
+refuses extra simulate out.v2 extra
+[[ ! -e r.txt && ! -e t.csv && ! -e out.v2 ]]
+"$bin" tocsv sim.v2 t.csv --help > help_tocsv.txt
+grep -q '^usage: .* tocsv ' help_tocsv.txt
+[[ ! -e t.csv ]]
 echo "cli round trip: OK"

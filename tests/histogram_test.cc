@@ -22,13 +22,15 @@ TEST(LogHistogramTest, DecadeBinning) {
 }
 
 TEST(LogHistogramTest, UnderOverflow) {
-  LogHistogram h(10.0, 1000.0, 2);
+  // Values below lo or past the last bin land in no bin.
+  LogHistogram h(10.0, 1000.0, 2);  // 4 bins
   h.Add(1.0);
   h.Add(0.0);
   h.Add(-5.0);
   h.Add(1e6);
-  EXPECT_EQ(h.underflow(), 3u);
-  EXPECT_EQ(h.overflow(), 1u);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(h.bin(i), 0u) << i;
+  h.Add(20.0);
+  EXPECT_EQ(h.bin(0), 1u);
 }
 
 TEST(LogHistogramTest, BinEdgesAreGeometric) {

@@ -298,14 +298,14 @@ TEST(ProjectRulesTest, LayerDagViolationNamesTheIncludeChain) {
                            "\"synth/gen.h\""),
             std::string::npos)
       << f.message;
-  EXPECT_NE(f.message.find("rank 1"), std::string::npos);
   EXPECT_NE(f.message.find("rank 2"), std::string::npos);
-  EXPECT_NE(f.message.find("util -> {stats, trace} -> synth"),
+  EXPECT_NE(f.message.find("rank 3"), std::string::npos);
+  EXPECT_NE(f.message.find("util -> ckpt -> {stats, trace} -> synth"),
             std::string::npos);
 }
 
-TEST(ProjectRulesTest, LayerDagEnergyIsRankFourAndCdnMustNotReachIt) {
-  // energy sits beside analysis (rank 4): it may include cdn, but a cdn
+TEST(ProjectRulesTest, LayerDagEnergySitsAboveCdnAndCdnMustNotReachIt) {
+  // energy sits beside analysis (rank 5): it may include cdn, but a cdn
   // header reaching back into energy is an upward inversion.
   const auto report = LintFixtureTree("layer_dag_energy");
   ASSERT_EQ(report.findings.size(), 1u) << Dump(report.findings);
@@ -317,11 +317,31 @@ TEST(ProjectRulesTest, LayerDagEnergyIsRankFourAndCdnMustNotReachIt) {
                            "\"energy/model.h\""),
             std::string::npos)
       << f.message;
-  EXPECT_NE(f.message.find("'cdn' (rank 3) must not depend on 'energy' "
-                           "(rank 4)"),
+  EXPECT_NE(f.message.find("'cdn' (rank 4) must not depend on 'energy' "
+                           "(rank 5)"),
             std::string::npos)
       << f.message;
   EXPECT_NE(f.message.find("{analysis, energy}"), std::string::npos)
+      << f.message;
+}
+
+TEST(ProjectRulesTest, LayerDagCkptSitsBelowTraceAndMustNotReachIt) {
+  // ckpt sits just above util (rank 1), below every layer that snapshots
+  // through it: trace may include it, but a ckpt header reaching up into
+  // trace is an upward inversion.
+  const auto report = LintFixtureTree("layer_dag_ckpt");
+  ASSERT_EQ(report.findings.size(), 1u) << Dump(report.findings);
+  const Finding& f = report.findings[0];
+  EXPECT_EQ(f.file, "src/ckpt/codec.h");
+  EXPECT_EQ(f.line, 2u);
+  EXPECT_EQ(f.rule, "layer-dag");
+  EXPECT_NE(f.message.find("src/trace/io.cc -> src/ckpt/codec.h -> "
+                           "\"trace/record.h\""),
+            std::string::npos)
+      << f.message;
+  EXPECT_NE(f.message.find("'ckpt' (rank 1) must not depend on 'trace' "
+                           "(rank 2)"),
+            std::string::npos)
       << f.message;
 }
 

@@ -11,7 +11,7 @@ TEST(PublisherRegistryTest, RegisterAssignsSequentialIds) {
   PublisherRegistry reg;
   EXPECT_EQ(reg.Register("A", SiteKind::kAdultVideo), 0u);
   EXPECT_EQ(reg.Register("B", SiteKind::kNonAdult), 1u);
-  EXPECT_EQ(reg.size(), 2u);
+  EXPECT_EQ(reg.all().size(), 2u);
   EXPECT_EQ(reg.Get(0).name, "A");
   EXPECT_EQ(reg.Get(0).kind, SiteKind::kAdultVideo);
   EXPECT_EQ(reg.Get(1).kind, SiteKind::kNonAdult);
@@ -38,7 +38,7 @@ TEST(PublisherRegistryTest, FindByName) {
 
 TEST(PublisherRegistryTest, PaperSites) {
   const auto reg = PublisherRegistry::PaperSites();
-  EXPECT_EQ(reg.size(), 6u);
+  EXPECT_EQ(reg.all().size(), 6u);
   EXPECT_EQ(reg.Get(*reg.FindByName("V-1")).kind, SiteKind::kAdultVideo);
   EXPECT_EQ(reg.Get(*reg.FindByName("V-2")).kind, SiteKind::kAdultVideo);
   EXPECT_EQ(reg.Get(*reg.FindByName("P-1")).kind, SiteKind::kAdultImage);

@@ -2,16 +2,25 @@
 
 #include <gtest/gtest.h>
 
+#include "trace/block.h"
+
 namespace atlas::trace {
 namespace {
+
+// Local time of `r` as the analysis reads it: through a RecordBlock row.
+std::int64_t LocalMs(const LogRecord& r) {
+  RecordBlock block;
+  block.PushBack(r);
+  return block.LocalTimestampMs(0);
+}
 
 TEST(RecordTest, LocalTimestampAppliesOffset) {
   LogRecord r;
   r.timestamp_ms = 1000000;
   r.tz_offset_quarter_hours = 4;  // +1h
-  EXPECT_EQ(r.LocalTimestampMs(), 1000000 + 3600 * 1000);
+  EXPECT_EQ(LocalMs(r), 1000000 + 3600 * 1000);
   r.tz_offset_quarter_hours = -2;  // -30min
-  EXPECT_EQ(r.LocalTimestampMs(), 1000000 - 30 * 60 * 1000);
+  EXPECT_EQ(LocalMs(r), 1000000 - 30 * 60 * 1000);
 }
 
 // A record carries its user's UTC offset in quarter hours, so every whole,
@@ -19,32 +28,32 @@ TEST(RecordTest, LocalTimestampAppliesOffset) {
 TEST(TimeZoneTest, UtcIsZero) {
   LogRecord r;
   r.timestamp_ms = 123456;
-  EXPECT_EQ(r.LocalTimestampMs(), 123456);
+  EXPECT_EQ(LocalMs(r), 123456);
 }
 
 TEST(TimeZoneTest, WholeHourOffsets) {
   LogRecord r;
   r.timestamp_ms = 10 * 3600 * 1000;
   r.tz_offset_quarter_hours = -32;  // UTC-8
-  EXPECT_EQ(r.LocalTimestampMs(), 2 * 3600 * 1000);
+  EXPECT_EQ(LocalMs(r), 2 * 3600 * 1000);
 }
 
 TEST(TimeZoneTest, HalfHourOffset) {
   LogRecord r;
   r.tz_offset_quarter_hours = 22;  // India, UTC+5:30
-  EXPECT_EQ(r.LocalTimestampMs(), (5 * 60 + 30) * 60 * 1000);
+  EXPECT_EQ(LocalMs(r), (5 * 60 + 30) * 60 * 1000);
 }
 
 TEST(TimeZoneTest, QuarterHourOffset) {
   LogRecord r;
   r.tz_offset_quarter_hours = 23;  // Nepal, UTC+5:45
-  EXPECT_EQ(r.LocalTimestampMs(), (5 * 60 + 45) * 60 * 1000);
+  EXPECT_EQ(LocalMs(r), (5 * 60 + 45) * 60 * 1000);
 }
 
 TEST(TimeZoneTest, ToLocalShifts) {
   LogRecord r;
   r.tz_offset_quarter_hours = 8;  // UTC+2
-  EXPECT_EQ(r.LocalTimestampMs(), 2 * 3600 * 1000);
+  EXPECT_EQ(LocalMs(r), 2 * 3600 * 1000);
 }
 
 TEST(RecordTest, EqualityIsFieldwise) {

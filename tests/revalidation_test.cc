@@ -14,7 +14,7 @@ using synth::PatternType;
 
 TEST(RevalidationOracleTest, DefaultsForUnknownObjects) {
   RevalidationOracle oracle;
-  EXPECT_EQ(oracle.TtlFor(12345), oracle.policy().default_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(12345), RevalidationOracle::Policy().default_ttl_ms);
   EXPECT_EQ(oracle.classified_count(), 0u);
 }
 
@@ -30,14 +30,15 @@ TEST(RevalidationOracleTest, PaperPrescription) {
 
 TEST(RevalidationOracleTest, ClassifiedObjectsUseTheirPattern) {
   RevalidationOracle oracle;
+  const RevalidationOracle::Policy policy;
   oracle.Classify(1, PatternType::kDiurnal);
   oracle.Classify(2, PatternType::kShortLived);
-  EXPECT_EQ(oracle.TtlFor(1), oracle.policy().diurnal_ttl_ms);
-  EXPECT_EQ(oracle.TtlFor(2), oracle.policy().short_lived_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(1), policy.diurnal_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(2), policy.short_lived_ttl_ms);
   EXPECT_EQ(oracle.classified_count(), 2u);
   // Reclassification overwrites.
   oracle.Classify(1, PatternType::kShortLived);
-  EXPECT_EQ(oracle.TtlFor(1), oracle.policy().short_lived_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(1), policy.short_lived_ttl_ms);
 }
 
 TEST(OracleTtlCacheTest, PerKeyLifetimes) {

@@ -114,9 +114,11 @@ TEST(TimeOrderedComputeTest, ShuffledBufferMatchesSorted) {
   const trace::TraceBuffer& sorted = sim.trace;
   ASSERT_TRUE(sorted.IsSortedByTime());
   ASSERT_GT(sorted.size(), 1000u);
-  trace::TraceBuffer shuffled = sorted;
+  std::vector<trace::LogRecord> records = sorted.records();
   util::Rng rng(9);
-  rng.Shuffle(shuffled.mutable_records());
+  rng.Shuffle(records);
+  trace::TraceBuffer shuffled;
+  for (const trace::LogRecord& r : records) shuffled.Add(r);
   ASSERT_FALSE(shuffled.IsSortedByTime());
 
   const auto s_sorted = ComputeSessions(sorted, "P-1");

@@ -48,9 +48,9 @@ TEST(TraceBufferTest, FilterByClass) {
 
 TEST(TraceBufferTest, EmptyBehaviour) {
   TraceBuffer buf;
-  EXPECT_TRUE(buf.empty());
+  EXPECT_EQ(buf.size(), 0u);
   EXPECT_TRUE(buf.IsSortedByTime());
-  EXPECT_TRUE(buf.FilterByPublisher(0).empty());
+  EXPECT_EQ(buf.FilterByPublisher(0).size(), 0u);
 }
 
 }  // namespace

@@ -222,8 +222,12 @@ TEST(BinaryIoTest, NegativeTimestampRejected) {
   // value can only come from corruption and every consumer assumes
   // non-negative clocks. The writer encodes it as given; the block decode
   // must reject it even under an intact CRC.
-  TraceBuffer buf = MakeSampleTrace(2);
-  buf.mutable_records()[1].timestamp_ms = -5;
+  const TraceBuffer sample = MakeSampleTrace(2);
+  LogRecord negative = sample[1];
+  negative.timestamp_ms = -5;
+  TraceBuffer buf;
+  buf.Add(sample[0]);
+  buf.Add(negative);
   std::stringstream stream;
   WriteV2(buf, stream);
   EXPECT_THROW(ReadTrace(stream), std::runtime_error);
@@ -242,8 +246,10 @@ TEST(CsvIoTest, NegativeTimestampRejected) {
 
 TEST(CsvIoTest, ClassMismatchRejected) {
   // Build a valid row, then claim an mp4 is an image.
-  TraceBuffer buf = MakeSampleTrace(1);
-  buf.mutable_records()[0].file_type = FileType::kMp4;
+  LogRecord mp4 = MakeSampleTrace(1)[0];
+  mp4.file_type = FileType::kMp4;
+  TraceBuffer buf;
+  buf.Add(mp4);
   std::stringstream stream;
   WriteCsvOf(buf, stream);
   std::string text = stream.str();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace atlas::trace {
 namespace {
 
@@ -128,10 +130,15 @@ TEST(ParseUserAgentTest, EmptyString) {
 }
 
 TEST(UaBankTest, EveryEntryParsesConsistently) {
+  // Every non-bot entry is listed under the device its string parses to.
   const auto& bank = UaBank::Instance();
   ASSERT_GT(bank.size(), 0);
   for (std::uint16_t i = 0; i < bank.size(); ++i) {
-    EXPECT_EQ(ParseUserAgent(bank.String(i)), bank.Info(i));
+    const UaInfo info = ParseUserAgent(bank.String(i));
+    if (info.is_bot) continue;
+    const auto ids = bank.IdsForDevice(info.device);
+    EXPECT_NE(std::find(ids.begin(), ids.end(), i), ids.end())
+        << bank.String(i);
   }
 }
 
@@ -141,7 +148,8 @@ TEST(UaBankTest, CoversEveryDeviceType) {
     const auto ids = bank.IdsForDevice(static_cast<DeviceType>(d));
     EXPECT_FALSE(ids.empty()) << ToString(static_cast<DeviceType>(d));
     for (const auto id : ids) {
-      EXPECT_EQ(bank.Info(id).device, static_cast<DeviceType>(d));
+      EXPECT_EQ(ParseUserAgent(bank.String(id)).device,
+                static_cast<DeviceType>(d));
     }
   }
 }

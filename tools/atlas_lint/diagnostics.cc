@@ -28,8 +28,8 @@ const std::vector<RuleInfo>& Rules() {
        "floating-point +=/-= reductions inside ParallelFor/ForEach lambdas "
        "depend on evaluation order and threaten golden-digest determinism"},
       {"layer-dag",
-       "includes must follow the architectural DAG util -> {stats, trace} "
-       "-> synth -> {cdn, cluster} -> {analysis, energy} -> ckpt"},
+       "includes must follow the architectural DAG util -> ckpt -> "
+       "{stats, trace} -> synth -> {cdn, cluster} -> {analysis, energy}"},
       {"lock-order",
        "the global lock-acquisition-order graph must stay acyclic; a cycle "
        "is a potential deadlock"},

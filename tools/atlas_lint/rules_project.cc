@@ -12,8 +12,8 @@ namespace atlas::lint {
 namespace {
 
 constexpr const char* kDagText =
-    "util -> {stats, trace} -> synth -> {cdn, cluster} -> {analysis, energy} "
-    "-> ckpt";
+    "util -> ckpt -> {stats, trace} -> synth -> {cdn, cluster} -> "
+    "{analysis, energy}";
 
 bool StartsWith(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
@@ -329,11 +329,11 @@ void CheckUnusedSuppressions(const ProjectIndex& index,
 
 int LayerRank(const std::string& layer) {
   if (layer == "util") return 0;
-  if (layer == "stats" || layer == "trace") return 1;
-  if (layer == "synth") return 2;
-  if (layer == "cdn" || layer == "cluster") return 3;
-  if (layer == "analysis" || layer == "energy") return 4;
-  if (layer == "ckpt") return 5;
+  if (layer == "ckpt") return 1;
+  if (layer == "stats" || layer == "trace") return 2;
+  if (layer == "synth") return 3;
+  if (layer == "cdn" || layer == "cluster") return 4;
+  if (layer == "analysis" || layer == "energy") return 5;
   return -1;
 }
 

@@ -1,8 +1,8 @@
 // atlas-lint phase-2 cross-TU rules. These see the whole ProjectIndex:
 //
 //   layer-dag                 include edges must follow the architectural
-//                             DAG util -> {stats, trace} -> synth ->
-//                             {cdn, cluster} -> {analysis, energy} -> ckpt;
+//                             DAG util -> ckpt -> {stats, trace} ->
+//                             synth -> {cdn, cluster} -> {analysis, energy};
 //                             a violation names the offending include chain.
 //   lock-order                the global lock-acquisition-order graph
 //                             (built from observed MutexLock nestings,
@@ -31,7 +31,7 @@
 namespace atlas::lint {
 
 // Rank of a src/ layer in the architectural DAG, or -1 for unknown paths.
-// util=0, stats=trace=1, synth=2, cdn=cluster=3, analysis=energy=4, ckpt=5.
+// util=0, ckpt=1, stats=trace=2, synth=3, cdn=cluster=4, analysis=energy=5.
 int LayerRank(const std::string& layer);
 
 // Runs every project rule. `sinks[i]` belongs to `index.files[i]` and must

@@ -37,7 +37,8 @@
 //
 // `--help` in place of the command or of one of its paths prints this list;
 // after the paths, it prints the command's flags. Neither opens or writes a
-// file.
+// file. A command refuses any other argument it does not take, naming it,
+// before it opens or writes anything.
 //
 // Binary traces are the v2 block format (trace/stream.h). Every command but
 // `tobin` runs in bounded memory — one block at a time — so they work on
@@ -104,12 +105,22 @@ int Usage(const char* prog, bool help = false) {
 
 bool IsHelp(const std::string& arg) { return arg == "--help" || arg == "-h"; }
 
-// When `flags` saw --help, prints the command's flags and returns true: the
-// command then exits 0 before it opens or writes anything.
-bool HelpRequested(const util::Flags& flags, const std::string& command) {
-  if (!flags.help_requested()) return false;
-  std::cout << flags.Usage("atlas-trace " + command);
-  return true;
+// Parses the arguments after a command's paths. Returns true when they ask
+// for --help: the command's flags are printed and the command exits 0. Any
+// other argument the command does not take throws, naming it. Either way
+// the command has not opened or written anything yet.
+bool ParseOrHelp(util::Flags& flags, const std::string& command, int argc,
+                 char** argv) {
+  flags.Parse(argc, argv);
+  if (flags.help_requested()) {
+    std::cout << flags.Usage("atlas-trace " + command);
+    return true;
+  }
+  if (!flags.positional().empty()) {
+    throw std::invalid_argument("unexpected argument '" +
+                                flags.positional().front() + "'");
+  }
+  return false;
 }
 
 // Everything `info` prints, gathered in one pass over a record stream. The
@@ -156,8 +167,7 @@ struct InfoStats {
 
 int CmdInfo(const std::string& path, int argc, char** argv) {
   util::Flags flags;
-  flags.Parse(argc, argv);
-  if (HelpRequested(flags, "info <trace.bin>")) return 0;
+  if (ParseOrHelp(flags, "info <trace.bin>", argc, argv)) return 0;
 
   InfoStats stats;
   trace::TraceFileReader source(path);
@@ -208,8 +218,7 @@ int CmdInfo(const std::string& path, int argc, char** argv) {
 int CmdHead(const std::string& path, int argc, char** argv) {
   util::Flags flags;
   flags.DefineInt("n", 20, "records to print");
-  flags.Parse(argc, argv);
-  if (HelpRequested(flags, "head <trace.bin>")) return 0;
+  if (ParseOrHelp(flags, "head <trace.bin>", argc, argv)) return 0;
   // Reads only as many blocks as the first --n rows span.
   trace::TraceFileReader source(path);
   std::cout << util::PadRight("time", 14) << util::PadRight("pub", 5)
@@ -243,7 +252,10 @@ int CmdHead(const std::string& path, int argc, char** argv) {
   return 0;
 }
 
-int CmdToCsv(const std::string& in, const std::string& out) {
+int CmdToCsv(const std::string& in, const std::string& out, int argc,
+             char** argv) {
+  util::Flags flags;
+  if (ParseOrHelp(flags, "tocsv <trace.bin> <out.csv>", argc, argv)) return 0;
   trace::TraceFileReader source(in);
   std::ofstream stream(out);
   if (!stream) {
@@ -255,7 +267,10 @@ int CmdToCsv(const std::string& in, const std::string& out) {
   return 0;
 }
 
-int CmdToBin(const std::string& in, const std::string& out) {
+int CmdToBin(const std::string& in, const std::string& out, int argc,
+             char** argv) {
+  util::Flags flags;
+  if (ParseOrHelp(flags, "tobin <trace.csv> <out.bin>", argc, argv)) return 0;
   std::ifstream stream(in);
   if (!stream) {
     std::cerr << "cannot open " << in << '\n';
@@ -274,8 +289,7 @@ int CmdFilter(const std::string& in, const std::string& out, int argc,
   flags.DefineString("class", "", "keep only this class (video/image/other)");
   flags.DefineInt("from-ms", -1, "keep records at/after this timestamp");
   flags.DefineInt("to-ms", -1, "keep records before this timestamp");
-  flags.Parse(argc, argv);
-  if (HelpRequested(flags, "filter <in.bin> <out.bin>")) return 0;
+  if (ParseOrHelp(flags, "filter <in.bin> <out.bin>", argc, argv)) return 0;
   trace::TraceFileReader source(in);
   const std::int64_t pub = flags.GetInt("publisher");
   const std::string cls_name = flags.GetString("class");
@@ -353,8 +367,7 @@ int CmdSimulate(const std::string& out, int argc, char** argv) {
                    "attach per-DC energy/dollar accounting ([energy] spec "
                    "table or defaults) and print the report after the run; "
                    "observation-only, the trace stays byte-identical");
-  flags.Parse(argc, argv);
-  if (HelpRequested(flags, "simulate <out.v2>")) return 0;
+  if (ParseOrHelp(flags, "simulate <out.v2>", argc, argv)) return 0;
   util::SetLogLevel(util::LogLevel::kWarn);
   const std::int64_t epoch_min = flags.GetInt("epoch-min");
   if (epoch_min <= 0) {
@@ -549,7 +562,9 @@ int CmdSimulate(const std::string& out, int argc, char** argv) {
   return 0;
 }
 
-int CmdVerify(const std::string& path) {
+int CmdVerify(const std::string& path, int argc, char** argv) {
+  util::Flags flags;
+  if (ParseOrHelp(flags, "verify <trace.v2>", argc, argv)) return 0;
   // Never throws on corruption: the scan stops at the first defect and
   // reports the intact prefix — the same walk crash recovery truncates to.
   const auto scan = trace::ScanV2File(path);
@@ -590,8 +605,7 @@ int CmdAnalyze(const std::string& in, int argc, char** argv) {
   flags.DefineBool("no-trends", false,
                    "skip trend clustering (Figs. 8-10); it is O(n^2) in "
                    "qualifying objects");
-  flags.Parse(argc, argv);
-  if (HelpRequested(flags, "analyze <trace.bin>")) return 0;
+  if (ParseOrHelp(flags, "analyze <trace.bin>", argc, argv)) return 0;
   util::SetLogLevel(util::LogLevel::kWarn);
 
   analysis::SuiteConfig config;
@@ -659,13 +673,17 @@ int main(int argc, char** argv) {
   try {
     if (cmd == "info") return CmdInfo(argv[2], argc - 2, argv + 2);
     if (cmd == "head") return CmdHead(argv[2], argc - 2, argv + 2);
-    if (cmd == "tocsv" && argc >= 4) return CmdToCsv(argv[2], argv[3]);
-    if (cmd == "tobin" && argc >= 4) return CmdToBin(argv[2], argv[3]);
+    if (cmd == "tocsv" && argc >= 4) {
+      return CmdToCsv(argv[2], argv[3], argc - 3, argv + 3);
+    }
+    if (cmd == "tobin" && argc >= 4) {
+      return CmdToBin(argv[2], argv[3], argc - 3, argv + 3);
+    }
     if (cmd == "filter" && argc >= 4) {
       return CmdFilter(argv[2], argv[3], argc - 3, argv + 3);
     }
     if (cmd == "simulate") return CmdSimulate(argv[2], argc - 2, argv + 2);
-    if (cmd == "verify") return CmdVerify(argv[2]);
+    if (cmd == "verify") return CmdVerify(argv[2], argc - 2, argv + 2);
     if (cmd == "analyze") return CmdAnalyze(argv[2], argc - 2, argv + 2);
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << '\n';
