@@ -1,30 +1,23 @@
-// Sharded simulation engine: throughput and peak memory vs. thread count.
+// Sharded simulation engine: records/sec and peak memory per scale and per
+// scenario file. atlas-bench (benchmark/) is the speed trajectory; this
+// binary covers what its 15-second budget cannot reach.
 //
-// Generates the five-site study workload once, then runs the sharded
-// engine (cdn::StreamScenario-equivalent core via RunSharded) over the same
-// pre-generated events at 1, 2, and 8 worker threads, plus a sequential
-// baseline that simulates the sites one after another — the pre-sharding
-// architecture. Records are discarded through a CountingSink so the numbers
-// measure the engine, not a sink. Every configuration emits byte-identical
-// traces (see tests/engine_test.cc); only the wall clock moves.
+// --scale-sweep "0.05,1.0,5.0" times, for each scale, generation
+// (synth::GenerateSites under StreamScenario's seed plan: the setup
+// StreamScenario runs before the engine starts) and the sharded simulation
+// separately (rate + peak RSS each) and writes BENCH_scale.json (override
+// with ATLAS_BENCH_SCALE_JSON). Scale 1.0 is the paper-sized study; the
+// sweep is how the README's scale >= 1.0 workflow documents its memory
+// envelope. Peak RSS is reset between phases via /proc/self/clear_refs where
+// the kernel allows it.
 //
-// Results land in BENCH_sim.json (override the path with
-// ATLAS_BENCH_SIM_JSON; set it empty to skip). Peak RSS is reset between
-// phases via /proc/self/clear_refs where the kernel allows it.
+// --spec "scenarios/a.toml,scenarios/b.toml" runs each file as a
+// ScenarioSpec end to end through cdn::StreamScenario (generation +
+// simulation + merge, records discarded) and writes the per-scenario rec/s
+// and peak RSS to BENCH_scenario.json (override with
+// ATLAS_BENCH_SCENARIO_JSON).
 //
-// --scale-sweep "0.05,1.0,5.0" switches to the scale-hardening sweep
-// instead: for each scale it times workload generation and the sharded
-// simulation separately (rec/s + peak RSS each) and writes
-// BENCH_scale.json (override with ATLAS_BENCH_SCALE_JSON). Scale 1.0 is
-// the paper-sized study; the sweep is how the README's scale >= 1.0
-// workflow documents its memory envelope.
-//
-// --spec "scenarios/a.toml,scenarios/b.toml" switches to the scenario
-// bench instead: each file is parsed as a ScenarioSpec and run end to end
-// through cdn::StreamScenario (generation + simulation + merge, records
-// discarded) and the per-scenario rec/s and peak RSS land in
-// BENCH_scenario.json (override with ATLAS_BENCH_SCENARIO_JSON).
-#include <algorithm>
+// With neither flag the binary prints its usage and exits 2.
 #include <chrono>
 #include <cstdlib>
 #include <fstream>
@@ -36,6 +29,7 @@
 #include "cdn/scenario.h"
 #include "cdn/scenario_spec.h"
 #include "synth/site_profile.h"
+#include "synth/workload.h"
 #include "trace/sink.h"
 #include "util/mem.h"
 #include "util/rng.h"
@@ -73,8 +67,8 @@ struct SweepPoint {
   PhaseSample simulate;
 };
 
-// One sweep point: build the five-site study at `scale` and time the
-// generator and the engine separately. Everything is torn down before the
+// One sweep point: set up the five-site study at `scale` and time its
+// generation and the engine separately. Everything is torn down before the
 // next point so peak-RSS watermarks do not bleed across scales.
 SweepPoint RunSweepPoint(double scale, std::uint64_t seed, int threads,
                          bool& rss_reset_ok) {
@@ -82,35 +76,30 @@ SweepPoint RunSweepPoint(double scale, std::uint64_t seed, int threads,
   config.topology.edge_capacity_bytes =
       static_cast<std::uint64_t>(64e9 * scale) + (1ULL << 30);
 
-  auto profiles = synth::SiteProfile::PaperAdultSites(scale);
-  util::Rng seeder(seed);
-  std::vector<std::unique_ptr<synth::WorkloadGenerator>> generators;
-  std::vector<std::vector<synth::RequestEvent>> events;
-  std::vector<cdn::SiteJob> jobs;
-  // jobs holds pointers into `events`; reserve so growth never reallocates.
-  generators.reserve(profiles.size());
-  events.reserve(profiles.size());
-  jobs.reserve(profiles.size());
+  const auto profiles = synth::SiteProfile::PaperAdultSites(scale);
+  util::Rng seeder(seed);  // StreamScenario's seed plan
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    seeds.push_back(seeder.Next());
+  }
+  std::vector<synth::SiteWorkload> sites;
 
   SweepPoint point;
   point.scale = scale;
   point.generate = MeasurePhase(
       [&] {
+        sites = synth::GenerateSites(profiles, seeds, config.chunk_bytes,
+                                     threads);
         std::uint64_t total_events = 0;
-        for (std::size_t i = 0; i < profiles.size(); ++i) {
-          const auto& profile = profiles[i];
-          const std::uint64_t site_seed = seeder.Next();
-          generators.push_back(
-              std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
-          events.push_back(generators.back()->Generate(
-              generators.back()->LogicalBudget(config.chunk_bytes)));
-          total_events += events.back().size();
-          jobs.push_back({generators.back().get(), &events.back(),
-                          static_cast<std::uint32_t>(i)});
-        }
+        for (const auto& site : sites) total_events += site.events.size();
         return total_events;
       },
       rss_reset_ok);
+  std::vector<cdn::SiteJob> jobs;
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    jobs.push_back({sites[i].generator.get(), &sites[i].events,
+                    static_cast<std::uint32_t>(i)});
+  }
   point.simulate = MeasurePhase(
       [&] {
         trace::CountingSink sink;
@@ -179,10 +168,10 @@ int RunScaleSweep(const std::string& spec, std::uint64_t seed, int threads,
 }
 
 // One timed run per scenario file: parse, then stream the whole scenario
-// (generation + simulation + k-way merge) into a CountingSink. Unlike the
-// thread bench above, generation is inside the timed region — a scenario
-// file describes a complete run, so the bench reports what a user of
-// `atlas-trace simulate --spec` actually pays per record.
+// (generation + simulation + k-way merge) into a CountingSink. Generation
+// is inside the timed region — a scenario file describes a complete run, so
+// the bench reports what a user of `atlas-trace simulate --spec` actually
+// pays per record.
 int RunScenarioBench(const std::string& spec_list, int threads,
                      bench::BenchRunMeta meta) {
   if (threads <= 0) threads = util::DefaultThreads();
@@ -253,132 +242,24 @@ int main(int argc, char** argv) {
   env.flags.DefineString(
       "scale-sweep", "",
       "comma-separated scales (e.g. 0.05,1.0,5.0): run the scale sweep "
-      "(generation + simulation rec/s and peak RSS per scale) and write "
-      "BENCH_scale.json instead of the thread-count bench");
+      "(setup + simulation rate and peak RSS per scale) and write "
+      "BENCH_scale.json");
   env.flags.DefineString(
       "spec", "",
       "comma-separated scenario files: run each declarative scenario end to "
-      "end and write BENCH_scenario.json instead of the thread-count bench");
+      "end and write BENCH_scenario.json");
   if (!bench::SetUpAblation(
           env, argc, argv,
-          "Sharded simulation engine throughput vs. thread count")) {
+          "Sharded simulation engine throughput per scale or scenario")) {
     return 0;
   }
   const auto meta = bench::MetaFromFlags(env.flags, "paper_study");
+  const int threads = static_cast<int>(env.flags.GetInt("threads"));
   const std::string sweep = env.flags.GetString("scale-sweep");
-  if (!sweep.empty()) {
-    return RunScaleSweep(sweep, env.seed,
-                         static_cast<int>(env.flags.GetInt("threads")), meta);
-  }
+  if (!sweep.empty()) return RunScaleSweep(sweep, env.seed, threads, meta);
   const std::string spec_list = env.flags.GetString("spec");
-  if (!spec_list.empty()) {
-    return RunScenarioBench(
-        spec_list, static_cast<int>(env.flags.GetInt("threads")), meta);
-  }
-
-  cdn::SimulatorConfig config;
-  config.topology.edge_capacity_bytes =
-      static_cast<std::uint64_t>(64e9 * env.scale) + (1ULL << 30);
-
-  // Generate the workload once, outside every timed region: the bench
-  // measures the simulation engine, not the generator.
-  auto profiles = synth::SiteProfile::PaperAdultSites(env.scale);
-  util::Rng seeder(env.seed);
-  std::vector<std::unique_ptr<synth::WorkloadGenerator>> generators;
-  std::vector<std::vector<synth::RequestEvent>> events;
-  std::vector<cdn::SiteJob> jobs;
-  generators.reserve(profiles.size());
-  events.reserve(profiles.size());
-  jobs.reserve(profiles.size());
-  for (std::size_t i = 0; i < profiles.size(); ++i) {
-    const auto& profile = profiles[i];
-    const std::uint64_t site_seed = seeder.Next();
-    generators.push_back(
-        std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
-    events.push_back(generators.back()->Generate(
-        generators.back()->LogicalBudget(config.chunk_bytes)));
-    jobs.push_back({generators.back().get(), &events.back(),
-                    static_cast<std::uint32_t>(i)});
-  }
-
-  bool rss_reset_ok = true;
-
-  // Sequential baseline: each site simulated on its own, one thread — the
-  // pre-sharding architecture (per-site work was already concurrent before,
-  // so the honest baseline is the single-threaded engine per site).
-  const PhaseSample sequential = MeasurePhase(
-      [&] {
-        std::uint64_t total = 0;
-        for (const auto& job : jobs) {
-          trace::CountingSink sink;
-          cdn::RunSharded({&job, 1}, config, sink, /*threads=*/1);
-          total += sink.records();
-        }
-        return total;
-      },
-      rss_reset_ok);
-
-  std::vector<std::pair<int, PhaseSample>> threaded;
-  for (int threads : {1, 2, 8}) {
-    threaded.emplace_back(
-        threads, MeasurePhase(
-                     [&] {
-                       trace::CountingSink sink;
-                       cdn::RunSharded(jobs, config, sink, threads);
-                       return sink.records();
-                     },
-                     rss_reset_ok));
-  }
-
-  std::cout << "records: " << sequential.records << "\n"
-            << "sequential:  "
-            << static_cast<std::uint64_t>(sequential.records_per_s)
-            << " rec/s, peak RSS " << sequential.peak_rss_bytes / 1024 / 1024
-            << " MB\n";
-  for (const auto& [threads, s] : threaded) {
-    std::cout << "threads=" << threads << (threads < 10 ? ":   " : ":  ")
-              << static_cast<std::uint64_t>(s.records_per_s)
-              << " rec/s, peak RSS " << s.peak_rss_bytes / 1024 / 1024
-              << " MB (" << util::FormatDouble(
-                     sequential.records_per_s > 0.0
-                         ? s.records_per_s / sequential.records_per_s
-                         : 0.0,
-                     2)
-              << "x sequential)\n";
-  }
-  if (!rss_reset_ok) {
-    std::cout << "note: peak-RSS reset unavailable; RSS columns are "
-                 "process-lifetime watermarks\n";
-  }
-
-  std::string json_path = "BENCH_sim.json";
-  if (const char* override_path = std::getenv("ATLAS_BENCH_SIM_JSON")) {
-    json_path = override_path;
-  }
-  if (json_path.empty()) return 0;
-  std::ofstream out(json_path);
-  if (!out) {
-    std::cerr << "cannot write " << json_path << "\n";
-    return 1;
-  }
-  out << "{\n  \"bench\": \"sim\",\n  " << bench::BenchMetaJson(meta)
-      << ",\n  \"records\": " << sequential.records
-      << ",\n  \"scale\": " << env.scale
-      << ",\n  \"rss_reset_supported\": " << (rss_reset_ok ? "true" : "false")
-      << ",\n  \"results\": {\n";
-  const auto append = [&](const std::string& name, const PhaseSample& s,
-                          bool last) {
-    out << "    \"" << name << "\": {\"records_per_s\": "
-        << static_cast<std::uint64_t>(s.records_per_s)
-        << ", \"peak_rss_bytes\": " << s.peak_rss_bytes << "}"
-        << (last ? "\n" : ",\n");
-  };
-  append("sequential", sequential, false);
-  for (std::size_t i = 0; i < threaded.size(); ++i) {
-    append("threads_" + std::to_string(threaded[i].first), threaded[i].second,
-           i + 1 == threaded.size());
-  }
-  out << "  }\n}\n";
-  std::cout << "wrote " << json_path << "\n";
-  return 0;
+  if (!spec_list.empty()) return RunScenarioBench(spec_list, threads, meta);
+  std::cerr << "sim_bench: pass --scale-sweep or --spec\n\n"
+            << env.flags.Usage(argv[0]);
+  return 2;
 }

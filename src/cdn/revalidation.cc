@@ -3,6 +3,19 @@
 #include <stdexcept>
 
 namespace atlas::cdn {
+namespace {
+
+// Lifetimes per pattern (§V): daily for diurnal and long-lived objects,
+// hourly for short-lived and flash-crowd ones, in between for outliers.
+constexpr std::int64_t kHourMs = 3600 * 1000LL;
+constexpr std::int64_t kDiurnalTtlMs = 24 * kHourMs;
+constexpr std::int64_t kLongLivedTtlMs = 24 * kHourMs;
+constexpr std::int64_t kShortLivedTtlMs = kHourMs;
+constexpr std::int64_t kFlashTtlMs = kHourMs;
+constexpr std::int64_t kOutlierTtlMs = 4 * kHourMs;
+constexpr std::int64_t kDefaultTtlMs = 6 * kHourMs;
+
+}  // namespace
 
 void RevalidationOracle::Classify(std::uint64_t url_hash,
                                   synth::PatternType pattern) {
@@ -13,22 +26,22 @@ std::int64_t RevalidationOracle::TtlForPattern(
     synth::PatternType pattern) const {
   switch (pattern) {
     case synth::PatternType::kDiurnal:
-      return policy_.diurnal_ttl_ms;
+      return kDiurnalTtlMs;
     case synth::PatternType::kLongLived:
-      return policy_.long_lived_ttl_ms;
+      return kLongLivedTtlMs;
     case synth::PatternType::kShortLived:
-      return policy_.short_lived_ttl_ms;
+      return kShortLivedTtlMs;
     case synth::PatternType::kFlashCrowd:
-      return policy_.flash_ttl_ms;
+      return kFlashTtlMs;
     case synth::PatternType::kOutlier:
-      return policy_.outlier_ttl_ms;
+      return kOutlierTtlMs;
   }
-  return policy_.default_ttl_ms;
+  return kDefaultTtlMs;
 }
 
 std::int64_t RevalidationOracle::TtlFor(std::uint64_t url_hash) const {
   const auto it = patterns_.find(url_hash);
-  if (it == patterns_.end()) return policy_.default_ttl_ms;
+  if (it == patterns_.end()) return kDefaultTtlMs;
   return TtlForPattern(it->second);
 }
 

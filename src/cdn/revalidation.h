@@ -27,28 +27,17 @@ namespace atlas::cdn {
 
 class RevalidationOracle {
  public:
-  // Lifetimes per pattern, following the paper's prescription: long expiry
-  // for diurnal/long-lived, hourly-scale for short-lived, a default for
-  // everything unknown.
-  struct Policy {
-    std::int64_t diurnal_ttl_ms = 24 * 3600 * 1000LL;
-    std::int64_t long_lived_ttl_ms = 24 * 3600 * 1000LL;
-    std::int64_t short_lived_ttl_ms = 3600 * 1000LL;
-    std::int64_t flash_ttl_ms = 3600 * 1000LL;
-    std::int64_t outlier_ttl_ms = 4 * 3600 * 1000LL;
-    std::int64_t default_ttl_ms = 6 * 3600 * 1000LL;
-  };
-
   // Registers a classified object.
   void Classify(std::uint64_t url_hash, synth::PatternType pattern);
   std::size_t classified_count() const { return patterns_.size(); }
 
-  // Freshness lifetime for an object (default for unclassified ones).
+  // Freshness lifetime for an object (default for unclassified ones),
+  // following the paper's prescription: long expiry for diurnal/long-lived,
+  // hourly-scale for short-lived, a default for everything unknown.
   std::int64_t TtlFor(std::uint64_t url_hash) const;
   std::int64_t TtlForPattern(synth::PatternType pattern) const;
 
  private:
-  Policy policy_;
   std::unordered_map<std::uint64_t, synth::PatternType> patterns_;
 };
 

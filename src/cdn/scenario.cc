@@ -1,11 +1,11 @@
 #include "cdn/scenario.h"
 
-#include <memory>
 #include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
+#include "synth/workload.h"
 #include "util/rng.h"
 
 namespace atlas::cdn {
@@ -44,20 +44,18 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
   RejectDuplicateSiteNames(profiles);
   ScenarioStreamResult out;
   util::Rng seeder(seed);
-  std::vector<std::unique_ptr<synth::WorkloadGenerator>> generators;
-  std::vector<std::vector<synth::RequestEvent>> events;
+  std::vector<std::uint32_t> ids;
+  std::vector<std::uint64_t> seeds;
+  for (const auto& profile : profiles) {
+    ids.push_back(out.registry.Register(profile.name, profile.kind));
+    seeds.push_back(seeder.Next());
+  }
+  const std::vector<synth::SiteWorkload> sites =
+      synth::GenerateSites(profiles, seeds, config.chunk_bytes, threads);
   std::vector<SiteJob> jobs;
-  generators.reserve(profiles.size());
-  events.reserve(profiles.size());
-  jobs.reserve(profiles.size());
-  for (auto& profile : profiles) {
-    const std::uint32_t id = out.registry.Register(profile.name, profile.kind);
-    const std::uint64_t site_seed = seeder.Next();
-    generators.push_back(
-        std::make_unique<synth::WorkloadGenerator>(profile, site_seed));
-    events.push_back(generators.back()->Generate(
-        generators.back()->LogicalBudget(config.chunk_bytes), threads));
-    jobs.push_back({generators.back().get(), &events.back(), id});
+  jobs.reserve(sites.size());
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    jobs.push_back({sites[i].generator.get(), &sites[i].events, ids[i]});
   }
 
   // Layer the scenario's own sections onto every engine snapshot: the seed
@@ -67,11 +65,11 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
   opts.save_extra = [&](ckpt::Writer& w) {
     w.BeginSection("scenario.meta", kScenarioMetaVersion);
     w.WriteU64(seed);
-    w.WriteU64(static_cast<std::uint64_t>(generators.size()));
+    w.WriteU64(static_cast<std::uint64_t>(sites.size()));
     w.EndSection();
-    for (std::size_t i = 0; i < generators.size(); ++i) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
       w.BeginSection(GeneratorSectionName(i), kScenarioGeneratorVersion);
-      generators[i]->SaveState(w);
+      sites[i].generator->SaveState(w);
       w.EndSection();
     }
     if (ckpt_options.save_extra) ckpt_options.save_extra(w);
@@ -82,17 +80,17 @@ ScenarioStreamResult StreamScenario(std::vector<synth::SiteProfile> profiles,
     const std::uint64_t saved_seed = r.ReadU64();
     const std::uint64_t saved_sites = r.ReadU64();
     r.EndSection();
-    if (saved_seed != seed || saved_sites != generators.size()) {
+    if (saved_seed != seed || saved_sites != sites.size()) {
       throw std::runtime_error(
           "ckpt: scenario mismatch (checkpoint has seed " +
           std::to_string(saved_seed) + " with " +
           std::to_string(saved_sites) + " sites, this run asks for seed " +
           std::to_string(seed) + " with " +
-          std::to_string(generators.size()) + ")");
+          std::to_string(sites.size()) + ")");
     }
-    for (std::size_t i = 0; i < generators.size(); ++i) {
+    for (std::size_t i = 0; i < sites.size(); ++i) {
       r.BeginSection(GeneratorSectionName(i), kScenarioGeneratorVersion);
-      generators[i]->RestoreState(r);
+      sites[i].generator->RestoreState(r);
       r.EndSection();
     }
   }
@@ -106,10 +104,10 @@ SimulatorResult SimulateSite(const synth::SiteProfile& profile,
                              std::uint32_t publisher_id,
                              const SimulatorConfig& config, std::uint64_t seed,
                              trace::RecordSink& sink, int threads) {
-  synth::WorkloadGenerator gen(profile, seed);
-  const auto events =
-      gen.Generate(gen.LogicalBudget(config.chunk_bytes), threads);
-  const SiteJob job{&gen, &events, publisher_id};
+  const std::vector<synth::SiteWorkload> sites = synth::GenerateSites(
+      {&profile, 1}, {&seed, 1}, config.chunk_bytes, threads);
+  const SiteJob job{sites.front().generator.get(), &sites.front().events,
+                    publisher_id};
   auto results =
       RunSharded(std::span<const SiteJob>(&job, 1), config, sink, threads);
   return std::move(results.front());

@@ -1,9 +1,10 @@
 // Running a simulation: the one module that decides how a run is set up.
 //
-// Both entry points below do the same four steps — draw the site's seed,
-// build its generator, generate the calibrated logical budget
-// (WorkloadGenerator::LogicalBudget), hand the SiteJob to RunSharded — and
-// differ only in where the seed and publisher id come from:
+// Both entry points below set a run up the same way: one synth::GenerateSites
+// call builds every site's generator concurrently and generates each site's
+// calibrated logical budget (WorkloadGenerator::LogicalBudget) with all
+// sites' shards on one pool; the SiteJobs then go to RunSharded. They differ
+// only in where the seeds and publisher ids come from:
 //
 //   StreamScenario  a study: every profile in order, site seeds drawn from
 //                   one study seed, publisher ids assigned by a fresh

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "util/checked.h"
 #include "util/hash.h"
@@ -15,10 +17,6 @@ namespace atlas::synth {
 namespace {
 // Layout of the generator's checkpoint blob (fingerprint + RNG stream).
 constexpr std::uint32_t kWorkloadStateVersion = 1;
-
-// Event-buffer preallocation clamp (the PR 2 trace_io idiom): a hostile or
-// huge logical budget must not OOM on reserve() before generation starts.
-constexpr std::uint64_t kMaxPreallocEvents = 1u << 20;
 }  // namespace
 
 WorkloadGenerator::WorkloadGenerator(const SiteProfile& profile,
@@ -143,9 +141,9 @@ RequestEvent WorkloadGenerator::MakeRequest(
   return ev;
 }
 
-std::vector<RequestEvent> WorkloadGenerator::GenerateShard(
-    const GenShard& shard, std::uint64_t budget,
-    std::uint64_t stream_seed) const {
+void WorkloadGenerator::GenerateShard(const GenShard& shard,
+                                      std::uint64_t stream_seed,
+                                      std::span<RequestEvent> out) const {
   util::Rng rng(stream_seed);
 
   // Per-user favorite sets persist across sessions for the whole week —
@@ -154,14 +152,11 @@ std::vector<RequestEvent> WorkloadGenerator::GenerateShard(
   // is shard-private.
   std::unordered_map<std::uint32_t, std::vector<std::uint32_t>> favorites;
 
-  std::vector<RequestEvent> events;
-  events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(budget + budget / 8, kMaxPreallocEvents)));
-
   const double geom_p = 1.0 / profile_.mean_requests_per_session;
   const double iat_mu = std::log(profile_.iat_median_s);
 
-  while (events.size() < budget) {
+  std::size_t filled = 0;
+  while (filled < out.size()) {
     const std::uint32_t user_index =
         shard.user_lo +
         util::CheckedIndexU32(shard.user_alias->Sample(rng), "user");
@@ -179,66 +174,131 @@ std::vector<RequestEvent> WorkloadGenerator::GenerateShard(
 
     const std::uint64_t session_requests = 1 + rng.NextGeometric(geom_p);
     auto& favs = favorites[user_index];
-    for (std::uint64_t r = 0; r < session_requests && events.size() < budget;
+    for (std::uint64_t r = 0; r < session_requests && filled < out.size();
          ++r) {
       if (r > 0) {
         const double gap_s = rng.NextLogNormal(iat_mu, profile_.iat_sigma);
         t += static_cast<std::int64_t>(gap_s * 1000.0);
         if (t >= util::kMillisPerWeek) break;  // session ran past the trace
       }
-      events.push_back(MakeRequest(t, user_index, favs, r == 0, rng));
+      out[filled++] = MakeRequest(t, user_index, favs, r == 0, rng);
     }
   }
-  return events;
 }
 
 std::vector<RequestEvent> WorkloadGenerator::Generate(
     std::uint64_t logical_requests, int threads) {
-  const std::uint64_t budget =
-      logical_requests > 0 ? logical_requests : profile_.total_requests;
+  WorkloadGenerator* const self = this;
+  return std::move(GenerateWeeks({&self, 1}, {&logical_requests, 1},
+                                 threads)
+                       .front());
+}
 
-  // Everything downstream is a pure function of these two draws-at-rest:
-  // the stream base advances rng_ exactly once per Generate call (so
-  // successive calls produce fresh weeks), and from it every shard derives
-  // its own independent stream before any parallel work starts.
-  const std::uint64_t stream_base = rng_.Next();
-  const util::ShardedRng streams(stream_base, shards_.size());
+std::vector<std::vector<RequestEvent>> WorkloadGenerator::GenerateWeeks(
+    std::span<WorkloadGenerator* const> generators,
+    std::span<const std::uint64_t> budgets, int threads) {
+  // One task per (week, shard): the shard's stream and its slice of the week.
+  struct ShardTask {
+    std::size_t week = 0;
+    std::size_t shard = 0;
+    std::uint64_t stream_seed = 0;
+    std::size_t begin = 0;
+    std::size_t count = 0;
+  };
+  std::vector<std::vector<RequestEvent>> weeks(generators.size());
+  std::vector<ShardTask> tasks;
+  for (std::size_t w = 0; w < generators.size(); ++w) {
+    WorkloadGenerator& gen = *generators[w];
+    const std::uint64_t budget =
+        budgets[w] > 0 ? budgets[w] : gen.profile_.total_requests;
 
-  // Each shard gets the exact slice of the budget its users' activity mass
-  // claims (largest-remainder, so the quotas sum to `budget`).
-  std::vector<double> masses;
-  masses.reserve(shards_.size());
-  for (const auto& s : shards_) masses.push_back(s.activity_mass);
-  const std::vector<std::uint64_t> quotas =
-      util::ApportionByWeight(budget, masses);
+    // Everything downstream is a pure function of these two draws-at-rest:
+    // the stream base advances rng_ exactly once per week (so successive
+    // calls produce fresh weeks), and from it every shard derives its own
+    // independent stream before any parallel work starts.
+    const std::uint64_t stream_base = gen.rng_.Next();
+    const util::ShardedRng streams(stream_base, gen.shards_.size());
 
-  std::vector<std::vector<RequestEvent>> per_shard(shards_.size());
+    // Each shard gets the exact slice of the budget its users' activity mass
+    // claims (largest-remainder, so the quotas sum to `budget`), and fills
+    // exactly that many events, so the week is allocated once, at its final
+    // size, here on the calling thread.
+    std::vector<double> masses;
+    masses.reserve(gen.shards_.size());
+    for (const auto& s : gen.shards_) masses.push_back(s.activity_mass);
+    const std::vector<std::uint64_t> quotas =
+        util::ApportionByWeight(budget, masses);
+    std::size_t begin = 0;
+    for (std::size_t s = 0; s < gen.shards_.size(); ++s) {
+      const auto count = static_cast<std::size_t>(quotas[s]);
+      tasks.push_back({w, s, streams.seed(s), begin, count});
+      begin += count;
+    }
+    weeks[w].resize(begin);
+  }
+
   util::ParallelFor(
-      shards_.size(),
-      [&](std::size_t s) {
-        per_shard[s] = GenerateShard(shards_[s], quotas[s], streams.seed(s));
+      tasks.size(),
+      [&](std::size_t t) {
+        const ShardTask& task = tasks[t];
+        const WorkloadGenerator& gen = *generators[task.week];
+        gen.GenerateShard(
+            gen.shards_[task.shard], task.stream_seed,
+            std::span(weeks[task.week]).subspan(task.begin, task.count));
       },
       threads);
 
-  // Deterministic merge: concatenate in shard order, then stable-sort by
-  // timestamp. Both steps are independent of the thread count.
-  std::vector<RequestEvent> events;
-  events.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(budget, kMaxPreallocEvents)));
-  for (auto& shard_events : per_shard) {
-    events.insert(events.end(), shard_events.begin(), shard_events.end());
-    shard_events.clear();
-    shard_events.shrink_to_fit();
+  // The slices sit in shard order, so a stable sort by timestamp breaks
+  // ties exactly as a serial shard-by-shard run would. The sorts stay on
+  // the calling thread, one week at a time: each one's half-week merge
+  // buffer then reuses the heap the last one freed, where sorts on the
+  // workers left their buffers in as many thread arenas.
+  for (auto& week : weeks) {
+    std::stable_sort(week.begin(), week.end(),
+                     [](const RequestEvent& a, const RequestEvent& b) {
+                       return a.timestamp_ms < b.timestamp_ms;
+                     });
   }
-  std::stable_sort(events.begin(), events.end(),
-                   [](const RequestEvent& a, const RequestEvent& b) {
-                     return a.timestamp_ms < b.timestamp_ms;
-                   });
-  ATLAS_LOG(kInfo) << profile_.name << ": generated " << events.size()
-                   << " logical requests (" << users_.size() << " users, "
-                   << catalog_.size() << " objects, " << shards_.size()
-                   << " shards)";
-  return events;
+
+  for (std::size_t w = 0; w < generators.size(); ++w) {
+    const WorkloadGenerator& gen = *generators[w];
+    ATLAS_LOG(kInfo) << gen.profile_.name << ": generated " << weeks[w].size()
+                     << " logical requests (" << gen.users_.size()
+                     << " users, " << gen.catalog_.size() << " objects, "
+                     << gen.shards_.size() << " shards)";
+  }
+  return weeks;
+}
+
+std::vector<SiteWorkload> GenerateSites(std::span<const SiteProfile> profiles,
+                                        std::span<const std::uint64_t> seeds,
+                                        std::uint64_t chunk_bytes,
+                                        int threads) {
+  if (profiles.size() != seeds.size()) {
+    throw std::invalid_argument("GenerateSites: " +
+                                std::to_string(profiles.size()) +
+                                " profiles but " +
+                                std::to_string(seeds.size()) + " seeds");
+  }
+  std::vector<SiteWorkload> sites(profiles.size());
+  std::vector<std::uint64_t> budgets(profiles.size());
+  util::ParallelFor(
+      profiles.size(),
+      [&](std::size_t i) {
+        sites[i].generator =
+            std::make_unique<WorkloadGenerator>(profiles[i], seeds[i]);
+        budgets[i] = sites[i].generator->LogicalBudget(chunk_bytes);
+      },
+      threads);
+
+  std::vector<WorkloadGenerator*> generators;
+  generators.reserve(sites.size());
+  for (const auto& site : sites) generators.push_back(site.generator.get());
+  auto weeks = WorkloadGenerator::GenerateWeeks(generators, budgets, threads);
+  for (std::size_t i = 0; i < sites.size(); ++i) {
+    sites[i].events = std::move(weeks[i]);
+  }
+  return sites;
 }
 
 double WorkloadGenerator::EstimateRecordsPerRequest(

@@ -14,13 +14,17 @@
 // number of contiguous shards (kGenerateShards, independent of the thread
 // count). Each shard owns its users outright — their favorite sets, their
 // sessions, their share of the request budget (apportioned by activity
-// mass) — and draws from its own SplitMix64-derived RNG stream. Shards are
-// generated independently (ParallelFor) and merged with a stable sort, so
-// Generate(seed, T threads) is bit-identical for every T.
+// mass) — and draws from its own SplitMix64-derived RNG stream. Each shard
+// writes exactly its quota into its own slice of the week's vector, in
+// shard order, and the week is then stable-sorted by timestamp, so the
+// result is bit-identical for every thread count. GenerateSites does this
+// for a whole study on one set of threads: it builds the sites' generators
+// concurrently and runs every site's shards as tasks of one ParallelFor.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "ckpt/checkpoint.h"
@@ -52,6 +56,8 @@ struct RequestEvent {
 // changing it reshuffles RNG streams and therefore every generated trace.
 inline constexpr std::size_t kGenerateShards = 32;
 
+struct SiteWorkload;
+
 class WorkloadGenerator {
  public:
   WorkloadGenerator(const SiteProfile& profile, std::uint64_t seed);
@@ -59,7 +65,9 @@ class WorkloadGenerator {
   const Catalog& catalog() const { return catalog_; }
   const UserPopulation& users() const { return users_; }
 
-  // Generates the full week of logical request events, sorted by timestamp.
+  // Generates the full week of logical request events, sorted by timestamp:
+  // GenerateSites' generation steps for this one generator. Each call draws
+  // a fresh stream base, so successive calls produce fresh weeks.
   // `logical_requests` == 0 means "use profile.total_requests"; `threads`
   // <= 0 means util::DefaultThreads(). The result depends only on the
   // construction seed and the budget, never on `threads`.
@@ -103,14 +111,28 @@ class WorkloadGenerator {
 
   void BuildShards();
 
+  friend std::vector<SiteWorkload> GenerateSites(
+      std::span<const SiteProfile> profiles,
+      std::span<const std::uint64_t> seeds, std::uint64_t chunk_bytes,
+      int threads);
+
+  // One week per generator, each of its budget (0 = its profile's
+  // total_requests). On the calling thread, in generator order, each draws
+  // its stream base and shard quotas, and its week is allocated at its
+  // exact size; then one ParallelFor fills every (generator, shard) slice;
+  // then the calling thread stable-sorts each week by timestamp.
+  static std::vector<std::vector<RequestEvent>> GenerateWeeks(
+      std::span<WorkloadGenerator* const> generators,
+      std::span<const std::uint64_t> budgets, int threads);
+
   RequestEvent MakeRequest(std::int64_t t, std::uint32_t user_index,
                            std::vector<std::uint32_t>& favorites,
                            bool session_start, util::Rng& rng) const;
 
-  // Generates exactly `budget` events for one shard from its own stream.
-  std::vector<RequestEvent> GenerateShard(const GenShard& shard,
-                                          std::uint64_t budget,
-                                          std::uint64_t stream_seed) const;
+  // Fills `out` with exactly out.size() events for one shard, drawn from
+  // its own stream, in the order the shard's sessions produce them.
+  void GenerateShard(const GenShard& shard, std::uint64_t stream_seed,
+                     std::span<RequestEvent> out) const;
 
   SiteProfile profile_;
   util::Rng rng_;
@@ -119,5 +141,25 @@ class WorkloadGenerator {
   WeekHourDistribution week_hours_;
   std::vector<GenShard> shards_;
 };
+
+// One site of a study's workload: its generator and the week it drew.
+struct SiteWorkload {
+  std::unique_ptr<WorkloadGenerator> generator;
+  std::vector<RequestEvent> events;
+};
+
+// A study's workload, set up on `threads` threads (<= 0 means
+// util::DefaultThreads()). Site i's generator is WorkloadGenerator(
+// profiles[i], seeds[i]) and its events are exactly what that generator's
+// Generate(LogicalBudget(chunk_bytes), threads) returns, at any `threads`.
+// The generators are constructed concurrently (each is a pure function of
+// its profile and seed); then every site's shards run on one pool, straight
+// into each site's exact-size vector; then each site is stable-sorted.
+// Throws std::invalid_argument if the spans differ in length; a constructor
+// that throws surfaces as the lowest failing site's exception.
+std::vector<SiteWorkload> GenerateSites(std::span<const SiteProfile> profiles,
+                                        std::span<const std::uint64_t> seeds,
+                                        std::uint64_t chunk_bytes,
+                                        int threads = 0);
 
 }  // namespace atlas::synth

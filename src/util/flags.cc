@@ -139,7 +139,8 @@ bool Flags::GetBool(const std::string& name) const {
 }
 
 std::string Flags::Usage(const std::string& program) const {
-  std::string out = "usage: " + program + " [flags]\n";
+  std::string out =
+      "usage: " + program + (defs_.empty() ? "" : " [flags]") + "\n";
   for (const auto& [name, def] : defs_) {
     out += "  --" + name + " (default: " + def.value + ")\n      " + def.help +
            "\n";

@@ -6,7 +6,8 @@
 #   analyze prints the same report at 1 and 4 threads, runs with
 #   --no-trends, and refuses --checkpoint-every as an unknown flag; every
 #   command refuses an argument it does not take and writes nothing; --help
-#   prints the usage, exits 0, and is never taken as a path.
+#   prints the usage, exits 0, and is never taken as a path; a command that
+#   takes no flag advertises none.
 #
 #   tests/cli_roundtrip.sh <atlas-trace> <scratch dir>
 set -euo pipefail
@@ -77,5 +78,9 @@ refuses extra simulate out.v2 extra
 [[ ! -e r.txt && ! -e t.csv && ! -e out.v2 ]]
 "$bin" tocsv sim.v2 t.csv --help > help_tocsv.txt
 grep -q '^usage: .* tocsv ' help_tocsv.txt
+if grep -q -- '\[flags\]' help_tocsv.txt; then
+  echo "tocsv --help advertises flags tocsv does not have" >&2
+  exit 1
+fi
 [[ ! -e t.csv ]]
 echo "cli round trip: OK"

@@ -1,10 +1,11 @@
 // The parallel-execution contract, enforced end to end: for a fixed seed,
 // generation + simulation + analysis produce byte-identical traces and
-// identical reports at 1, 2, and 8 threads, and a pinned golden digest
-// catches accidental RNG-stream reordering (e.g. changing kGenerateShards
-// or the per-shard draw order).
+// identical reports at 1, 2, and 8 threads, and pinned golden digests
+// catch accidental RNG-stream reordering (e.g. changing kGenerateShards
+// or the per-shard draw order) or a change in how timestamp ties sort.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "util/hash.h"
 #include "util/logging.h"
 #include "util/par.h"
+#include "util/rng.h"
 
 namespace atlas {
 namespace {
@@ -94,6 +96,72 @@ TEST(DeterminismTest, GoldenTraceDigestPinned) {
   util::SetLogLevel(util::LogLevel::kWarn);
   const std::string bytes = SimulatedTraceBytes(99);
   EXPECT_EQ(util::Fnv1a64(bytes), kGoldenTraceDigest);
+}
+
+// FNV-1a over every field of every event, little-endian, in stream order.
+std::uint64_t EventsDigest(const std::vector<synth::RequestEvent>& events) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t v, int width) {
+    for (int i = 0; i < width; ++i) {
+      bytes.push_back(static_cast<char>(v >> (8 * i)));
+    }
+  };
+  for (const auto& e : events) {
+    put(static_cast<std::uint64_t>(e.timestamp_ms), 8);
+    put(e.user_index, 4);
+    put(e.object_index, 4);
+    put(e.is_repeat, 1);
+    put(e.session_start, 1);
+    put(util::DoubleBits(e.watch_fraction), 8);
+    put(static_cast<std::uint64_t>(e.anomaly), 1);
+  }
+  return util::Fnv1a64(bytes);
+}
+
+// EventsDigest of each paper site's week (V-1, V-2, P-1, P-2, S-1) at scale
+// 0.2 under StreamScenario's seed plan for seed 42 and the default chunk
+// size's logical budget, pinned when each site was still generated on its
+// own, one after another. At this scale the weeks hold equal timestamps,
+// so the digests also pin how ties are ordered.
+constexpr std::uint64_t kPaperSiteEventDigests[] = {
+    0x961c4bdc516e0fa3ULL, 0x9637b953a468d639ULL, 0x59fd9d814469095fULL,
+    0xd16a37d897ba7afeULL, 0xd571002b014362d4ULL};
+
+TEST(DeterminismTest, GenerateSitesMatchesPinnedWeeksAndEachGenerator) {
+  util::SetLogLevel(util::LogLevel::kWarn);
+  const auto profiles = synth::SiteProfile::PaperAdultSites(0.2);
+  ASSERT_EQ(profiles.size(), std::size(kPaperSiteEventDigests));
+  util::Rng seeder(42);
+  std::vector<std::uint64_t> seeds;
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    seeds.push_back(seeder.Next());
+  }
+  const std::uint64_t chunk_bytes = cdn::SimulatorConfig().chunk_bytes;
+
+  for (const int threads : kThreadCounts) {
+    const auto sites =
+        synth::GenerateSites(profiles, seeds, chunk_bytes, threads);
+    ASSERT_EQ(sites.size(), profiles.size());
+    std::size_t ties = 0;
+    for (std::size_t i = 0; i < sites.size(); ++i) {
+      const auto& events = sites[i].events;
+      EXPECT_EQ(events.size(), sites[i].generator->LogicalBudget(chunk_bytes));
+      for (std::size_t k = 1; k < events.size(); ++k) {
+        ties += events[k].timestamp_ms == events[k - 1].timestamp_ms ? 1 : 0;
+      }
+      EXPECT_EQ(EventsDigest(events), kPaperSiteEventDigests[i])
+          << profiles[i].name << " at " << threads << " threads";
+    }
+    EXPECT_GT(ties, 0u) << "no equal timestamps: the tie order is untested";
+  }
+
+  // Each generator's own Generate draws the same week.
+  for (std::size_t i = 0; i < profiles.size(); ++i) {
+    synth::WorkloadGenerator gen(profiles[i], seeds[i]);
+    EXPECT_EQ(EventsDigest(gen.Generate(gen.LogicalBudget(chunk_bytes), 2)),
+              kPaperSiteEventDigests[i])
+        << profiles[i].name;
+  }
 }
 
 TEST(DeterminismTest, AnalysisReportIdenticalAcrossThreadCounts) {

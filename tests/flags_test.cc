@@ -109,6 +109,12 @@ TEST(FlagsTest, UsageMentionsFlagsAndDefaults) {
   EXPECT_NE(usage.find("--requests"), std::string::npos);
   EXPECT_NE(usage.find("100"), std::string::npos);
   EXPECT_NE(usage.find("number of requests"), std::string::npos);
+  EXPECT_EQ(usage.rfind("usage: prog [flags]\n", 0), 0u);
+}
+
+TEST(FlagsTest, UsageOmitsFlagsSuffixWhenNoneAreDefined) {
+  const Flags f;
+  EXPECT_EQ(f.Usage("prog <in> <out>"), "usage: prog <in> <out>\n");
 }
 
 }  // namespace

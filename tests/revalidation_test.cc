@@ -12,33 +12,35 @@ namespace {
 
 using synth::PatternType;
 
+constexpr std::int64_t kHourMs = 3600 * 1000LL;
+
 TEST(RevalidationOracleTest, DefaultsForUnknownObjects) {
   RevalidationOracle oracle;
-  EXPECT_EQ(oracle.TtlFor(12345), RevalidationOracle::Policy().default_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(12345), 6 * kHourMs);
   EXPECT_EQ(oracle.classified_count(), 0u);
 }
 
 TEST(RevalidationOracleTest, PaperPrescription) {
-  // Diurnal/long-lived get long expiry; short-lived hourly-scale.
+  // Daily expiry for diurnal/long-lived, hourly for short-lived and flash
+  // crowds, in between for outliers.
   RevalidationOracle oracle;
-  EXPECT_GT(oracle.TtlForPattern(PatternType::kDiurnal),
-            oracle.TtlForPattern(PatternType::kShortLived));
-  EXPECT_GT(oracle.TtlForPattern(PatternType::kLongLived),
-            oracle.TtlForPattern(PatternType::kShortLived));
-  EXPECT_EQ(oracle.TtlForPattern(PatternType::kShortLived), 3600 * 1000);
+  EXPECT_EQ(oracle.TtlForPattern(PatternType::kDiurnal), 24 * kHourMs);
+  EXPECT_EQ(oracle.TtlForPattern(PatternType::kLongLived), 24 * kHourMs);
+  EXPECT_EQ(oracle.TtlForPattern(PatternType::kShortLived), kHourMs);
+  EXPECT_EQ(oracle.TtlForPattern(PatternType::kFlashCrowd), kHourMs);
+  EXPECT_EQ(oracle.TtlForPattern(PatternType::kOutlier), 4 * kHourMs);
 }
 
 TEST(RevalidationOracleTest, ClassifiedObjectsUseTheirPattern) {
   RevalidationOracle oracle;
-  const RevalidationOracle::Policy policy;
   oracle.Classify(1, PatternType::kDiurnal);
   oracle.Classify(2, PatternType::kShortLived);
-  EXPECT_EQ(oracle.TtlFor(1), policy.diurnal_ttl_ms);
-  EXPECT_EQ(oracle.TtlFor(2), policy.short_lived_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(1), 24 * kHourMs);
+  EXPECT_EQ(oracle.TtlFor(2), kHourMs);
   EXPECT_EQ(oracle.classified_count(), 2u);
   // Reclassification overwrites.
   oracle.Classify(1, PatternType::kShortLived);
-  EXPECT_EQ(oracle.TtlFor(1), policy.short_lived_ttl_ms);
+  EXPECT_EQ(oracle.TtlFor(1), kHourMs);
 }
 
 TEST(OracleTtlCacheTest, PerKeyLifetimes) {

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <stdexcept>
+#include <vector>
 
 #include "util/time.h"
 
@@ -132,6 +134,28 @@ TEST(WorkloadGeneratorTest, PopularObjectsDominat) {
   for (const auto& [idx, c] : counts) top = std::max(top, c);
   // Zipf demand: the hottest object gets far more than the uniform share.
   EXPECT_GT(top, 20000 / static_cast<int>(gen.catalog().size()) * 5);
+}
+
+TEST(GenerateSitesTest, RaisesTheLowestFailingSitesError) {
+  auto profiles = SiteProfile::PaperAdultSites(0.01);
+  profiles[1].zipf_s = -1.0;
+  profiles[3].mean_requests_per_session = 0.5;
+  const std::vector<std::uint64_t> seeds(profiles.size(), 7);
+  for (const int threads : {1, 4}) {
+    try {
+      GenerateSites(profiles, seeds, 2 << 20, threads);
+      ADD_FAILURE() << "invalid profiles were accepted at " << threads
+                    << " threads";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "SiteProfile: zipf_s < 0") << threads;
+    }
+  }
+}
+
+TEST(GenerateSitesTest, RejectsASeedCountThatDiffersFromTheSites) {
+  const auto profiles = SiteProfile::PaperAdultSites(0.01);
+  const std::vector<std::uint64_t> seeds(profiles.size() - 1, 7);
+  EXPECT_THROW(GenerateSites(profiles, seeds, 2 << 20), std::invalid_argument);
 }
 
 }  // namespace
