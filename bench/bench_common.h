@@ -104,11 +104,10 @@ struct AblationEnv {
   std::uint64_t seed = 42;
 };
 
-inline bool SetUpAblation(AblationEnv& env, int argc, char** argv,
-                          const char* description) {
-  env.flags.DefineDouble("scale", 0.05,
-                         "population scale in (0, 16]; 1.0 is the paper-sized "
-                         "study, >1 extrapolates past it");
+// SetUpAblation without --scale, for a bench whose runs each carry their
+// own scale.
+inline bool SetUpUnscaledBench(AblationEnv& env, int argc, char** argv,
+                               const char* description) {
   env.flags.DefineInt("seed", 42, "RNG seed");
   env.flags.DefineInt("threads", 0,
                       "worker threads (0 = hardware concurrency); results "
@@ -125,8 +124,17 @@ inline bool SetUpAblation(AblationEnv& env, int argc, char** argv,
   }
   util::SetLogLevel(util::LogLevel::kWarn);
   util::SetDefaultThreads(static_cast<int>(env.flags.GetInt("threads")));
-  env.scale = env.flags.GetDouble("scale");
   env.seed = static_cast<std::uint64_t>(env.flags.GetInt("seed"));
+  return true;
+}
+
+inline bool SetUpAblation(AblationEnv& env, int argc, char** argv,
+                          const char* description) {
+  env.flags.DefineDouble("scale", 0.05,
+                         "population scale in (0, 16]; 1.0 is the paper-sized "
+                         "study, >1 extrapolates past it");
+  if (!SetUpUnscaledBench(env, argc, argv, description)) return false;
+  env.scale = env.flags.GetDouble("scale");
   return true;
 }
 

@@ -145,7 +145,6 @@ int RunScaleSweep(const std::string& spec, std::uint64_t seed, int threads,
     std::cerr << "cannot write " << json_path << "\n";
     return 1;
   }
-  meta.scale = 0.0;  // each result row carries its own scale
   out << "{\n  \"bench\": \"scale\",\n  " << bench::BenchMetaJson(meta)
       << ",\n  \"threads\": " << threads
       << ",\n  \"rss_reset_supported\": " << (rss_reset_ok ? "true" : "false")
@@ -217,7 +216,6 @@ int RunScenarioBench(const std::string& spec_list, int threads,
     return 1;
   }
   meta.scenario = spec_list;
-  meta.scale = 0.0;  // each scenario file pins its own scale
   out << "{\n  \"bench\": \"scenario\",\n  " << bench::BenchMetaJson(meta)
       << ",\n  \"threads\": " << threads
       << ",\n  \"rss_reset_supported\": " << (rss_reset_ok ? "true" : "false")
@@ -248,13 +246,15 @@ int main(int argc, char** argv) {
       "spec", "",
       "comma-separated scenario files: run each declarative scenario end to "
       "end and write BENCH_scenario.json");
-  if (!bench::SetUpAblation(
+  // No --scale: the sweep names its scales and each spec file pins its own.
+  if (!bench::SetUpUnscaledBench(
           env, argc, argv,
           "Sharded simulation engine throughput per scale or scenario")) {
     return 0;
   }
-  const auto meta = bench::MetaFromFlags(env.flags, "paper_study");
   const int threads = static_cast<int>(env.flags.GetInt("threads"));
+  bench::BenchRunMeta meta;  // scale 0: each result row carries its own
+  meta.threads = threads;
   const std::string sweep = env.flags.GetString("scale-sweep");
   if (!sweep.empty()) return RunScaleSweep(sweep, env.seed, threads, meta);
   const std::string spec_list = env.flags.GetString("spec");

@@ -6,10 +6,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
-#include "cdn/browser_cache.h"
+#include "cdn/browser_table.h"
 #include "cdn/chunking.h"
 #include "cdn/push.h"
 #include "ckpt/checkpoint.h"
@@ -71,19 +70,30 @@ trace::LogRecord BaseRecord(const synth::RequestEvent& ev,
   return rec;
 }
 
+std::unique_ptr<Cache> NewEdgeCache(const SimulatorConfig& config) {
+  return CreateCache(config.topology.edge_policy,
+                     config.topology.edge_capacity_bytes,
+                     config.topology.edge_ttl_ms);
+}
+
 // One (site, DC) shard. Everything mutable here is touched by exactly one
 // worker at a time; the only cross-shard reads during an epoch are the
 // immutable `snapshot` vectors of sibling shards, rebuilt at barriers.
 struct Shard {
+  Shard(std::size_t site_index, std::size_t dc_index,
+        const SimulatorConfig& config)
+      : site(site_index),
+        dc(dc_index),
+        cache(NewEdgeCache(config)),
+        browsers(config.browser_capacity_bytes, config.browser_freshness_ms) {}
+
   std::size_t site = 0;
   std::size_t dc = 0;
   std::unique_ptr<Cache> cache;
-  std::unordered_map<std::uint32_t, BrowserCache> browsers;
-  // Every entry of `browsers` as (user index, cache), appended as each is
-  // created; a save sorts it in place. Map nodes never move, so neither do
-  // the pointers, and a save walks the browsers in key order with no pass
-  // over the map's scattered nodes.
-  std::vector<std::pair<std::uint32_t, const BrowserCache*>> browser_order;
+  // The browser caches of the users routed here: a few flat arrays for the
+  // whole shard (see browser_table.h), not a node-based cache per user, so
+  // a save walks one dense array and the engine frees a few blocks.
+  BrowserTable browsers;
   // Indices (ascending) into the site's event vector of the events whose
   // user routes to this DC.
   std::vector<std::uint64_t> event_indices;
@@ -179,7 +189,6 @@ class Engine {
   bool DcDown(std::size_t dc, std::int64_t t) const;
   std::size_t RouteForTime(std::size_t home_dc, std::int64_t t) const;
   void Fill(Shard& shard, std::uint64_t key, std::uint64_t bytes);
-  BrowserCache& BrowserFor(Shard& shard, std::uint32_t user_index);
   void MergeFinalized();
   void RebuildSnapshots();
   // Fires config_.epoch_observer with this barrier's per-DC deltas. Runs
@@ -349,15 +358,7 @@ void Engine::SaveShard(ckpt::Writer& w, Shard& sh) {
   w.WriteU64(sh.revalidations);
   w.WriteU64(sh.pushed_bytes);
   sh.cache->SaveState(w);
-  // Browser caches, keyed by user index; sorted so the section bytes are a
-  // pure function of state, not of hash-table layout.
-  std::sort(sh.browser_order.begin(), sh.browser_order.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.WriteU64(static_cast<std::uint64_t>(sh.browser_order.size()));
-  for (const auto& [user_index, browser] : sh.browser_order) {
-    w.WriteU32(user_index);
-    browser->SaveState(w);
-  }
+  sh.browsers.Save(w);
   // Records emitted but not yet past a barrier (timestamps >= the
   // checkpointed boundary). `finalized` is always merged by save time.
   w.WriteU64(static_cast<std::uint64_t>(sh.pending.size()));
@@ -423,13 +424,7 @@ void Engine::RestoreShard(ckpt::Reader& r, Shard& sh) {
   sh.revalidations = r.ReadU64();
   sh.pushed_bytes = r.ReadU64();
   sh.cache->RestoreState(r);
-  sh.browsers.clear();
-  sh.browser_order.clear();
-  const std::uint64_t nbrowsers = r.ReadU64();
-  for (std::uint64_t i = 0; i < nbrowsers; ++i) {
-    const std::uint32_t user_index = r.ReadU32();
-    BrowserFor(sh, user_index).RestoreState(r);
-  }
+  sh.browsers.Restore(r);
   sh.pending.clear();
   sh.finalized.clear();
   const std::uint64_t npending = r.ReadCount(kPendingRecordBytes);
@@ -562,18 +557,13 @@ void Engine::BuildShards() {
     std::sort(times.begin(), times.end());
   }
 
-  shards_.resize(jobs_.size() * dcs_per_site_);
+  shards_.reserve(jobs_.size() * dcs_per_site_);
   push_plans_.reserve(jobs_.size());
   for (std::size_t s = 0; s < jobs_.size(); ++s) {
     push_plans_.push_back(
         BuildPushPlan(jobs_[s].generator->catalog(), config_.push));
     for (std::size_t d = 0; d < dcs_per_site_; ++d) {
-      Shard& sh = shard(s, d);
-      sh.site = s;
-      sh.dc = d;
-      sh.cache = CreateCache(config_.topology.edge_policy,
-                             config_.topology.edge_capacity_bytes,
-                             config_.topology.edge_ttl_ms);
+      shards_.emplace_back(s, d, config_);
     }
     // Pin every event to its user's home DC. The pinning is a pure
     // function of the user, so the per-shard event slices — and therefore
@@ -609,19 +599,6 @@ void Engine::ForEachShard(const std::function<void(std::size_t)>& fn) {
   }
 }
 
-BrowserCache& Engine::BrowserFor(Shard& sh, std::uint32_t user_index) {
-  auto it = sh.browsers.find(user_index);
-  if (it == sh.browsers.end()) {
-    it = sh.browsers
-             .emplace(user_index,
-                      BrowserCache(config_.browser_capacity_bytes,
-                                   config_.browser_freshness_ms))
-             .first;
-    sh.browser_order.emplace_back(user_index, &it->second);
-  }
-  return it->second;
-}
-
 void Engine::Fill(Shard& sh, std::uint64_t key, std::uint64_t bytes) {
   if (config_.peer_fill) {
     // Peer holdings are the epoch-snapshotted ones: what sibling DCs held
@@ -648,9 +625,7 @@ void Engine::FlushCache(Shard& sh) {
   // the next barrier — siblings consulting it see the same staleness any
   // mid-epoch eviction produces.
   sh.flushed_stats.Merge(sh.cache->stats());
-  sh.cache = CreateCache(config_.topology.edge_policy,
-                         config_.topology.edge_capacity_bytes,
-                         config_.topology.edge_ttl_ms);
+  sh.cache = NewEdgeCache(config_);
 }
 
 void Engine::ApplyOpsUpTo(Shard& sh, std::int64_t now_ms) {
@@ -719,11 +694,13 @@ void Engine::ProcessEvent(Shard& sh, std::uint64_t event_seq) {
   const synth::UserInfo& user = job.generator->users().user(ev.user_index);
   const synth::ObjectMeta& obj = job.generator->catalog().object(ev.object_index);
   const std::uint32_t publisher_id = job.publisher_id;
-  BrowserCache& browser = BrowserFor(sh, ev.user_index);
+  // Every user who reaches the shard gets a browser, empty or not: a save
+  // writes each one.
+  const std::uint32_t browser = sh.browsers.BrowserFor(ev.user_index);
 
   // Incognito: the private window from the previous session was closed;
   // its cache is gone when a new session starts.
-  if (ev.session_start && user.incognito) browser.Clear();
+  if (ev.session_start && user.incognito) sh.browsers.Clear(browser);
 
   // --- anomalies -----------------------------------------------------
   if (ev.anomaly != synth::Anomaly::kNone) {
@@ -783,7 +760,8 @@ void Engine::ProcessEvent(Shard& sh, std::uint64_t event_seq) {
   const bool cacheable = obj.size_bytes <= config_.browser_max_object_bytes &&
                          obj.content_class != trace::ContentClass::kVideo;
   if (cacheable) {
-    const BrowserLookup lookup = browser.Lookup(obj.url_hash, ev.timestamp_ms);
+    const BrowserLookup lookup =
+        sh.browsers.Lookup(browser, obj.url_hash, ev.timestamp_ms);
     if (lookup == BrowserLookup::kFresh) {
       // Served entirely from the local cache: the CDN never sees this
       // request, so no record is emitted.
@@ -799,7 +777,7 @@ void Engine::ProcessEvent(Shard& sh, std::uint64_t event_seq) {
       if (status == trace::CacheStatus::kMiss) {
         Fill(sh, obj.url_hash, obj.size_bytes);
       }
-      browser.Renew(obj.url_hash, ev.timestamp_ms);
+      sh.browsers.Renew(browser, obj.url_hash, ev.timestamp_ms);
       trace::LogRecord rec = BaseRecord(ev, user, obj, publisher_id);
       rec.response_bytes = 0;
       rec.cache_status = status;
@@ -816,7 +794,7 @@ void Engine::ProcessEvent(Shard& sh, std::uint64_t event_seq) {
     Fill(sh, obj.url_hash, obj.size_bytes);
   }
   if (cacheable) {
-    browser.Store(obj.url_hash, obj.size_bytes, ev.timestamp_ms);
+    sh.browsers.Store(browser, obj.url_hash, obj.size_bytes, ev.timestamp_ms);
   }
   trace::LogRecord rec = BaseRecord(ev, user, obj, publisher_id);
   rec.response_bytes = obj.size_bytes;

@@ -31,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "cdn/browser_cache.h"
 #include "cdn/chunking.h"
 #include "cdn/op_event.h"
 #include "cdn/push.h"
